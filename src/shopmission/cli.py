@@ -110,6 +110,15 @@ def _fit_kwargs(config):
     return kwargs
 
 
+def _warn_unconverged(fit, converged):
+    if not converged:
+        print(
+            f"warning: {fit} k-means fit stopped at max_iter before "
+            "converging",
+            file=sys.stderr,
+        )
+
+
 def _read_assignment_csv(path) -> dict:
     assignment = {}
     with open(path, newline="", encoding="utf-8") as f:
@@ -179,6 +188,7 @@ def cmd_rfm(args, config):
         standardize=config.get("standardize_rfm", True),
         **_fit_kwargs(config),
     )
+    _warn_unconverged("rfm", report.metrics.get("converged", True))
     out = Path(args.out)
     report.write(out, "rfm")
     inputs = [args.receipts, args.categories]
@@ -208,6 +218,7 @@ def cmd_pps(args, config):
         dominance_threshold=config.get("dominance_threshold", 0.30),
         **_fit_kwargs(config),
     )
+    _warn_unconverged("pps", report.metrics["converged"])
     out = Path(args.out)
     report.write(out, "pps")
     write_manifest(
@@ -235,6 +246,8 @@ def cmd_sm(args, config):
         dominance_threshold=config.get("dominance_threshold", 0.30),
         **_fit_kwargs(config),
     )
+    _warn_unconverged("stage-1 basket", model.basket_model.converged)
+    _warn_unconverged("stage-2 customer", model.customer_model.converged)
     out = Path(args.out)
     basket_report.write(out, "sm_baskets")
     customer_report.write(out, "sm_customers")
@@ -277,6 +290,8 @@ def cmd_select_k(args, config):
         policy=args.policy,
         **_fit_kwargs(config),
     )
+    for row in sweep.rows:
+        _warn_unconverged(f"k={row.k}", row.converged)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep.to_csv(out / "k_sweep.csv")

@@ -83,7 +83,12 @@ def label_clusters(
 def _report_from_fit(
     matrix, model, assignment, ratio_features: bool, dominance_threshold
 ) -> SegmentationReport:
-    metrics = {"k": model.k, "inertia": model.inertia, "seed": model.seed}
+    metrics = {
+        "k": model.k,
+        "inertia": model.inertia,
+        "seed": model.seed,
+        "converged": model.converged,
+    }
     if model.k >= 2:
         metrics["between_variance_ratio"] = between_variance_ratio(
             matrix, assignment
@@ -280,7 +285,11 @@ def run_sm(
         histories, basket_assignment, k_b
     )
     row_sums = customer_matrix.X.sum(axis=1)
-    assert np.allclose(row_sums, 1.0, atol=1e-9), "stage-2 rows must be unit-sum"
+    if not np.allclose(row_sums, 1.0, atol=1e-9):
+        worst = float(row_sums[np.argmax(np.abs(row_sums - 1.0))])
+        raise PipelineError(
+            f"stage-2 customer rows must sum to 1; worst row sums to {worst!r}"
+        )
 
     n_distinct = np.unique(customer_matrix.X, axis=0).shape[0]
     if k_sm > n_distinct:

@@ -73,7 +73,7 @@ def davies_bouldin(matrix: FeatureMatrix, assignment: dict) -> float:
                 )
             worst = max(worst, (dispersion[i] + dispersion[j]) / d)
         db += worst
-    return db / k
+    return float(db / k)
 
 
 @dataclass
@@ -82,6 +82,7 @@ class KSweepRow:
     inertia: float
     between_variance_ratio: float
     davies_bouldin: float
+    converged: bool
 
 
 @dataclass
@@ -146,6 +147,7 @@ def select_k(
                     matrix, assignment
                 ),
                 davies_bouldin=davies_bouldin(matrix, assignment),
+                converged=model.converged,
             )
         )
     if policy == "db_min":

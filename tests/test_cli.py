@@ -70,13 +70,14 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sm_command_writes_reports_and_manifest(data_dir, tmp_path):
+def test_sm_command_writes_reports_and_manifest(data_dir, tmp_path, capsys):
     out = tmp_path / "sm"
     rc = main([
         "sm", *dataset_args(data_dir),
         "--k-b", "6", "--k-sm", "9", "--seed", "42", "--out", str(out),
     ])
     assert rc == 0
+    assert "warning:" not in capsys.readouterr().err
     for name in (
         "sm_baskets_assignments.csv",
         "sm_customers_assignments.csv",
@@ -118,7 +119,37 @@ def test_select_k_command(data_dir, tmp_path):
     assert rc == 0
     rec = json.loads((out / "k_recommendation.json").read_text())
     assert rec["recommended_k"] == 6
-    assert (out / "k_sweep.csv").exists()
+    with open(out / "k_sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == [
+        "k", "inertia", "between_variance_ratio", "davies_bouldin"
+    ]
+    assert [int(row[0]) for row in rows[1:]] == [4, 5, 6, 7, 8]
+    for row in rows[1:]:
+        for cell in row:
+            float(cell)
+
+
+def test_unconverged_fits_warn_on_stderr(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iter = 1\n")
+    out = tmp_path / "sm"
+    rc = main([
+        "--config", str(cfg), "sm", *dataset_args(data_dir),
+        "--k-b", "6", "--k-sm", "9", "--seed", "42", "--out", str(out),
+    ])
+    assert rc == 0
+    warnings = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("warning:")
+    ]
+    assert len(warnings) == 2
+    assert "stage-1 basket" in warnings[0] and "max_iter" in warnings[0]
+    model = json.loads((out / "sm_model.json").read_text())
+    assert model["basket_model"]["converged"] is False
+    assert model["customer_model"]["converged"] is False
+    metrics = json.loads((out / "sm_baskets_metrics.json").read_text())
+    assert metrics["converged"] is False
 
 
 def test_rfm_expert_mode_via_cli(data_dir, tmp_path):

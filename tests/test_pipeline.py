@@ -154,6 +154,24 @@ def test_run_sm_kb1_degenerates_with_warning():
     assert customer_report.shares == {0: 1.0}
 
 
+def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch):
+    from shopmission import pipeline
+
+    real = pipeline.feat.customer_sm_features
+
+    def doubled(*args):
+        matrix = real(*args)
+        matrix.X[0] *= 2.0
+        return matrix
+
+    monkeypatch.setattr(pipeline.feat, "customer_sm_features", doubled)
+    baskets = one_cat_baskets(5, ["c1", "c2"], "K00") + one_cat_baskets(
+        5, ["c3", "c4"], "K01"
+    )
+    with pytest.raises(PipelineError, match="sums to 2.0"):
+        run_sm(make_dataset(baskets), k_b=2, k_sm=2, seed=0)
+
+
 def test_score_reproduces_training_assignments(small_planted):
     _, _, _, dataset = small_planted
     model, _, customer_report = run_sm(dataset, k_b=6, k_sm=9, seed=42)
