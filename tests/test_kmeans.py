@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from shopmission import kmeans
@@ -211,6 +211,18 @@ def test_model_json_without_converged_field_loads():
 # --- Differential oracle: the plain Lloyd engine the pruned one replaced. ---
 # Brute-force (n, k, d) distances, masked means and np.unique empty-cluster
 # checks. The engine must match it bit for bit, restart by restart.
+#
+# The final repair loop of both engines can cycle forever: once two empty
+# clusters are re-seeded on equal rows, one stays empty with a NaN mean that
+# draws every row. The oracle gives up after a fixed number of passes, and
+# the tests reject such draws before the engine sees them, so no draw can
+# hang the suite.
+
+_MAX_FINAL_REPAIRS = 100
+
+
+class _RepairCycle(Exception):
+    pass
 
 
 def _oracle_squared_distances(X, centers):
@@ -269,7 +281,11 @@ def _oracle_lloyd(X, centers, max_iter, tol):
             break
     d2 = _oracle_squared_distances(X, centers)
     labels = np.argmin(d2, axis=1)
+    repairs = 0
     while len(np.unique(labels)) < centers.shape[0]:
+        repairs += 1
+        if repairs > _MAX_FINAL_REPAIRS:
+            raise _RepairCycle
         centers, labels = _oracle_repair_empty(X, centers, labels, d2)
         for j in range(centers.shape[0]):
             centers[j] = X[labels == j].mean(axis=0)
@@ -278,6 +294,14 @@ def _oracle_lloyd(X, centers, max_iter, tol):
     inertia = float(d2[np.arange(len(labels)), labels].sum())
     history.append(inertia)
     return centers, labels, inertia, iterations, history
+
+
+def oracle_or_reject(X, centers, max_iter, tol):
+    """The oracle's run, or a rejected draw if its final repair cycles."""
+    try:
+        return _oracle_lloyd(X, centers, max_iter, tol)
+    except _RepairCycle:
+        reject()
 
 
 def assert_same_run(got, want):
@@ -328,7 +352,7 @@ def test_engine_matches_plain_lloyd_oracle(inputs, seed, n_init, max_iter,
         init = _oracle_plusplus_init(X, k, np.random.default_rng(stream))
         engine_init = kmeans._plusplus_init(X, k, np.random.default_rng(stream))
         assert engine_init.tobytes() == init.tobytes()
-        want = _oracle_lloyd(X, init, max_iter, tol)
+        want = oracle_or_reject(X, init, max_iter, tol)
         assert_same_run(kmeans._lloyd(X, init, max_iter, tol)[:5], want)
         if best is None or want[2] < best[2]:
             best = want
@@ -346,11 +370,9 @@ def test_engine_matches_plain_lloyd_oracle(inputs, seed, n_init, max_iter,
     assert assign(model, matrix) == assignment
 
 
-# Fixed examples: on some inputs with NaN centers the final repair loop of
-# both engines cycles forever, and a random draw must not hang the suite.
 # The repair can leave a cluster empty; its NaN mean warns in both engines.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 30),
     d=st.integers(1, 4),
@@ -375,7 +397,7 @@ def test_custom_inits_match_oracle(n, d, grid, far_init, data_seed, max_iter):
         init = rng.integers(-1, 4, size=(int(rng.integers(1, len(X) + 1)), d))
         init = np.unique(init.astype(float), axis=0)
         rng.shuffle(init)
-    want = _oracle_lloyd(X, init, max_iter, 1e-6)
+    want = oracle_or_reject(X, init, max_iter, 1e-6)
     assert_same_run(kmeans._lloyd(X, init, max_iter, 1e-6)[:5], want)
 
 
