@@ -18,7 +18,9 @@ from pathlib import Path
 from . import __version__
 from .features import FeatureError
 from .kmeans import KMeansError
+from . import features as feat
 from .pipeline import (
+    DEFAULT_DOMINANCE_THRESHOLD,
     PipelineError,
     SmPipelineModel,
     load_expert_bounds,
@@ -30,8 +32,6 @@ from .pipeline import (
 from .syngen import SyngenError, default_config, generate
 from .txmodel import AnalysisWindow, TxError, ingest_receipts
 from .validity import ValidityError, crosstab, purity, select_k
-from . import features as feat
-from .txmodel import build_histories
 
 DATA_ERRORS = (
     TxError,
@@ -159,10 +159,9 @@ def cmd_syngen(args, config):
 
 def cmd_ingest(args, config):
     dataset = _load_dataset(args)
-    histories = build_histories(dataset.baskets)
     summary = {
         "n_baskets": dataset.n_baskets,
-        "n_customers": len(histories),
+        "n_customers": len(dataset.customer_ids),
         "n_categories": len(dataset.categories),
         "dropped_outside_window": dataset.dropped_outside_window,
         "total_value": dataset.total_value_cents / 100.0,
@@ -215,7 +214,9 @@ def cmd_pps(args, config):
         dataset,
         k=args.k,
         seed=args.seed,
-        dominance_threshold=config.get("dominance_threshold", 0.30),
+        dominance_threshold=config.get(
+            "dominance_threshold", DEFAULT_DOMINANCE_THRESHOLD
+        ),
         **_fit_kwargs(config),
     )
     _warn_unconverged("pps", report.metrics["converged"])
@@ -243,7 +244,9 @@ def cmd_sm(args, config):
         k_sm=args.k_sm,
         seed=args.seed,
         value_weight=config.get("value_weight", 1.0),
-        dominance_threshold=config.get("dominance_threshold", 0.30),
+        dominance_threshold=config.get(
+            "dominance_threshold", DEFAULT_DOMINANCE_THRESHOLD
+        ),
         **_fit_kwargs(config),
     )
     _warn_unconverged("stage-1 basket", model.basket_model.converged)
@@ -270,19 +273,18 @@ def cmd_sm(args, config):
 
 def cmd_select_k(args, config):
     dataset = _load_dataset(args)
-    histories = build_histories(dataset.baskets)
     if args.target == "pps":
-        matrix = feat.pps_features(histories, dataset.category_ids)
+        matrix = feat.pps_features(dataset)
     elif args.target == "basket":
-        q = feat.compute_q95(dataset.baskets)
+        q = feat.compute_q95(dataset)
         matrix = feat.basket_sm_features(
-            dataset.baskets,
+            dataset,
             dataset.category_ids,
             q,
             config.get("value_weight", 1.0),
         )
     else:  # rfm
-        matrix = feat.rfm_features(histories, dataset.window)
+        matrix = feat.rfm_features(dataset)
     sweep = select_k(
         matrix,
         (args.k_min, args.k_max),

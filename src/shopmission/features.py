@@ -2,17 +2,17 @@
 
 RFM per customer, category-spend ratios per customer (PPS), basket vectors
 with a quantile-clipped value coordinate, and customer vectors of basket
-archetype ratios.
+archetype ratios, all from the dataset's exact cents matrix.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .txmodel import AnalysisWindow, ValidationError
+from .txmodel import Dataset
 
 MIN_BASKETS_FOR_Q95 = 20
 
@@ -37,23 +37,13 @@ class FeatureMatrix:
                 f"{len(self.ids)} ids x {len(self.schema)} features"
             )
 
-    @classmethod
-    def from_mapping(cls, mapping, schema):
-        ids = sorted(mapping)
-        X = np.array([mapping[i] for i in ids], dtype=float)
-        if not ids:
-            X = X.reshape(0, len(schema))
-        return cls(ids=ids, X=X, schema=list(schema))
+    @cached_property
+    def n_distinct(self) -> int:
+        """Number of distinct rows, counted once; X must not change after."""
+        return np.unique(self.X, axis=0).shape[0]
 
     def row(self, entity_id):
         return self.X[self.ids.index(entity_id)]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["entity_id"] + list(self.schema))
-            for i, eid in enumerate(self.ids):
-                writer.writerow([eid] + [repr(v) for v in self.X[i]])
 
 
 @dataclass(frozen=True)
@@ -65,94 +55,98 @@ class QuantileSpec:
             raise FeatureError(f"q95 must be positive, got {self.q95}")
 
 
-def rfm_features(histories, window: AnalysisWindow) -> FeatureMatrix:
+def rfm_features(dataset: Dataset) -> FeatureMatrix:
     """Recency (days since last purchase), frequency and spend per day."""
-    rows = {}
-    for cid, history in histories.items():
-        recency = min(
-            (window.end - b.timestamp.date()).days for b in history.baskets
-        )
-        n = len(history.baskets)
-        rows[cid] = [
-            float(recency),
-            n / window.length_days,
-            history.value_cents / 100.0 / window.length_days,
-        ]
-    return FeatureMatrix.from_mapping(
-        rows, ["recency_days", "frequency", "monetary"]
+    window = dataset.window
+    n = len(dataset.customer_ids)
+    recency = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(
+        recency,
+        dataset.basket_customer,
+        [(window.end - ts.date()).days for ts in dataset.timestamps],
+    )
+    frequency = np.bincount(dataset.basket_customer, minlength=n)
+    cents = np.bincount(
+        dataset.basket_customer, weights=dataset.basket_cents, minlength=n
+    )
+    X = np.column_stack([
+        recency.astype(float),
+        frequency / window.length_days,
+        cents / 100.0 / window.length_days,
+    ])
+    return FeatureMatrix(
+        dataset.customer_ids, X, ["recency_days", "frequency", "monetary"]
     )
 
 
-def pps_features(histories, category_ids) -> FeatureMatrix:
+def pps_features(dataset: Dataset) -> FeatureMatrix:
     """Per-customer spend share in each category; rows sum to 1."""
-    cat_index = {c: i for i, c in enumerate(category_ids)}
-    rows = {}
-    for cid, history in histories.items():
-        spend = np.zeros(len(category_ids))
-        for basket in history.baskets:
-            for line in basket.lines:
-                spend[cat_index[line.category_id]] += line.value_cents
-        total = spend.sum()
-        if total <= 0:
-            raise ValidationError(f"customer {cid!r} has zero total spend")
-        rows[cid] = spend / total
-    return FeatureMatrix.from_mapping(
-        rows, [f"cat:{c}" for c in category_ids]
+    n = len(dataset.customer_ids)
+    spend = np.zeros((n, len(dataset.categories)), np.int64)
+    np.add.at(spend, dataset.basket_customer, dataset.spend_cents)
+    return FeatureMatrix(
+        dataset.customer_ids,
+        spend / spend.sum(axis=1, keepdims=True),
+        [f"cat:{c}" for c in dataset.category_ids],
     )
 
 
-def compute_q95(baskets) -> QuantileSpec:
+def compute_q95(dataset: Dataset) -> QuantileSpec:
     """95% sample quantile (linear interpolation) of basket values."""
-    if len(baskets) < MIN_BASKETS_FOR_Q95:
+    if dataset.n_baskets < MIN_BASKETS_FOR_Q95:
         raise FeatureError(
             f"need at least {MIN_BASKETS_FOR_Q95} baskets for the 95% "
-            f"quantile, got {len(baskets)}"
+            f"quantile, got {dataset.n_baskets}"
         )
-    values = np.array([b.value for b in baskets])
+    values = dataset.basket_cents / 100.0
     return QuantileSpec(q95=float(np.quantile(values, 0.95)))
 
 
 def basket_sm_features(
-    baskets, category_ids, q: QuantileSpec, value_weight: float = 1.0
+    dataset: Dataset, category_ids, q: QuantileSpec, value_weight: float = 1.0
 ) -> FeatureMatrix:
     """Category-ratio simplex coordinates plus the clipped value coordinate.
 
-    The value coordinate is min(value / q95, 1) scaled by ``value_weight``
-    (default 1.0: structure and value enter with similar weight).
+    Columns follow ``category_ids``, which must include every category of
+    the dataset (a training axis may hold more). The value coordinate is
+    min(value / q95, 1) scaled by ``value_weight`` (default 1.0: structure
+    and value enter with similar weight).
     """
-    cat_index = {c: i for i, c in enumerate(category_ids)}
-    rows = {}
-    for basket in baskets:
-        spend = np.zeros(len(category_ids))
-        for line in basket.lines:
-            spend[cat_index[line.category_id]] += line.value_cents
-        total = spend.sum()
-        ratios = spend / total
-        value_coord = min(basket.value / q.q95, 1.0)
-        rows[basket.basket_id] = np.append(ratios, value_weight * value_coord)
-    return FeatureMatrix.from_mapping(
-        rows, [f"cat:{c}" for c in category_ids] + ["value"]
+    column = {c: j for j, c in enumerate(category_ids)}
+    spend = np.zeros((dataset.n_baskets, len(column)), np.int64)
+    spend[:, [column[c] for c in dataset.category_ids]] = dataset.spend_cents
+    totals = dataset.basket_cents
+    value_coord = np.minimum(totals / 100.0 / q.q95, 1.0)
+    X = np.column_stack(
+        [spend / totals[:, None], value_weight * value_coord]
+    )
+    return FeatureMatrix(
+        dataset.basket_ids, X, [f"cat:{c}" for c in category_ids] + ["value"]
     )
 
 
-def customer_sm_features(histories, basket_assignments, k_b) -> FeatureMatrix:
+def customer_sm_features(
+    dataset: Dataset, basket_assignments, k_b
+) -> FeatureMatrix:
     """Per-customer ratios of basket archetypes; rows sum to 1."""
-    rows = {}
-    for cid, history in histories.items():
-        counts = np.zeros(k_b)
-        for basket in history.baskets:
-            if basket.basket_id not in basket_assignments:
-                raise FeatureError(
-                    f"basket {basket.basket_id!r} has no archetype assignment"
-                )
-            cluster = basket_assignments[basket.basket_id]
-            if not 0 <= cluster < k_b:
-                raise FeatureError(
-                    f"basket {basket.basket_id!r} assigned to cluster "
-                    f"{cluster}, outside [0, {k_b})"
-                )
-            counts[cluster] += 1
-        rows[cid] = counts / counts.sum()
-    return FeatureMatrix.from_mapping(
-        rows, [f"archetype:{j}" for j in range(k_b)]
+    labels = np.array(
+        [basket_assignments.get(b, -1) for b in dataset.basket_ids], np.int64
+    )
+    bad = np.flatnonzero((labels < 0) | (labels >= k_b))
+    if bad.size:
+        bid = dataset.basket_ids[bad[0]]
+        if bid not in basket_assignments:
+            raise FeatureError(f"basket {bid!r} has no archetype assignment")
+        raise FeatureError(
+            f"basket {bid!r} assigned to cluster {labels[bad[0]]}, "
+            f"outside [0, {k_b})"
+        )
+    n = len(dataset.customer_ids)
+    counts = np.bincount(
+        dataset.basket_customer * k_b + labels, minlength=n * k_b
+    ).reshape(n, k_b)
+    return FeatureMatrix(
+        dataset.customer_ids,
+        counts / counts.sum(axis=1, keepdims=True),
+        [f"archetype:{j}" for j in range(k_b)],
     )

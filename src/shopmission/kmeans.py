@@ -38,23 +38,23 @@ class ClusterModel:
     # False when the kept restart stopped at max_iter with shift >= tol.
     converged: bool = True
 
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "feature_schema": self.feature_schema,
+            "seed": self.seed,
+            "inertia": self.inertia,
+            "iterations_run": self.iterations_run,
+            "inertia_history": self.inertia_history,
+            "converged": self.converged,
+            "centers": [list(row) for row in self.centers],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "feature_schema": self.feature_schema,
-                "seed": self.seed,
-                "inertia": self.inertia,
-                "iterations_run": self.iterations_run,
-                "inertia_history": self.inertia_history,
-                "converged": self.converged,
-                "centers": [list(row) for row in self.centers],
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "ClusterModel":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "ClusterModel":
         return cls(
             k=doc["k"],
             centers=np.array(doc["centers"], dtype=float),
@@ -66,6 +66,10 @@ class ClusterModel:
             # Files written before the field existed did not record it.
             converged=doc.get("converged", True),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "ClusterModel":
+        return cls.from_dict(json.loads(text))
 
 
 def _squared_distances(X, centers):
@@ -212,10 +216,9 @@ def kmeans_fit(
         raise KMeansError(f"k must be >= 1, got {k}")
     if max_iter < 1 or tol <= 0:
         raise KMeansError("max_iter must be >= 1 and tol > 0")
-    n_distinct = np.unique(X, axis=0).shape[0]
-    if k > n_distinct:
+    if k > matrix.n_distinct:
         raise KMeansError(
-            f"k={k} exceeds number of distinct rows ({n_distinct})"
+            f"k={k} exceeds number of distinct rows ({matrix.n_distinct})"
         )
 
     best = None

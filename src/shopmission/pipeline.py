@@ -12,7 +12,7 @@ import numpy as np
 from . import features as feat
 from .features import FeatureMatrix, QuantileSpec
 from .kmeans import ClusterModel, assign, kmeans_fit
-from .txmodel import Dataset, ValidationError, build_histories
+from .txmodel import Dataset, ValidationError
 from .validity import between_variance_ratio, davies_bouldin
 
 STAGE2_SEED_OFFSET = 7919
@@ -145,8 +145,7 @@ def run_rfm(
 ) -> SegmentationReport:
     """RFM segmentation: k-means on (recency, frequency, monetary) vectors,
     or expert threshold binning."""
-    histories = build_histories(dataset.baskets)
-    matrix = feat.rfm_features(histories, dataset.window)
+    matrix = feat.rfm_features(dataset)
     if mode == "kmeans":
         if k is None:
             raise PipelineError("kmeans mode requires k")
@@ -210,8 +209,7 @@ def run_pps(
     **fit_kwargs,
 ) -> SegmentationReport:
     """PPS segmentation: k-means on per-customer category spend ratios."""
-    histories = build_histories(dataset.baskets)
-    matrix = feat.pps_features(histories, dataset.category_ids)
+    matrix = feat.pps_features(dataset)
     model, assignment = kmeans_fit(matrix, k, seed=seed, **fit_kwargs)
     return _report_from_fit(
         matrix, model, assignment, True, dominance_threshold
@@ -234,8 +232,8 @@ class SmPipelineModel:
                 "value_weight": self.value_weight,
                 "category_ids": self.category_ids,
                 "dataset_fingerprint": self.dataset_fingerprint,
-                "basket_model": json.loads(self.basket_model.to_json()),
-                "customer_model": json.loads(self.customer_model.to_json()),
+                "basket_model": self.basket_model.to_dict(),
+                "customer_model": self.customer_model.to_dict(),
             }
         )
 
@@ -244,12 +242,8 @@ class SmPipelineModel:
         doc = json.loads(text)
         return cls(
             q95=QuantileSpec(q95=doc["q95"]),
-            basket_model=ClusterModel.from_json(
-                json.dumps(doc["basket_model"])
-            ),
-            customer_model=ClusterModel.from_json(
-                json.dumps(doc["customer_model"])
-            ),
+            basket_model=ClusterModel.from_dict(doc["basket_model"]),
+            customer_model=ClusterModel.from_dict(doc["customer_model"]),
             category_ids=doc["category_ids"],
             value_weight=doc["value_weight"],
             dataset_fingerprint=doc["dataset_fingerprint"],
@@ -272,17 +266,16 @@ def run_sm(
     basket archetypes. Returns (SmPipelineModel, basket report, customer
     report).
     """
-    q = feat.compute_q95(dataset.baskets)
+    q = feat.compute_q95(dataset)
     basket_matrix = feat.basket_sm_features(
-        dataset.baskets, dataset.category_ids, q, value_weight
+        dataset, dataset.category_ids, q, value_weight
     )
     basket_model, basket_assignment = kmeans_fit(
         basket_matrix, k_b, seed=seed, **fit_kwargs
     )
 
-    histories = build_histories(dataset.baskets)
     customer_matrix = feat.customer_sm_features(
-        histories, basket_assignment, k_b
+        dataset, basket_assignment, k_b
     )
     row_sums = customer_matrix.X.sum(axis=1)
     if not np.allclose(row_sums, 1.0, atol=1e-9):
@@ -291,7 +284,7 @@ def run_sm(
             f"stage-2 customer rows must sum to 1; worst row sums to {worst!r}"
         )
 
-    n_distinct = np.unique(customer_matrix.X, axis=0).shape[0]
+    n_distinct = customer_matrix.n_distinct
     if k_sm > n_distinct:
         warnings.warn(
             f"stage 2 has only {n_distinct} distinct customer vectors; "
@@ -334,11 +327,10 @@ def score(model: SmPipelineModel, dataset: Dataset) -> dict:
         )
     # Project onto the training category axis (missing categories -> 0).
     basket_matrix = feat.basket_sm_features(
-        dataset.baskets, model.category_ids, model.q95, model.value_weight
+        dataset, model.category_ids, model.q95, model.value_weight
     )
     basket_assignment = assign(model.basket_model, basket_matrix)
-    histories = build_histories(dataset.baskets)
     customer_matrix = feat.customer_sm_features(
-        histories, basket_assignment, model.basket_model.k
+        dataset, basket_assignment, model.basket_model.k
     )
     return assign(model.customer_model, customer_matrix)

@@ -1,17 +1,19 @@
-"""Transaction data model: categories, purchased lines, baskets, customer histories.
+"""Transaction data model: categories, analysis window, columnar baskets.
 
 Ingestion reads receipt-level CSV files, validates them against the category
-table and the analysis window, and produces an immutable dataset that all
-downstream feature computations share.
+table and the analysis window, and produces an immutable dataset of columns
+that all downstream feature computations share.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
+
+import numpy as np
 
 RECEIPT_COLUMNS = [
     "basket_id",
@@ -25,6 +27,11 @@ RECEIPT_COLUMNS = [
 ]
 
 CATEGORY_COLUMNS = ["category_id", "label"]
+
+# Cents totals stay below 2**53, so int64 cents convert to float64 exactly
+# and every float sum of them is exact.
+MAX_CENTS = 2**53
+_CENT = Decimal("0.01")
 
 
 class TxError(Exception):
@@ -50,45 +57,6 @@ class Category:
 
 
 @dataclass(frozen=True)
-class PurchasedLine:
-    product_id: str
-    category_id: str
-    unit_price_cents: int  # minor currency units, exact
-    quantity: int
-    promo_flag: bool
-
-    @property
-    def value_cents(self) -> int:
-        return self.unit_price_cents * self.quantity
-
-
-@dataclass(frozen=True)
-class Basket:
-    basket_id: str
-    customer_id: str
-    timestamp: datetime
-    lines: tuple
-
-    @property
-    def value_cents(self) -> int:
-        return sum(line.value_cents for line in self.lines)
-
-    @property
-    def value(self) -> float:
-        return self.value_cents / 100.0
-
-
-@dataclass(frozen=True)
-class CustomerHistory:
-    customer_id: str
-    baskets: tuple
-
-    @property
-    def value_cents(self) -> int:
-        return sum(b.value_cents for b in self.baskets)
-
-
-@dataclass(frozen=True)
 class AnalysisWindow:
     start: date
     end: date
@@ -107,17 +75,22 @@ class AnalysisWindow:
         return self.start <= ts.date() <= self.end
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """Baskets as columns; row i of every per-basket column is basket_ids[i]."""
+
     categories: dict  # category_id -> Category
-    baskets: list  # list of Basket, ordered by basket_id
     window: AnalysisWindow
+    basket_ids: list  # sorted
+    customer_ids: list  # sorted, each with at least one basket
+    basket_customer: np.ndarray  # (n_baskets,) index into customer_ids
+    timestamps: list  # (n_baskets,) datetime of each basket
+    spend_cents: np.ndarray  # (n_baskets, n_categories) int64, category_ids order
     dropped_outside_window: int = 0
-    _fingerprint: str = field(default="", repr=False)
 
     @property
     def n_baskets(self) -> int:
-        return len(self.baskets)
+        return len(self.basket_ids)
 
     @property
     def category_ids(self) -> list:
@@ -125,42 +98,74 @@ class Dataset:
         return sorted(self.categories)
 
     @property
+    def basket_cents(self) -> np.ndarray:
+        return self.spend_cents.sum(axis=1)
+
+    @property
     def total_value_cents(self) -> int:
-        return sum(b.value_cents for b in self.baskets)
+        return int(self.spend_cents.sum())
 
     def fingerprint(self) -> str:
         """Stable content hash, independent of ingestion order."""
-        if not self._fingerprint:
-            h = hashlib.sha256()
-            for b in sorted(self.baskets, key=lambda x: x.basket_id):
-                h.update(
-                    f"{b.basket_id},{b.customer_id},{b.timestamp.isoformat()},{b.value_cents}\n".encode()
-                )
-            for cid in self.category_ids:
-                h.update(f"{cid}\n".encode())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+        text = "".join(
+            f"{bid},{self.customer_ids[c]},{ts.isoformat()},{cents}\n"
+            for bid, c, ts, cents in zip(
+                self.basket_ids,
+                self.basket_customer.tolist(),
+                self.timestamps,
+                self.basket_cents.tolist(),
+            )
+        ) + "".join(f"{cid}\n" for cid in self.category_ids)
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _parse_money_cents(text: str, line_no: int) -> int:
+def _parse_price(text: str, line_no: int, basket_id: str) -> int:
+    """Unit price in cents, exact."""
     try:
         value = Decimal(text)
     except InvalidOperation:
         raise ParseError(f"bad money value {text!r}", line_no) from None
-    cents = value * 100
-    if cents != cents.to_integral_value():
+    if not value.is_finite() or value.copy_abs() >= MAX_CENTS * _CENT:
+        raise ParseError(f"bad money value {text!r}", line_no)
+    rounded = value.quantize(_CENT)
+    if rounded != value:
         raise ParseError(
             f"money value {text!r} has sub-cent precision", line_no
         )
-    return int(cents)
+    if value < 0:
+        raise ValidationError(
+            f"line {line_no}: negative unit_price in basket {basket_id!r}"
+        )
+    return int(rounded * 100)
 
 
-def _parse_timestamp(text: str, line_no: int) -> datetime:
+def _parse_quantity(text: str, line_no: int, basket_id: str) -> int:
+    try:
+        qty = int(text)
+    except ValueError:
+        raise ParseError(f"bad quantity {text!r}", line_no) from None
+    if not 1 <= qty < MAX_CENTS:
+        raise ValidationError(
+            f"line {line_no}: quantity must be >= 1 and below 2**53 "
+            f"in basket {basket_id!r}"
+        )
+    return qty
+
+
+def _parse_timestamp(text: str, line_no: int, seen: dict) -> datetime:
+    """Parse ``text``; ``seen`` holds the file's timestamps parsed so far."""
     try:
         # Dates without time-of-day default to midnight.
-        return datetime.fromisoformat(text)
+        ts = datetime.fromisoformat(text)
     except ValueError:
         raise ParseError(f"bad timestamp {text!r}", line_no) from None
+    first = next(iter(seen.values()), ts)
+    if (first.tzinfo is None) != (ts.tzinfo is None):
+        raise ValidationError(
+            f"line {line_no}: timestamp {text!r} mixes timezone-aware "
+            "and naive timestamps in one file"
+        )
+    return ts
 
 
 def read_categories(path) -> dict:
@@ -188,68 +193,86 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
 
     Rows whose basket falls outside the window are dropped (counted in
     ``dropped_outside_window``). Unknown categories, malformed values,
-    zero-value baskets and conflicting customer ids are hard errors.
+    zero-value baskets, baskets whose rows disagree on customer id or
+    timestamp, and files mixing timezone-aware with naive timestamps are
+    hard errors. Line numbers in messages are physical lines of the file.
     """
     categories = read_categories(category_table)
+    cat_index = {c: i for i, c in enumerate(sorted(categories))}
+    n_cats, n_fields = len(cat_index), len(RECEIPT_COLUMNS)
 
-    lines_by_basket = {}
-    basket_meta = {}  # basket_id -> (customer_id, timestamp)
+    # Each distinct timestamp, price and quantity string is parsed once;
+    # a bad one raises at its first row.
+    timestamps, prices, quantities = {}, {}, {}
+    baskets = {}  # basket_id -> (basket index, customer_id, timestamp)
+    row_cell, row_cents = [], []  # basket * n_cats + category, line value
     unknown_category_rows = []
 
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != RECEIPT_COLUMNS:
-            raise ParseError(
-                f"receipts header must be {RECEIPT_COLUMNS}, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if any(row.get(c) in (None, "") for c in RECEIPT_COLUMNS):
-                raise ParseError("missing column value", line_no)
-            bid = row["basket_id"]
-            cid = row["customer_id"]
-            ts = _parse_timestamp(row["timestamp"], line_no)
-            price = _parse_money_cents(row["unit_price"], line_no)
-            if price < 0:
-                raise ValidationError(
-                    f"line {line_no}: negative unit_price in basket {bid!r}"
-                )
-            try:
-                qty = int(row["quantity"])
-            except ValueError:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header != RECEIPT_COLUMNS:
                 raise ParseError(
-                    f"bad quantity {row['quantity']!r}", line_no
-                ) from None
-            if qty < 1:
-                raise ValidationError(
-                    f"line {line_no}: quantity must be >= 1 in basket {bid!r}"
+                    f"receipts header must be {RECEIPT_COLUMNS}, got {header}"
                 )
-            if row["promo_flag"] not in ("0", "1"):
-                raise ParseError(
-                    f"promo_flag must be 0 or 1, got {row['promo_flag']!r}",
-                    line_no,
-                )
-            if row["category_id"] not in categories:
-                unknown_category_rows.append((line_no, row["category_id"]))
-                continue
-            if bid in basket_meta:
-                prev_cid, prev_ts = basket_meta[bid]
-                if prev_cid != cid:
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                line_no = reader.line_num
+                if len(row) != n_fields or "" in row:
+                    if len(row) > n_fields:
+                        raise ParseError(
+                            f"expected {n_fields} fields, got {len(row)}",
+                            line_no,
+                        )
+                    raise ParseError("missing column value", line_no)
+                bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
+                ts = timestamps.get(ts_text)
+                if ts is None:
+                    ts = timestamps[ts_text] = _parse_timestamp(
+                        ts_text, line_no, timestamps
+                    )
+                price = prices.get(price_text)
+                if price is None:
+                    price = prices[price_text] = _parse_price(
+                        price_text, line_no, bid
+                    )
+                qty = quantities.get(qty_text)
+                if qty is None:
+                    qty = quantities[qty_text] = _parse_quantity(
+                        qty_text, line_no, bid
+                    )
+                if promo not in ("0", "1"):
+                    raise ParseError(
+                        f"promo_flag must be 0 or 1, got {promo!r}", line_no
+                    )
+                c = cat_index.get(cat)
+                if c is None:
+                    unknown_category_rows.append((line_no, cat))
+                    continue
+
+                meta = baskets.get(bid)
+                if meta is None:
+                    meta = baskets[bid] = (len(baskets), cid, ts)
+                elif meta[1] != cid:
                     raise ValidationError(
                         f"line {line_no}: basket {bid!r} has conflicting "
-                        f"customer ids {prev_cid!r} and {cid!r}"
+                        f"customer ids {meta[1]!r} and {cid!r}"
                     )
-            else:
-                basket_meta[bid] = (cid, ts)
-                lines_by_basket[bid] = []
-            lines_by_basket[bid].append(
-                PurchasedLine(
-                    product_id=row["product_id"],
-                    category_id=row["category_id"],
-                    unit_price_cents=price,
-                    quantity=qty,
-                    promo_flag=row["promo_flag"] == "1",
-                )
-            )
+                elif meta[2] is not ts and (
+                    meta[2].isoformat() != ts.isoformat()
+                ):
+                    raise ValidationError(
+                        f"line {line_no}: basket {bid!r} has conflicting "
+                        f"timestamps {meta[2].isoformat()!r} and {ts.isoformat()!r}"
+                    )
+                row_cell.append(meta[0] * n_cats + c)
+                row_cents.append(price * qty)
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"receipts file is not valid UTF-8: {exc}") from None
 
     if unknown_category_rows:
         shown = ", ".join(
@@ -259,39 +282,39 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
             f"{len(unknown_category_rows)} rows reference unknown categories: {shown}"
         )
 
-    baskets = []
-    dropped = 0
-    for bid in sorted(lines_by_basket):
-        customer_id, ts = basket_meta[bid]
-        basket = Basket(
-            basket_id=bid,
-            customer_id=customer_id,
-            timestamp=ts,
-            lines=tuple(lines_by_basket[bid]),
-        )
-        if not window.contains(ts):
-            dropped += 1
-            continue
-        if basket.value_cents <= 0:
-            raise ValidationError(
-                f"basket {bid!r} has non-positive total value"
-            )
-        baskets.append(basket)
+    # Sums in float64 are exact below 2**53, and a line value or sum that
+    # reaches 2**53 still rounds to >= 2**53, which the total check rejects.
+    spend = np.bincount(
+        np.array(row_cell, dtype=np.int64),
+        weights=np.array(row_cents, dtype=float),
+        minlength=len(baskets) * n_cats,
+    ).reshape(-1, n_cats)
 
+    kept = [b for b in sorted(baskets) if window.contains(baskets[b][2])]
+    spend = spend[[baskets[b][0] for b in kept]]
+    basket_values = spend.sum(axis=1)
+    empty = np.flatnonzero(basket_values <= 0)
+    if empty.size:
+        raise ValidationError(
+            f"basket {kept[empty[0]]!r} has non-positive total value"
+        )
+    if basket_values.sum() >= MAX_CENTS:
+        raise ValidationError(
+            f"total value reaches 2**53 cents ({MAX_CENTS}); "
+            "cents sums would no longer be exact"
+        )
+
+    customer_ids = sorted({baskets[b][1] for b in kept})
+    customer_index = {c: i for i, c in enumerate(customer_ids)}
     return Dataset(
         categories=categories,
-        baskets=baskets,
         window=window,
-        dropped_outside_window=dropped,
+        basket_ids=kept,
+        customer_ids=customer_ids,
+        basket_customer=np.array(
+            [customer_index[baskets[b][1]] for b in kept], dtype=np.intp
+        ),
+        timestamps=[baskets[b][2] for b in kept],
+        spend_cents=spend.astype(np.int64),
+        dropped_outside_window=len(baskets) - len(kept),
     )
-
-
-def build_histories(baskets) -> dict:
-    """Partition baskets by customer id -> {customer_id: CustomerHistory}."""
-    grouped = {}
-    for basket in baskets:
-        grouped.setdefault(basket.customer_id, []).append(basket)
-    return {
-        cid: CustomerHistory(customer_id=cid, baskets=tuple(bs))
-        for cid, bs in sorted(grouped.items())
-    }

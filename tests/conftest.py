@@ -1,4 +1,4 @@
-import sys
+import itertools
 from datetime import date
 from pathlib import Path
 
@@ -29,3 +29,33 @@ def write_categories(path: Path, ids):
     path.write_text(
         "\n".join(["category_id,label"] + [f"{c},Label {c}" for c in ids]) + "\n"
     )
+
+
+def basket_rows(bid, cust, spends, when="2025-02-01"):
+    """Receipt rows of one basket; spends maps category -> value in currency
+    units, and every positive value becomes one line of quantity 1."""
+    rows = []
+    for cat, value in spends.items():
+        if value > 0:
+            cents = int(round(value * 100))
+            price = f"{cents // 100}.{cents % 100:02d}"
+            rows.append(f"{bid},{cust},{when},p_{cat},{cat},{price},1,0")
+    return rows
+
+
+@pytest.fixture
+def make_dataset(tmp_path):
+    """make(rows, categories) writes both CSVs and returns the ingested
+    Dataset; each call uses a fresh directory."""
+    counter = itertools.count()
+
+    def make(rows, categories, window=WINDOW):
+        directory = tmp_path / f"dataset{next(counter)}"
+        directory.mkdir()
+        write_receipts(directory / "receipts.csv", rows)
+        write_categories(directory / "categories.csv", categories)
+        return ingest_receipts(
+            directory / "receipts.csv", directory / "categories.csv", window
+        )
+
+    return make

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import WINDOW
+from conftest import WINDOW, basket_rows
 from shopmission import features as feat
 from shopmission.cli import main as cli_main
 from shopmission.features import FeatureMatrix
@@ -238,8 +238,8 @@ def test_criterion_5_planted_sm_pipeline(tmp_path):
     p_basket = purity(basket_report.assignment, truth.basket_archetype)
     p_customer = purity(customer_report.assignment, truth.customer_mission)
 
-    q = feat.compute_q95(dataset.baskets)
-    matrix = feat.basket_sm_features(dataset.baskets, dataset.category_ids, q)
+    q = feat.compute_q95(dataset)
+    matrix = feat.basket_sm_features(dataset, dataset.category_ids, q)
     sweep = select_k(matrix, (2, 12), seed=0)
     elapsed = time.perf_counter() - start
     ok = (
@@ -281,22 +281,30 @@ def test_criterion_6_prism_geometry():
     report(6, ok, f"(S1 -> cluster {result['S1']}, S2 -> cluster {result['S2']})")
 
 
-def test_criterion_7_feature_invariants():
+def test_criterion_7_feature_invariants(make_dataset):
     rng = np.random.default_rng(107)
-    from test_features import make_basket  # noqa: E402
 
     cats = ["a", "b", "c", "d"]
-    ok = True
+    cases = []
+    rows = []
     for case in range(1000):
         q95 = float(rng.uniform(5, 200))
-        q = feat.QuantileSpec(q95=q95)
         spends = {
             c: float(np.round(rng.uniform(0, 30), 2)) for c in cats
         }
         if sum(spends.values()) == 0:
             spends[cats[0]] = 1.0
-        basket = make_basket(f"b{case}", "c", spends)
-        matrix = feat.basket_sm_features([basket], cats, q)
+        cents = sum(int(round(v * 100)) for v in spends.values())
+        cases.append((q95, cents / 100.0))
+        rows += basket_rows(f"b{case}", "c", spends)
+        rows += basket_rows(
+            f"B{case}", "c", {c: 2 * v for c, v in spends.items()}
+        )
+    dataset = make_dataset(rows, cats)
+    ok = True
+    for case, (q95, basket_value) in enumerate(cases):
+        q = feat.QuantileSpec(q95=q95)
+        matrix = feat.basket_sm_features(dataset, cats, q)
         row = matrix.row(f"b{case}")
         ratios, value = row[:-1], row[-1]
         if not (abs(ratios.sum() - 1.0) < 1e-9 and (ratios >= 0).all()):
@@ -304,11 +312,8 @@ def test_criterion_7_feature_invariants():
         if not (0.0 <= value <= 1.0):
             ok = False
         # monotone in value, saturating at q95
-        bigger = make_basket(
-            f"B{case}", "c", {c: 2 * v for c, v in spends.items()}
-        )
-        row2 = feat.basket_sm_features([bigger], cats, q).row(f"B{case}")
-        if row2[-1] < value or (basket.value >= q95 and value != 1.0):
+        row2 = matrix.row(f"B{case}")
+        if row2[-1] < value or (basket_value >= q95 and value != 1.0):
             ok = False
         # price scaling leaves ratios unchanged
         if not np.allclose(ratios, row2[:-1], atol=1e-12):
@@ -321,12 +326,11 @@ def test_criterion_7_feature_invariants():
         values = np.round(
             rng.lognormal(2.0, 1.0, size=int(rng.integers(20, 150))), 2
         )
-        baskets = [
-            make_basket(f"q{i}", "c", {"a": float(v)})
-            for i, v in enumerate(values)
-        ]
-        got = feat.compute_q95(baskets).q95
-        ref = oracle_quantile([b.value for b in baskets], 0.95)
+        rows = []
+        for i, v in enumerate(values):
+            rows += basket_rows(f"q{i}", "c", {"a": float(v)})
+        got = feat.compute_q95(make_dataset(rows, cats)).q95
+        ref = oracle_quantile([float(v) for v in values], 0.95)
         if abs(got - ref) > 1e-12:
             q_ok = False
             break

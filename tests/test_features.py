@@ -1,25 +1,13 @@
 import math
-from datetime import datetime
 
 import numpy as np
 import pytest
 
-from conftest import WINDOW
+from conftest import basket_rows
 from shopmission import features as feat
-from shopmission.features import FeatureError, FeatureMatrix, QuantileSpec
-from shopmission.txmodel import Basket, CustomerHistory, PurchasedLine, build_histories
+from shopmission.features import FeatureError, QuantileSpec
 
 CATS = ["hair", "body", "face"]
-
-
-def make_basket(bid, cust, day_values, when="2025-02-01"):
-    """day_values: {category: value in currency units}."""
-    lines = tuple(
-        PurchasedLine(f"p_{c}", c, int(round(v * 100)), 1, False)
-        for c, v in day_values.items()
-        if v > 0
-    )
-    return Basket(bid, cust, datetime.fromisoformat(when), lines)
 
 
 def quantile_oracle(values, p):
@@ -32,164 +20,160 @@ def quantile_oracle(values, p):
     return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
 
 
-def test_rfm_direct_substitution():
-    basket = make_basket("b1", "c1", {"hair": 90.0}, "2025-03-31")
-    histories = {"c1": CustomerHistory("c1", (basket,))}
-    matrix = feat.rfm_features(histories, WINDOW)
+def one_value_baskets(values):
+    rows = []
+    for i, v in enumerate(values):
+        rows += basket_rows(f"b{i:04d}", "c1", {"hair": v})
+    return rows
+
+
+def test_rfm_direct_substitution(make_dataset):
+    ds = make_dataset(basket_rows("b1", "c1", {"hair": 90.0}, "2025-03-31"), CATS)
+    matrix = feat.rfm_features(ds)
     rec, frq, mon = matrix.row("c1")
     assert rec == 0.0
     assert frq == pytest.approx(1 / 89)
     assert mon == pytest.approx(90.0 / 89)
 
 
-def test_rfm_identical_customers_identical_vectors():
-    b1 = make_basket("b1", "c1", {"hair": 5.0})
-    b2 = make_basket("b2", "c2", {"hair": 5.0})
-    histories = build_histories([b1, b2])
-    matrix = feat.rfm_features(histories, WINDOW)
+def test_rfm_identical_customers_identical_vectors(make_dataset):
+    rows = basket_rows("b1", "c1", {"hair": 5.0})
+    rows += basket_rows("b2", "c2", {"hair": 5.0})
+    matrix = feat.rfm_features(make_dataset(rows, CATS))
     assert np.array_equal(matrix.row("c1"), matrix.row("c2"))
 
 
-def test_rfm_permutation_invariant_in_basket_order():
+def test_rfm_permutation_invariant_in_basket_order(make_dataset):
     baskets = [
-        make_basket(f"b{i}", "c1", {"hair": float(i + 1)}, f"2025-02-{i + 1:02d}")
+        basket_rows(f"b{i}", "c1", {"hair": float(i + 1)}, f"2025-02-{i + 1:02d}")
         for i in range(5)
     ]
-    h_fwd = {"c1": CustomerHistory("c1", tuple(baskets))}
-    h_rev = {"c1": CustomerHistory("c1", tuple(reversed(baskets)))}
+    fwd = make_dataset(sum(baskets, []), CATS)
+    rev = make_dataset(sum(reversed(baskets), []), CATS)
     assert np.array_equal(
-        feat.rfm_features(h_fwd, WINDOW).row("c1"),
-        feat.rfm_features(h_rev, WINDOW).row("c1"),
+        feat.rfm_features(fwd).row("c1"), feat.rfm_features(rev).row("c1")
     )
 
 
-def test_pps_single_category_is_one_hot():
-    histories = build_histories([make_basket("b1", "c1", {"face": 4.0})])
-    matrix = feat.pps_features(histories, CATS)
-    assert list(matrix.row("c1")) == [0.0, 0.0, 1.0]
+def test_pps_single_category_is_one_hot(make_dataset):
+    ds = make_dataset(basket_rows("b1", "c1", {"face": 4.0}), CATS)
+    matrix = feat.pps_features(ds)
+    assert matrix.schema == ["cat:body", "cat:face", "cat:hair"]
+    assert list(matrix.row("c1")) == [0.0, 1.0, 0.0]
 
 
-def test_pps_equal_split():
-    histories = build_histories(
-        [make_basket("b1", "c1", {"hair": 3.0, "body": 3.0})]
-    )
-    matrix = feat.pps_features(histories, CATS + ["other"])
-    assert list(matrix.row("c1")) == [0.5, 0.5, 0.0, 0.0]
+def test_pps_equal_split(make_dataset):
+    rows = basket_rows("b1", "c1", {"hair": 3.0, "body": 3.0})
+    matrix = feat.pps_features(make_dataset(rows, CATS + ["other"]))
+    assert dict(zip(matrix.schema, matrix.row("c1"))) == {
+        "cat:hair": 0.5, "cat:body": 0.5, "cat:face": 0.0, "cat:other": 0.0,
+    }
 
 
-def test_q95_uniform_1_to_100():
-    baskets = [
-        make_basket(f"b{i}", "c1", {"hair": float(i)}) for i in range(1, 101)
-    ]
-    q = feat.compute_q95(baskets)
+def test_q95_uniform_1_to_100(make_dataset):
+    values = [float(i) for i in range(1, 101)]
+    q = feat.compute_q95(make_dataset(one_value_baskets(values), CATS))
     assert q.q95 == pytest.approx(95.05, abs=1e-12)
-    assert q.q95 == pytest.approx(
-        quantile_oracle([b.value for b in baskets], 0.95), abs=1e-12
-    )
+    assert q.q95 == pytest.approx(quantile_oracle(values, 0.95), abs=1e-12)
 
 
-def test_q95_constant_values():
-    baskets = [make_basket(f"b{i}", "c1", {"hair": 7.0}) for i in range(25)]
-    assert feat.compute_q95(baskets).q95 == 7.0
+def test_q95_constant_values(make_dataset):
+    ds = make_dataset(one_value_baskets([7.0] * 25), CATS)
+    assert feat.compute_q95(ds).q95 == 7.0
 
 
-def test_q95_too_few_baskets():
-    baskets = [make_basket(f"b{i}", "c1", {"hair": 1.0}) for i in range(19)]
+def test_q95_too_few_baskets(make_dataset):
+    ds = make_dataset(one_value_baskets([1.0] * 19), CATS)
     with pytest.raises(FeatureError, match="at least 20"):
-        feat.compute_q95(baskets)
+        feat.compute_q95(ds)
 
 
-def test_q95_matches_oracle_on_random_inputs():
+def test_q95_matches_oracle_on_random_inputs(make_dataset):
     rng = np.random.default_rng(5)
     for _ in range(50):
         values = rng.lognormal(2.0, 1.0, size=rng.integers(20, 200))
-        values = np.round(values, 2)
-        baskets = [
-            make_basket(f"b{i}", "c1", {"hair": v}) for i, v in enumerate(values)
-        ]
-        q = feat.compute_q95(baskets)
-        assert q.q95 == pytest.approx(
-            quantile_oracle([b.value for b in baskets], 0.95), abs=1e-12
-        )
+        values = [float(v) for v in np.round(values, 2)]
+        q = feat.compute_q95(make_dataset(one_value_baskets(values), CATS))
+        assert q.q95 == pytest.approx(quantile_oracle(values, 0.95), abs=1e-12)
 
 
-def test_basket_sm_paper_example_ratios():
+def test_basket_sm_paper_example_ratios(make_dataset):
     q = QuantileSpec(q95=50.0)
-    s1 = make_basket("S1", "c1", {"hair": 5.0, "body": 3.0})
-    s2 = make_basket("S2", "c2", {"hair": 25.0, "body": 15.0})
-    matrix = feat.basket_sm_features([s1, s2], CATS, q)
+    rows = basket_rows("S1", "c1", {"hair": 5.0, "body": 3.0})
+    rows += basket_rows("S2", "c2", {"hair": 25.0, "body": 15.0})
+    matrix = feat.basket_sm_features(make_dataset(rows, CATS), CATS, q)
     assert list(matrix.row("S1")) == pytest.approx([0.625, 0.375, 0.0, 8 / 50])
     assert list(matrix.row("S2")) == pytest.approx([0.625, 0.375, 0.0, 40 / 50])
 
 
-def test_value_coord_clips_at_one():
+def test_value_coord_clips_at_one(make_dataset):
     q = QuantileSpec(q95=10.0)
-    basket = make_basket("b1", "c1", {"hair": 20.0})
-    matrix = feat.basket_sm_features([basket], CATS, q)
-    assert matrix.row("b1")[-1] == 1.0
+    ds = make_dataset(basket_rows("b1", "c1", {"hair": 20.0}), CATS)
+    assert feat.basket_sm_features(ds, CATS, q).row("b1")[-1] == 1.0
 
 
-def test_value_weight_scales_value_coordinate():
+def test_value_weight_scales_value_coordinate(make_dataset):
     q = QuantileSpec(q95=10.0)
-    basket = make_basket("b1", "c1", {"hair": 5.0})
-    matrix = feat.basket_sm_features([basket], CATS, q, value_weight=0.5)
+    ds = make_dataset(basket_rows("b1", "c1", {"hair": 5.0}), CATS)
+    matrix = feat.basket_sm_features(ds, CATS, q, value_weight=0.5)
     assert matrix.row("b1")[-1] == pytest.approx(0.25)
 
 
-def test_category_ratios_scale_invariant():
+def test_category_ratios_scale_invariant(make_dataset):
     q = QuantileSpec(q95=100.0)
     rng = np.random.default_rng(6)
-    for _ in range(50):
+    rows = []
+    for case in range(50):
         values = {c: float(np.round(rng.uniform(0.5, 20), 2)) for c in CATS}
-        scaled = {c: 3 * v for c, v in values.items()}
-        m1 = feat.basket_sm_features([make_basket("b", "c", values)], CATS, q)
-        m2 = feat.basket_sm_features([make_basket("b", "c", scaled)], CATS, q)
-        assert m1.row("b")[:-1] == pytest.approx(m2.row("b")[:-1], abs=1e-12)
-        assert m2.row("b")[-1] >= m1.row("b")[-1]
+        rows += basket_rows(f"b{case}", "c", values)
+        rows += basket_rows(f"s{case}", "c", {c: 3 * v for c, v in values.items()})
+    matrix = feat.basket_sm_features(make_dataset(rows, CATS), CATS, q)
+    for case in range(50):
+        r1, r2 = matrix.row(f"b{case}"), matrix.row(f"s{case}")
+        assert r1[:-1] == pytest.approx(r2[:-1], abs=1e-12)
+        assert r2[-1] >= r1[-1]
 
 
-def test_customer_sm_all_in_one_cluster():
-    baskets = [make_basket(f"b{i}", "c1", {"hair": 1.0}) for i in range(4)]
-    histories = build_histories(baskets)
-    matrix = feat.customer_sm_features(
-        histories, {b.basket_id: 2 for b in baskets}, 3
-    )
+def test_customer_sm_all_in_one_cluster(make_dataset):
+    ds = make_dataset(one_value_baskets([1.0] * 4), CATS)
+    matrix = feat.customer_sm_features(ds, {b: 2 for b in ds.basket_ids}, 3)
     assert list(matrix.row("c1")) == [0.0, 0.0, 1.0]
 
 
-def test_customer_sm_even_split():
-    baskets = [make_basket(f"b{i}", "c1", {"hair": 1.0}) for i in range(4)]
-    histories = build_histories(baskets)
-    assignments = {"b0": 0, "b1": 0, "b2": 1, "b3": 1}
-    matrix = feat.customer_sm_features(histories, assignments, 2)
+def test_customer_sm_even_split(make_dataset):
+    ds = make_dataset(one_value_baskets([1.0] * 4), CATS)
+    assignments = dict(zip(ds.basket_ids, [0, 0, 1, 1]))
+    matrix = feat.customer_sm_features(ds, assignments, 2)
     assert list(matrix.row("c1")) == [0.5, 0.5]
 
 
-def test_customer_sm_missing_assignment_names_basket():
-    baskets = [make_basket("b0", "c1", {"hair": 1.0})]
-    histories = build_histories(baskets)
+def test_customer_sm_missing_assignment_names_basket(make_dataset):
+    ds = make_dataset(basket_rows("b0", "c1", {"hair": 1.0}), CATS)
     with pytest.raises(FeatureError, match="b0"):
-        feat.customer_sm_features(histories, {}, 2)
+        feat.customer_sm_features(ds, {}, 2)
 
 
-def test_feature_matrix_csv_roundtrip(tmp_path):
-    matrix = FeatureMatrix(
-        ids=["a", "b"], X=np.array([[0.1, 0.9], [0.5, 0.5]]), schema=["x", "y"]
-    )
-    path = tmp_path / "m.csv"
-    matrix.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "entity_id,x,y"
-    assert lines[1].startswith("a,")
+def test_customer_sm_cluster_out_of_range_names_basket(make_dataset):
+    ds = make_dataset(basket_rows("b0", "c1", {"hair": 1.0}), CATS)
+    with pytest.raises(FeatureError, match="'b0' assigned to cluster 2"):
+        feat.customer_sm_features(ds, {"b0": 2}, 2)
 
 
 def test_ratio_vectors_unit_sum_on_planted_data(small_planted):
     _, _, _, dataset = small_planted
-    histories = build_histories(dataset.baskets)
-    pps = feat.pps_features(histories, dataset.category_ids)
+    pps = feat.pps_features(dataset)
     assert np.allclose(pps.X.sum(axis=1), 1.0, atol=1e-9)
     assert (pps.X >= 0).all()
-    q = feat.compute_q95(dataset.baskets)
-    sm = feat.basket_sm_features(dataset.baskets, dataset.category_ids, q)
+    q = feat.compute_q95(dataset)
+    sm = feat.basket_sm_features(dataset, dataset.category_ids, q)
     assert np.allclose(sm.X[:, :-1].sum(axis=1), 1.0, atol=1e-9)
     assert ((sm.X[:, -1] >= 0) & (sm.X[:, -1] <= 1)).all()
+
+
+def test_n_distinct_counts_rows_once():
+    matrix = feat.FeatureMatrix(
+        ids=["a", "b", "c"], X=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        schema=["x", "y"],
+    )
+    assert matrix.n_distinct == 2
+    assert "n_distinct" in vars(matrix)  # cached on the instance

@@ -85,14 +85,17 @@ def test_fixed_seed_bit_identical():
 
 
 def test_row_order_irrelevant_given_sorted_ids():
-    # FeatureMatrix.from_mapping sorts by entity id, so insertion order of
-    # the mapping must not matter.
+    # Feature builders emit rows sorted by entity id, so the order in which
+    # entities were produced must not matter.
+    def sorted_matrix(mapping):
+        ids = sorted(mapping)
+        X = np.array([mapping[i] for i in ids])
+        return FeatureMatrix(ids=ids, X=X, schema=["a", "b", "c"])
+
     rng = np.random.default_rng(21)
     rows = {f"e{i:03d}": rng.normal(size=3) for i in range(30)}
-    fwd = FeatureMatrix.from_mapping(rows, ["a", "b", "c"])
-    rev = FeatureMatrix.from_mapping(
-        dict(reversed(list(rows.items()))), ["a", "b", "c"]
-    )
+    fwd = sorted_matrix(rows)
+    rev = sorted_matrix(dict(reversed(list(rows.items()))))
     m1, a1 = kmeans_fit(fwd, k=3, seed=5)
     m2, a2 = kmeans_fit(rev, k=3, seed=5)
     assert m1.centers.tobytes() == m2.centers.tobytes()

@@ -1,10 +1,9 @@
 import json
-from datetime import datetime
 
 import numpy as np
 import pytest
 
-from conftest import WINDOW
+from conftest import WINDOW, basket_rows, write_categories, write_receipts
 from shopmission.pipeline import (
     PipelineError,
     SmPipelineModel,
@@ -15,49 +14,24 @@ from shopmission.pipeline import (
     run_sm,
     score,
 )
-from shopmission.txmodel import (
-    Basket,
-    Dataset,
-    PurchasedLine,
-    ValidationError,
-)
+from shopmission.txmodel import ValidationError, ingest_receipts
 from shopmission.validity import purity
 
-CATS = {f"K{i:02d}": None for i in range(4)}
+CATS = [f"K{i:02d}" for i in range(4)]
 
 
-def make_dataset(baskets, n_cats=4):
-    from shopmission.txmodel import Category
-
-    categories = {
-        f"K{i:02d}": Category(f"K{i:02d}", f"Cat {i}") for i in range(n_cats)
-    }
-    return Dataset(categories=categories, baskets=baskets, window=WINDOW)
-
-
-def basket(bid, cust, spends, when="2025-02-01"):
-    lines = tuple(
-        PurchasedLine(f"p{c}", c, int(round(v * 100)), 1, False)
-        for c, v in spends.items()
-        if v > 0
-    )
-    return Basket(bid, cust, datetime.fromisoformat(when), lines)
-
-
-def one_cat_baskets(n_per_customer, customers, cat, value=10.0):
-    baskets = []
+def one_cat_rows(n_per_customer, customers, cat, value=10.0):
+    rows = []
     for cust in customers:
         for i in range(n_per_customer):
-            baskets.append(basket(f"b_{cust}_{i}", cust, {cat: value}))
-    return baskets
+            rows += basket_rows(f"b_{cust}_{i}", cust, {cat: value})
+    return rows
 
 
-def test_rfm_expert_bounds_split_at_threshold(tmp_path):
-    baskets = [
-        basket("b1", "recent", {"K00": 5.0}, "2025-03-20"),
-        basket("b2", "stale", {"K00": 5.0}, "2025-01-10"),
-    ]
-    ds = make_dataset(baskets)
+def test_rfm_expert_bounds_split_at_threshold(tmp_path, make_dataset):
+    rows = basket_rows("b1", "recent", {"K00": 5.0}, "2025-03-20")
+    rows += basket_rows("b2", "stale", {"K00": 5.0}, "2025-01-10")
+    ds = make_dataset(rows, CATS)
     bounds_file = tmp_path / "bounds.json"
     bounds_file.write_text(json.dumps({"recency_days": [30]}))
     report = run_rfm(ds, mode="expert", bounds=load_expert_bounds(bounds_file))
@@ -72,8 +46,8 @@ def test_expert_bounds_non_monotone_rejected(tmp_path):
         load_expert_bounds(bounds_file)
 
 
-def test_rfm_single_customer_single_cluster():
-    ds = make_dataset([basket("b1", "only", {"K00": 3.0})])
+def test_rfm_single_customer_single_cluster(make_dataset):
+    ds = make_dataset(basket_rows("b1", "only", {"K00": 3.0}), CATS)
     report = run_rfm(ds, k=1, seed=0)
     assert report.shares == {0: 1.0}
 
@@ -84,18 +58,18 @@ def test_rfm_kmeans_recovers_planted_personas(small_planted):
     assert purity(report.assignment, truth.customer_persona) >= 0.9
 
 
-def test_rfm_requires_k_in_kmeans_mode():
-    ds = make_dataset([basket("b1", "c", {"K00": 3.0})])
+def test_rfm_requires_k_in_kmeans_mode(make_dataset):
+    ds = make_dataset(basket_rows("b1", "c", {"K00": 3.0}), CATS)
     with pytest.raises(PipelineError, match="requires k"):
         run_rfm(ds, mode="kmeans")
 
 
-def test_pps_degenerate_one_hot_triggers_repair():
+def test_pps_degenerate_one_hot_triggers_repair(make_dataset):
     # All customers one-hot in the same category but at two distinct spend
     # patterns is still 1 effective blob; k=2 exercises empty-cluster repair.
-    baskets = one_cat_baskets(2, [f"c{i}" for i in range(6)], "K01")
-    baskets += [basket("b_odd", "c0", {"K01": 4.0, "K02": 0.01}, "2025-02-03")]
-    ds = make_dataset(baskets)
+    rows = one_cat_rows(2, [f"c{i}" for i in range(6)], "K01")
+    rows += basket_rows("b_odd", "c0", {"K01": 4.0, "K02": 0.01}, "2025-02-03")
+    ds = make_dataset(rows, CATS)
     report = run_pps(ds, k=2, seed=0)
     assert sum(report.shares.values()) == pytest.approx(1.0)
     assert set(report.assignment.values()) == {0, 1}
@@ -126,35 +100,32 @@ def test_run_sm_planted_recovery(small_planted):
     assert sum(customer_report.shares.values()) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_single_archetype_customers_one_hot_centers():
-    baskets = []
+def test_single_archetype_customers_one_hot_centers(make_dataset):
+    rows = []
     for i, cat in enumerate(["K00", "K01", "K02"]):
         for cust in range(8):
             for b in range(4):
                 value = 5.0 + 0.1 * b + 0.01 * cust
-                baskets.append(
-                    basket(f"b{i}_{cust}_{b}", f"c{i}_{cust}", {cat: value})
-                )
-    ds = make_dataset(baskets)
+                rows += basket_rows(f"b{i}_{cust}_{b}", f"c{i}_{cust}", {cat: value})
+    ds = make_dataset(rows, CATS)
     model, _, customer_report = run_sm(ds, k_b=3, k_sm=3, seed=1)
     assert (model.customer_model.centers.max(axis=1) >= 0.95).all()
 
 
-def test_run_sm_kb1_degenerates_with_warning():
-    baskets = one_cat_baskets(3, [f"c{i}" for i in range(10)], "K00")
+def test_run_sm_kb1_degenerates_with_warning(make_dataset):
     # vary values so k-means has distinct rows at stage 1
-    baskets = [
-        basket(b.basket_id, b.customer_id, {"K00": 5.0 + i * 0.1})
-        for i, b in enumerate(baskets)
-    ]
-    ds = make_dataset(baskets)
+    owners = [(f"c{i}", j) for i in range(10) for j in range(3)]
+    rows = []
+    for i, (cust, j) in enumerate(owners):
+        rows += basket_rows(f"b_{cust}_{j}", cust, {"K00": 5.0 + i * 0.1})
+    ds = make_dataset(rows, CATS)
     with pytest.warns(UserWarning, match="reducing k_sm"):
         model, _, customer_report = run_sm(ds, k_b=1, k_sm=3, seed=0)
     assert model.customer_model.k == 1
     assert customer_report.shares == {0: 1.0}
 
 
-def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch):
+def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch, make_dataset):
     from shopmission import pipeline
 
     real = pipeline.feat.customer_sm_features
@@ -165,11 +136,11 @@ def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch):
         return matrix
 
     monkeypatch.setattr(pipeline.feat, "customer_sm_features", doubled)
-    baskets = one_cat_baskets(5, ["c1", "c2"], "K00") + one_cat_baskets(
+    rows = one_cat_rows(5, ["c1", "c2"], "K00") + one_cat_rows(
         5, ["c3", "c4"], "K01"
     )
     with pytest.raises(PipelineError, match="sums to 2.0"):
-        run_sm(make_dataset(baskets), k_b=2, k_sm=2, seed=0)
+        run_sm(make_dataset(rows, CATS), k_b=2, k_sm=2, seed=0)
 
 
 def test_score_reproduces_training_assignments(small_planted):
@@ -178,29 +149,33 @@ def test_score_reproduces_training_assignments(small_planted):
     assert score(model, dataset) == customer_report.assignment
 
 
-def test_score_reuses_frozen_q95(small_planted):
-    _, _, _, dataset = small_planted
+def test_score_reuses_frozen_q95(small_planted, tmp_path):
+    out, _, _, dataset = small_planted
     model, _, _ = run_sm(dataset, k_b=6, k_sm=9, seed=42)
     trained_q95 = model.q95.q95
     # Scoring a tiny subset (q95 of the subset would differ wildly) must
     # leave the model untouched and still work below the 20-basket floor.
-    subset = Dataset(
-        categories=dataset.categories,
-        baskets=dataset.baskets[:5],
-        window=dataset.window,
+    first = set(dataset.basket_ids[:5])
+    lines = (out / "receipts.csv").read_text().splitlines()[1:]
+    write_receipts(
+        tmp_path / "subset.csv",
+        [line for line in lines if line.split(",")[0] in first],
     )
+    subset = ingest_receipts(
+        tmp_path / "subset.csv", out / "categories.csv", dataset.window
+    )
+    assert subset.n_baskets == 5
     score(model, subset)
     assert model.q95.q95 == trained_q95
 
 
-def test_score_unknown_categories_rejected(small_planted):
-    _, _, _, dataset = small_planted
+def test_score_unknown_categories_rejected(small_planted, tmp_path):
+    out, _, _, dataset = small_planted
     model, _, _ = run_sm(dataset, k_b=6, k_sm=9, seed=42)
-    from shopmission.txmodel import Category
-
-    extra = dict(dataset.categories)
-    extra["K99"] = Category("K99", "Mystery")
-    weird = Dataset(categories=extra, baskets=dataset.baskets, window=dataset.window)
+    write_categories(tmp_path / "categories.csv", dataset.category_ids + ["K99"])
+    weird = ingest_receipts(
+        out / "receipts.csv", tmp_path / "categories.csv", dataset.window
+    )
     with pytest.raises(ValidationError, match="K99"):
         score(model, weird)
 

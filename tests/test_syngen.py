@@ -15,7 +15,7 @@ from shopmission.syngen import (
     generate,
     load_truth,
 )
-from shopmission.txmodel import build_histories, ingest_receipts
+from shopmission.txmodel import ingest_receipts
 
 
 def single_archetype_config(seed=0, concentration=float("inf")):
@@ -59,17 +59,11 @@ def test_zero_noise_identical_ratios(tmp_path):
     dataset = ingest_receipts(
         tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
     )
+    assert dataset.category_ids == ["K00", "K01", "K02"]
     ratios = set()
-    for basket in dataset.baskets:
-        spend = {}
-        for line in basket.lines:
-            spend[line.category_id] = spend.get(line.category_id, 0) + line.value_cents
-        total = sum(spend.values())
-        ratios.add(
-            tuple(
-                round(spend.get(f"K{i:02d}", 0) / total, 2) for i in range(3)
-            )
-        )
+    for spend in dataset.spend_cents.tolist():
+        total = sum(spend)
+        ratios.add(tuple(round(cents / total, 2) for cents in spend))
     # rounding to cents wiggles the ratios by <1%, nothing more
     assert ratios == {(0.5, 0.3, 0.2)}
 
@@ -97,8 +91,8 @@ def test_emitted_data_passes_ingestion(small_planted):
 
 def test_archetype_separation(small_planted):
     _, _, truth, dataset = small_planted
-    q = feat.compute_q95(dataset.baskets)
-    matrix = feat.basket_sm_features(dataset.baskets, dataset.category_ids, q)
+    q = feat.compute_q95(dataset)
+    matrix = feat.basket_sm_features(dataset, dataset.category_ids, q)
     by_arch = {}
     for i, bid in enumerate(matrix.ids):
         by_arch.setdefault(truth.basket_archetype[bid], []).append(matrix.X[i])
@@ -123,11 +117,8 @@ def test_empirical_mixtures_converge(tmp_path):
     assert dataset.n_baskets >= 5000
     archetype_by_name = {a.name: a for a in cfg.archetypes}
     spend = {a.name: np.zeros(cfg.n_categories) for a in cfg.archetypes}
-    cat_idx = {c: i for i, c in enumerate(dataset.category_ids)}
-    for basket in dataset.baskets:
-        arch = truth.basket_archetype[basket.basket_id]
-        for line in basket.lines:
-            spend[arch][cat_idx[line.category_id]] += line.value_cents
+    for bid, cents in zip(dataset.basket_ids, dataset.spend_cents):
+        spend[truth.basket_archetype[bid]] += cents
     for name, totals in spend.items():
         empirical = totals / totals.sum()
         expected = np.asarray(archetype_by_name[name].mixture)
@@ -137,6 +128,5 @@ def test_empirical_mixtures_converge(tmp_path):
 def test_truth_label_counts_match_entities(small_planted):
     _, _, truth, dataset = small_planted
     assert len(truth.basket_archetype) == dataset.n_baskets
-    histories = build_histories(dataset.baskets)
-    assert len(truth.customer_mission) == len(histories)
-    assert len(truth.customer_persona) == len(histories)
+    assert len(truth.customer_mission) == len(dataset.customer_ids)
+    assert len(truth.customer_persona) == len(dataset.customer_ids)

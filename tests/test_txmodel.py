@@ -1,14 +1,15 @@
 import random
 from datetime import date
 
+import numpy as np
 import pytest
 
 from conftest import WINDOW, write_categories, write_receipts
 from shopmission.txmodel import (
+    RECEIPT_COLUMNS,
     AnalysisWindow,
     ParseError,
     ValidationError,
-    build_histories,
     ingest_receipts,
 )
 
@@ -33,9 +34,9 @@ def test_rows_sharing_basket_id_group_into_one_basket(tmp_path, cats):
         "b1,c1,2025-02-01T10:00:00,p3,K02,0.30,1,1",
     ])
     assert ds.n_baskets == 1
-    basket = ds.baskets[0]
-    assert len(basket.lines) == 3
-    assert basket.value_cents == 250 + 200 + 30
+    # one line in each of the three category columns
+    assert ds.spend_cents.tolist() == [[250, 200, 30]]
+    assert ds.basket_cents.tolist() == [250 + 200 + 30]
 
 
 def test_negative_unit_price_rejected_with_line_number(tmp_path, cats):
@@ -103,18 +104,21 @@ def test_window_invariants():
     assert WINDOW.length_days == 89
 
 
-def test_build_histories_partitions_by_customer(tmp_path, cats):
+def test_baskets_partition_by_customer(tmp_path, cats):
     rows = []
     for i, cust in enumerate(["a", "a", "b", "b", "b"]):
         rows.append(f"b{i},{cust},2025-02-0{i + 1},p1,K00,1.00,1,0")
     ds = ingest(tmp_path, cats, rows)
-    histories = build_histories(ds.baskets)
-    assert sorted(len(h.baskets) for h in histories.values()) == [2, 3]
-    assert sum(len(h.baskets) for h in histories.values()) == ds.n_baskets
+    per_customer = np.bincount(ds.basket_customer)
+    assert sorted(per_customer.tolist()) == [2, 3]
+    assert per_customer.sum() == ds.n_baskets
 
 
-def test_build_histories_empty():
-    assert build_histories([]) == {}
+def test_empty_receipts_give_empty_dataset(tmp_path, cats):
+    ds = ingest(tmp_path, cats, [])
+    assert ds.n_baskets == 0
+    assert ds.customer_ids == []
+    assert ds.spend_cents.shape == (0, 3)
 
 
 def test_history_customer_ids_consistent(tmp_path, cats):
@@ -122,32 +126,29 @@ def test_history_customer_ids_consistent(tmp_path, cats):
         "b1,a,2025-02-01,p1,K00,1.00,1,0",
         "b2,b,2025-02-02,p1,K00,1.00,1,0",
     ])
-    for cid, history in build_histories(ds.baskets).items():
-        assert all(b.customer_id == cid for b in history.baskets)
+    assert ds.customer_ids == ["a", "b"]
+    owners = [ds.customer_ids[c] for c in ds.basket_customer]
+    assert dict(zip(ds.basket_ids, owners)) == {"b1": "a", "b2": "b"}
 
 
 def test_value_conservation(small_planted):
     _, _, _, dataset = small_planted
-    histories = build_histories(dataset.baskets)
-    total = sum(h.value_cents for h in histories.values())
+    per_customer = np.zeros(len(dataset.customer_ids), dtype=np.int64)
+    np.add.at(per_customer, dataset.basket_customer, dataset.basket_cents)
+    total = int(per_customer.sum())
     assert total == dataset.total_value_cents  # exact in minor units
 
 
 def test_syngen_counts_match_ground_truth(small_planted):
     _, _, truth, dataset = small_planted
     assert dataset.n_baskets == len(truth.basket_archetype)
-    histories = build_histories(dataset.baskets)
-    assert set(histories) == set(truth.customer_mission)
-    per_customer = {}
-    for bid in truth.basket_archetype:
-        per_customer.setdefault(bid.split("_")[0][1:], 0)
-    for b in dataset.baskets:
-        per_customer[b.customer_id[1:]] = per_customer.get(b.customer_id[1:], 0)
-    for cid, history in histories.items():
+    assert set(dataset.customer_ids) == set(truth.customer_mission)
+    per_customer = np.bincount(dataset.basket_customer)
+    for cid, n_baskets in zip(dataset.customer_ids, per_customer):
         expected = sum(
             1 for bid in truth.basket_archetype if bid.startswith("b" + cid[1:] + "_")
         )
-        assert len(history.baskets) == expected
+        assert n_baskets == expected
 
 
 def test_ingestion_deterministic_under_row_shuffle(tmp_path, cats):
@@ -162,4 +163,100 @@ def test_ingestion_deterministic_under_row_shuffle(tmp_path, cats):
     write_receipts(receipts2, shuffled)
     ds2 = ingest_receipts(receipts2, cats, WINDOW)
     assert ds1.fingerprint() == ds2.fingerprint()
-    assert [b.basket_id for b in ds1.baskets] == [b.basket_id for b in ds2.baskets]
+    assert ds1.basket_ids == ds2.basket_ids
+
+
+@pytest.mark.parametrize("price", ["Infinity", "-Infinity", "1e400", "NaN", "sNaN"])
+def test_non_finite_or_huge_price_rejected(tmp_path, cats, price):
+    with pytest.raises(ParseError, match=r"line 3: bad money value"):
+        ingest(tmp_path, cats, [
+            "b1,c1,2025-02-01,p1,K00,1.00,1,0",
+            f"b2,c1,2025-02-02,p1,K00,{price},1,0",
+        ])
+
+
+def test_total_value_reaching_2_pow_53_cents_rejected(tmp_path, cats):
+    # 2**53 - 1 cents is the largest accepted unit price ...
+    top = "90071992547409.91"
+    ds = ingest(tmp_path, cats, [f"b1,c1,2025-02-01,p1,K00,{top},1,0"])
+    assert ds.total_value_cents == 2**53 - 1
+    # ... and one more cent anywhere makes the total inexact in float64.
+    with pytest.raises(ValidationError, match="2\\*\\*53"):
+        ingest(tmp_path, cats, [
+            f"b1,c1,2025-02-01,p1,K00,{top},1,0",
+            "b2,c1,2025-02-02,p1,K00,0.01,1,0",
+        ])
+    with pytest.raises(ParseError, match="bad money value"):
+        ingest(tmp_path, cats, ["b1,c1,2025-02-01,p1,K00,90071992547409.92,1,0"])
+
+
+def test_huge_quantity_rejected(tmp_path, cats):
+    with pytest.raises(ValidationError, match=r"line 2: quantity must be >= 1 and below 2\*\*53"):
+        ingest(tmp_path, cats, [f"b1,c1,2025-02-01,p1,K00,0.01,{2**53},0"])
+
+
+def test_conflicting_basket_timestamps_rejected(tmp_path, cats):
+    with pytest.raises(ValidationError) as exc:
+        ingest(tmp_path, cats, [
+            "b1,c1,2025-02-01T10:00:00,p1,K00,1.00,1,0",
+            "b2,c1,2025-02-01T11:00:00,p1,K00,1.00,1,0",
+            "b1,c1,2025-02-01T12:00:00,p2,K01,1.00,1,0",
+        ])
+    message = str(exc.value)
+    assert "line 4" in message and "'b1'" in message
+    assert "2025-02-01T10:00:00" in message and "2025-02-01T12:00:00" in message
+
+
+def test_equal_timestamps_in_other_spelling_accepted(tmp_path, cats):
+    ds = ingest(tmp_path, cats, [
+        "b1,c1,2025-02-01,p1,K00,1.00,1,0",
+        "b1,c1,2025-02-01T00:00:00,p2,K01,1.00,1,0",
+    ])
+    assert ds.n_baskets == 1
+
+
+def test_mixed_timezone_awareness_rejected(tmp_path, cats):
+    with pytest.raises(ValidationError, match="line 3: .*timezone-aware and naive"):
+        ingest(tmp_path, cats, [
+            "b1,c1,2025-02-01T10:00:00+01:00,p1,K00,1.00,1,0",
+            "b2,c1,2025-02-01T10:00:00,p1,K00,1.00,1,0",
+        ])
+    # all-aware files are fine; one instant in two offsets is two timestamps
+    with pytest.raises(ValidationError, match="conflicting timestamps"):
+        ingest(tmp_path, cats, [
+            "b1,c1,2025-02-01T10:00:00+01:00,p1,K00,1.00,1,0",
+            "b1,c1,2025-02-01T09:00:00+00:00,p2,K01,1.00,1,0",
+        ])
+
+
+def test_line_numbers_are_physical_lines(tmp_path, cats):
+    receipts = tmp_path / "receipts.csv"
+    receipts.write_text(
+        ",".join(RECEIPT_COLUMNS) + "\n"
+        "b1,c1,2025-02-01,p1,K00,1.00,1,0\n"
+        "\n"
+        "b2,c1,2025-02-02,p1,K00,1.00,x,0\n"
+    )
+    with pytest.raises(ParseError, match="line 4: bad quantity"):
+        ingest_receipts(receipts, cats, WINDOW)
+
+
+def test_blank_lines_skipped(tmp_path, cats):
+    receipts = tmp_path / "receipts.csv"
+    receipts.write_text(
+        ",".join(RECEIPT_COLUMNS) + "\n\n"
+        "b1,c1,2025-02-01,p1,K00,1.00,1,0\n\n\n"
+        "b2,c1,2025-02-02,p1,K00,1.00,1,0\n"
+    )
+    assert ingest_receipts(receipts, cats, WINDOW).n_baskets == 2
+
+
+def test_extra_fields_rejected(tmp_path, cats):
+    with pytest.raises(ParseError, match="line 2: expected 8 fields, got 9"):
+        ingest(tmp_path, cats, ["b1,c1,2025-02-01,p1,K00,1.00,1,0,extra"])
+
+
+def test_malformed_csv_is_a_parse_error(tmp_path, cats):
+    # a quoted field longer than the csv module's field size limit
+    with pytest.raises(ParseError, match="line 2: malformed CSV"):
+        ingest(tmp_path, cats, ['b1,c1,2025-02-01,p1,K00,1.00,1,"' + "x" * 200_000 + '"'])
