@@ -22,6 +22,10 @@ import numpy as np
 from .features import FeatureMatrix
 
 
+# Passes of the final empty-cluster repair in ``_lloyd`` before it gives up.
+MAX_FINAL_REPAIRS = 100
+
+
 class KMeansError(Exception):
     pass
 
@@ -190,7 +194,16 @@ def _lloyd(X, centers, max_iter, tol):
     own = _reassign(X, centers, labels, lower, slack)
     counts = np.bincount(labels, minlength=k)
     # Final assignment may orphan a center; repair keeps k as requested.
+    # Re-seeding two empty clusters on equal rows can cycle, so give up
+    # after a fixed number of passes.
+    passes = 0
     while counts.min() == 0:
+        passes += 1
+        if passes > MAX_FINAL_REPAIRS:
+            raise KMeansError(
+                f"empty-cluster repair did not settle after "
+                f"{MAX_FINAL_REPAIRS} passes (k={k})"
+            )
         centers, labels = _repair_empty(X, centers, labels, own)
         centers = _cluster_means(X, labels, np.bincount(labels, minlength=k))
         labels, own, lower = _nearest(X, centers)

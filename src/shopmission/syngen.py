@@ -10,8 +10,9 @@ distribution. Deterministic given the seed.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,15 @@ import numpy as np
 
 class SyngenError(Exception):
     pass
+
+
+def _check_unit_sum(label, values):
+    """The checks ``Generator.choice`` made on ``p``: no negative or NaN
+    entry, and a sum of 1."""
+    if not all(v >= 0 for v in values):
+        raise SyngenError(f"{label} must be non-negative")
+    if not abs(sum(values) - 1.0) <= 1e-9:
+        raise SyngenError(f"{label} must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -29,12 +39,11 @@ class Archetype:
     value_sigma: float
 
     def __post_init__(self):
-        if abs(sum(self.mixture) - 1.0) > 1e-9:
-            raise SyngenError(f"archetype {self.name!r} mixture must sum to 1")
-        if any(m < 0 for m in self.mixture):
-            raise SyngenError(f"archetype {self.name!r} mixture has negatives")
-        if self.value_sigma < 0:
-            raise SyngenError(f"archetype {self.name!r} sigma must be >= 0")
+        _check_unit_sum(f"archetype {self.name!r} mixture", self.mixture)
+        if not (np.isfinite(self.value_mu) and 0 <= self.value_sigma < np.inf):
+            raise SyngenError(
+                f"archetype {self.name!r} needs a finite mu and sigma >= 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -43,10 +52,7 @@ class MissionProfile:
     archetype_weights: tuple  # distribution over archetypes, unit sum
 
     def __post_init__(self):
-        if abs(sum(self.archetype_weights) - 1.0) > 1e-9:
-            raise SyngenError(
-                f"mission {self.name!r} weights must sum to 1"
-            )
+        _check_unit_sum(f"mission {self.name!r} weights", self.archetype_weights)
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,10 @@ class RfmPersona:
         if not 0 < self.active_fraction <= 1:
             raise SyngenError(
                 f"persona {self.name!r} active_fraction must be in (0, 1]"
+            )
+        if not 0 < self.value_scale < np.inf:
+            raise SyngenError(
+                f"persona {self.name!r} value_scale must be positive"
             )
 
 
@@ -83,6 +93,12 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_categories < 2:
             raise SyngenError("need at least 2 categories")
+        if self.n_customers < 1:
+            raise SyngenError(
+                f"need at least 1 customer, got {self.n_customers}"
+            )
+        if not (self.archetypes and self.missions and self.personas):
+            raise SyngenError("need at least one archetype, mission and persona")
         for a in self.archetypes:
             if len(a.mixture) != self.n_categories:
                 raise SyngenError(
@@ -99,7 +115,17 @@ class GeneratorConfig:
             self.mission_weights = [1 / len(self.missions)] * len(self.missions)
         if not self.persona_weights:
             self.persona_weights = [1 / len(self.personas)] * len(self.personas)
-        if self.concentration <= 0:
+        for label, weights, entities in (
+            ("mission_weights", self.mission_weights, self.missions),
+            ("persona_weights", self.persona_weights, self.personas),
+        ):
+            if len(weights) != len(entities):
+                raise SyngenError(
+                    f"{label} has {len(weights)} entries, "
+                    f"expected {len(entities)}"
+                )
+            _check_unit_sum(label, weights)
+        if not self.concentration > 0:
             raise SyngenError("concentration must be positive")
 
 
@@ -119,6 +145,11 @@ def default_config(
 ) -> GeneratorConfig:
     """Planted-structure default: 2 general archetypes at distinct value
     levels plus 4 focused ones, 3 mission profiles, 3 RFM personas."""
+    if n_categories < 4:
+        raise SyngenError(
+            f"the default config needs at least 4 categories, one per "
+            f"focused archetype, got {n_categories}"
+        )
     uniform = tuple(1 / n_categories for _ in range(n_categories))
 
     def focused(idx):
@@ -162,94 +193,119 @@ def default_config(
     )
 
 
+def _cdf(weights) -> list:
+    """The cdf ``Generator.choice`` builds from ``p``: drawing from it with
+    ``bisect_right(cdf, rng.random())`` uses the same double and search."""
+    cdf = np.asarray(weights, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
-    """Emit receipts.csv, categories.csv and the two ground-truth files."""
+    """Emit receipts.csv, categories.csv and the two ground-truth files.
+
+    The files are byte-identical for a given config and seed. Per customer,
+    the draws are: mission, persona, basket count, visit days; per basket:
+    archetype, value, Dirichlet shares (unless the concentration is
+    infinite), hour, then one promo double per emitted line.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
+    random, integers = rng.random, rng.integers
+    lognormal, dirichlet = rng.lognormal, rng.dirichlet
 
-    category_ids = [f"K{i:02d}" for i in range(config.n_categories)]
+    n_cats = config.n_categories
+    category_ids = [f"K{i:02d}" for i in range(n_cats)]
+    product_fields = [f"prod_{cid},{cid}," for cid in category_ids]
     window_days = (config.window_end - config.window_start).days
+    days = [
+        (config.window_start + timedelta(days=d)).isoformat()
+        for d in range(window_days + 1)
+    ]
+
+    # Per archetype: name, value distribution, fixed shares (used when the
+    # concentration is infinite), and the Dirichlet alphas of its nonzero
+    # categories with their indices (None when all are nonzero). Zero-mixture
+    # categories stay exactly zero, since Dirichlet alphas must be positive.
+    archetypes = []
+    for a in config.archetypes:
+        mixture = np.asarray(a.mixture, dtype=float)
+        alpha = active = None
+        if not np.isinf(config.concentration):
+            alpha = config.concentration * mixture
+            active = np.flatnonzero(alpha > 0)
+            alpha = alpha[active]
+            active = active.tolist() if len(active) < n_cats else None
+        archetypes.append(
+            (a.name, a.value_mu, a.value_sigma, mixture.tolist(), alpha, active)
+        )
+    missions = [(m.name, _cdf(m.archetype_weights)) for m in config.missions]
+    personas = [
+        (
+            p.name,
+            p.baskets_range[0],
+            p.baskets_range[1] + 1,
+            max(1, int(window_days * p.active_fraction)) + 1,
+            p.value_scale,
+        )
+        for p in config.personas
+    ]
+    mission_cdf = _cdf(config.mission_weights)
+    persona_cdf = _cdf(config.persona_weights)
 
     truth = GroundTruth({}, {}, {})
-    receipt_rows = []
+    basket_archetype = truth.basket_archetype
+    # No field of a generated row needs CSV quoting; rows end in "\r\n" as
+    # csv.writer's do. Quantity is always 1, promo flag is 1 in 10 lines.
+    lines = ["basket_id,customer_id,timestamp,product_id,category_id,"
+             "unit_price,quantity,promo_flag\r\n"]
+    line_ends = (",1,0\r\n", ",1,1\r\n")
 
     for ci in range(config.n_customers):
         customer_id = f"c{ci:05d}"
-        mission = config.missions[
-            rng.choice(len(config.missions), p=config.mission_weights)
+        mission, arch_cdf = missions[bisect_right(mission_cdf, random())]
+        persona, lo, hi, day_end, value_scale = personas[
+            bisect_right(persona_cdf, random())
         ]
-        persona = config.personas[
-            rng.choice(len(config.personas), p=config.persona_weights)
-        ]
-        truth.customer_mission[customer_id] = mission.name
-        truth.customer_persona[customer_id] = persona.name
+        truth.customer_mission[customer_id] = mission
+        truth.customer_persona[customer_id] = persona
 
-        lo, hi = persona.baskets_range
-        n_baskets = int(rng.integers(lo, hi + 1))
-        active_days = max(1, int(window_days * persona.active_fraction))
-        day_offsets = sorted(rng.integers(0, active_days + 1, size=n_baskets))
+        n_baskets = int(integers(lo, hi))
+        day_offsets = integers(0, day_end, size=n_baskets).tolist()
+        day_offsets.sort()
 
         for bi, day in enumerate(day_offsets):
             basket_id = f"b{ci:05d}_{bi:03d}"
-            arch_idx = rng.choice(
-                len(config.archetypes), p=mission.archetype_weights
-            )
-            archetype = config.archetypes[arch_idx]
-            truth.basket_archetype[basket_id] = archetype.name
+            name, mu, sigma, shares, alpha, active = archetypes[
+                bisect_right(arch_cdf, random())
+            ]
+            basket_archetype[basket_id] = name
 
-            total = persona.value_scale * rng.lognormal(
-                archetype.value_mu, archetype.value_sigma
-            )
-            mixture = np.asarray(archetype.mixture)
-            if np.isinf(config.concentration):
-                # zero noise: ratios are exactly the archetype mixture
-                shares = mixture.copy()
-            else:
-                alpha = config.concentration * mixture
-                # Dirichlet needs strictly positive alphas; zero-mixture
-                # categories stay exactly zero.
-                active = alpha > 0
-                shares = np.zeros(config.n_categories)
-                shares[active] = rng.dirichlet(alpha[active])
-            spend_cents = np.round(shares * total * 100).astype(int)
-            if spend_cents.sum() <= 0:
-                spend_cents[int(np.argmax(shares))] = 100
-            ts = datetime.combine(
-                config.window_start + timedelta(days=int(day)),
-                datetime.min.time(),
-            ) + timedelta(hours=int(rng.integers(8, 21)))
-            for j, cents in enumerate(spend_cents):
-                if cents <= 0:
-                    continue
-                receipt_rows.append(
-                    [
-                        basket_id,
-                        customer_id,
-                        ts.isoformat(),
-                        f"prod_{category_ids[j]}",
-                        category_ids[j],
-                        f"{cents // 100}.{cents % 100:02d}",
-                        1,
-                        int(rng.random() < 0.1),
-                    ]
+            total = value_scale * lognormal(mu, sigma)
+            if alpha is not None:
+                if active is None:
+                    shares = dirichlet(alpha).tolist()
+                else:
+                    shares = [0.0] * n_cats
+                    for j, s in zip(active, dirichlet(alpha).tolist()):
+                        shares[j] = s
+            # round() of a float is half-even, as np.round
+            cents = [round(s * total * 100) for s in shares]
+            if sum(cents) <= 0:
+                cents[shares.index(max(shares))] = 100
+            hour = int(integers(8, 21))
+            head = f"{basket_id},{customer_id},{days[day]}T{hour:02d}:00:00,"
+            emitted = [j for j, c in enumerate(cents) if c > 0]
+            for j, u in zip(emitted, random(len(emitted)).tolist()):
+                c = cents[j]
+                lines.append(
+                    f"{head}{product_fields[j]}{c // 100}.{c % 100:02d}"
+                    f"{line_ends[u < 0.1]}"
                 )
 
     with open(out_dir / "receipts.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "basket_id",
-                "customer_id",
-                "timestamp",
-                "product_id",
-                "category_id",
-                "unit_price",
-                "quantity",
-                "promo_flag",
-            ]
-        )
-        writer.writerows(receipt_rows)
+        f.write("".join(lines))
 
     with open(out_dir / "categories.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)

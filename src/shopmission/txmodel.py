@@ -169,18 +169,40 @@ def _parse_timestamp(text: str, line_no: int, seen: dict) -> datetime:
 
 
 def read_categories(path) -> dict:
+    """Read the category table: a ``category_id,label`` header, then one
+    row of two non-empty fields per category. Line numbers in messages are
+    physical lines of the file."""
     categories = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CATEGORY_COLUMNS:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header != CATEGORY_COLUMNS:
+                raise ParseError(
+                    f"category table header must be {CATEGORY_COLUMNS}, got {header}"
+                )
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                line_no = reader.line_num
+                if len(row) != 2:
+                    raise ParseError(
+                        f"category row needs 2 fields, got {len(row)}", line_no
+                    )
+                cid, label = row
+                if not cid or not label:
+                    raise ParseError("empty category id or label", line_no)
+                if cid in categories:
+                    raise ValidationError(
+                        f"line {line_no}: duplicate category id {cid!r}"
+                    )
+                categories[cid] = Category(id=cid, label=label)
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+        except UnicodeDecodeError as exc:
             raise ParseError(
-                f"category table header must be {CATEGORY_COLUMNS}, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            cid = row["category_id"]
-            if cid in categories:
-                raise ValidationError(f"duplicate category id {cid!r}")
-            categories[cid] = Category(id=cid, label=row["label"])
+                f"category table is not valid UTF-8: {exc}"
+            ) from None
     if len(categories) < 2:
         raise ValidationError(
             f"need at least 2 categories, got {len(categories)}"

@@ -2,7 +2,10 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import mutated_lines
 from shopmission.cli import load_config, main
 
 WINDOW_ARGS = [
@@ -227,3 +230,63 @@ def test_config_file_parsing_and_overrides(tmp_path):
     bad.write_text("mystery_knob = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--customers", "0"], "at least 1 customer, got 0"),
+        (["--n-categories", "3"], "at least 4 categories"),
+        (["--baskets-min", "0"], "bad baskets range"),
+        (["--baskets-min", "9", "--baskets-max", "4"], "bad baskets range"),
+    ],
+)
+def test_syngen_bad_config_is_one_line_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["syngen", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_ingest_rejects_category_row_without_label(data_dir, tmp_path, capsys):
+    categories = tmp_path / "categories.csv"
+    categories.write_text(
+        (data_dir / "categories.csv").read_text().rstrip("\r\n") + "\r\nK08\r\n"
+    )
+    args = dataset_args(data_dir)
+    args[args.index("--categories") + 1] = str(categories)
+    assert main(["ingest", *args]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 10: category row needs 2 fields, got 1\n"
+
+
+FUZZ_RECEIPTS = [
+    "basket_id,customer_id,timestamp,product_id,category_id,unit_price,quantity,promo_flag",
+    "b1,c1,2025-02-01T10:00:00,p1,K00,2.50,1,0",
+    "b1,c1,2025-02-01T10:00:00,p2,K01,1.00,2,1",
+    "b2,c2,2025-03-15,p1,K02,0.30,3,0",
+    "b3,c1,2025-01-20,p3,K00,12.00,1,0",
+    "b4,c3,2024-12-31,p1,K01,4.00,1,0",
+]
+FUZZ_CATEGORIES = ["category_id,label", "K00,Fresh", "K01,Dairy", "K02,Bakery"]
+
+
+def file_bytes(lines):
+    return st.just(("\n".join(lines) + "\n").encode()) | mutated_lines(lines)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(receipts=file_bytes(FUZZ_RECEIPTS), categories=file_bytes(FUZZ_CATEGORIES))
+def test_ingest_cli_on_mutated_files_exits_0_or_1(tmp_path, capsys, receipts, categories):
+    (tmp_path / "receipts.csv").write_bytes(receipts)
+    (tmp_path / "categories.csv").write_bytes(categories)
+    code = main(["ingest", *dataset_args(tmp_path)])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["n_baskets"] >= 1
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err

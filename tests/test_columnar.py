@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import WINDOW, write_categories, write_receipts
+from conftest import WINDOW, mutated_lines, write_categories, write_receipts
 from shopmission import features as feat
 from shopmission.syngen import default_config, generate
 from shopmission.txmodel import (
@@ -276,51 +276,9 @@ def test_features_invariant_to_row_order(tmp_path, rows, seed):
     assert_matches_oracle(a, tmp_path / "a.csv", tmp_path / "categories.csv", q95=10.0)
 
 
-FIELD_VALUES = [
-    "", " ", "x", "0", "1", "-1", "2", "0.001", "1e400", "Infinity", "NaN",
-    "-0.00", "9007199254740992", "90071992547409.92", "K00", "K99",
-    "2025-02-30", "2025-02-01T10:00:00+01:00", "2025-02-01 10:00", '"', "a,b",
-    '"q""uoted"', "\x00", "\r", "\n", "é",
-]
-
-
-RARELY = st.sampled_from([False] * 9 + [True])
-
-
 @st.composite
 def mutated_receipts(draw):
-    """A valid file with a few edits, mostly to data rows; now and then the
-    header or a byte that is not valid UTF-8."""
-    lines = [",".join(RECEIPT_COLUMNS)] + draw(receipt_rows())
-    for _ in range(draw(st.integers(1, 4))):
-        first = 0 if draw(RARELY) else 1
-        if len(lines) <= first:
-            break
-        i = draw(st.integers(first, len(lines) - 1))
-        kind = draw(st.sampled_from(["field", "chars", "drop", "duplicate", "blank", "extra"]))
-        fields = lines[i].split(",")
-        if kind == "field":
-            j = draw(st.integers(0, len(fields) - 1))
-            fields[j] = draw(st.sampled_from(FIELD_VALUES) | st.text(max_size=6))
-            lines[i] = ",".join(fields)
-        elif kind == "chars":
-            text = lines[i]
-            k = draw(st.integers(0, len(text)))
-            cut = draw(st.integers(0, 3))
-            lines[i] = text[:k] + draw(st.text(max_size=3)) + text[k + cut:]
-        elif kind == "drop":
-            del lines[i]
-        elif kind == "duplicate":
-            lines.insert(i, lines[i])
-        elif kind == "blank":
-            lines.insert(i, "")
-        else:
-            lines[i] += "," + draw(st.sampled_from(FIELD_VALUES))
-    data = ("\n".join(lines) + "\n").encode()
-    if draw(RARELY):
-        k = draw(st.integers(0, len(data)))
-        data = data[:k] + draw(st.sampled_from([b"\xff", b"\xc3", b"\r\n"])) + data[k:]
-    return data
+    return draw(mutated_lines([",".join(RECEIPT_COLUMNS)] + draw(receipt_rows())))
 
 
 @settings(max_examples=300, deadline=None,

@@ -428,3 +428,16 @@ def test_final_repair_matches_oracle():
     got = kmeans._lloyd(X, init, 1, 1e-6)
     assert_same_run(got[:5], _oracle_lloyd(X, init, 1, 1e-6))
     assert sorted(set(got[1])) == [0, 1, 2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_final_repair_cycle_raises():
+    # Four centers on three distinct values: two centers always share the
+    # rows of one value, so the final repair re-seeds an empty cluster
+    # forever. It must give up after a bounded number of passes.
+    X = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 5.0, 5.0])[:, None]
+    init = np.array([[0.0], [1.0], [5.0], [2.0]])
+    with pytest.raises(KMeansError, match="did not settle after 100 passes"):
+        kmeans._lloyd(X, init, 300, 1e-6)
+    with pytest.raises(_RepairCycle):
+        _oracle_lloyd(X, init, 300, 1e-6)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -52,6 +53,39 @@ def test_config_invariant_violations():
             window_end=date(2025, 3, 31),
             seed=0,
         )
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"n_customers": 0}, "at least 1 customer, got 0"),
+        ({"mission_weights": [0.5, 0.5]}, "mission_weights has 2 entries, expected 1"),
+        ({"persona_weights": [-1.0]}, "persona_weights must be non-negative"),
+        ({"persona_weights": [float("nan")]}, "persona_weights must be non-negative"),
+        ({"mission_weights": [0.5]}, "mission_weights must sum to 1"),
+        ({"missions": []}, "at least one archetype, mission and persona"),
+        ({"concentration": float("nan")}, "concentration must be positive"),
+    ],
+)
+def test_generator_config_rejects_bad_values(changes, message):
+    with pytest.raises(SyngenError, match=message):
+        replace(single_archetype_config(), **changes)
+
+
+def test_profile_and_persona_values_checked():
+    # sums to 1, so only the sign check catches it
+    with pytest.raises(SyngenError, match="weights must be non-negative"):
+        MissionProfile("bad", (1.5, -0.5))
+    with pytest.raises(SyngenError, match="value_scale must be positive"):
+        RfmPersona("bad", (1, 2), value_scale=0.0)
+    with pytest.raises(SyngenError, match="sigma >= 0"):
+        Archetype("bad", (0.5, 0.5), 1.0, float("nan"))
+
+
+def test_default_config_needs_four_categories():
+    with pytest.raises(SyngenError, match="at least 4 categories, .* got 3"):
+        default_config(n_categories=3)
+    assert default_config(n_categories=4).n_categories == 4
 
 
 def test_zero_noise_identical_ratios(tmp_path):

@@ -11,6 +11,7 @@ from shopmission.txmodel import (
     ParseError,
     ValidationError,
     ingest_receipts,
+    read_categories,
 )
 
 
@@ -260,3 +261,34 @@ def test_malformed_csv_is_a_parse_error(tmp_path, cats):
     # a quoted field longer than the csv module's field size limit
     with pytest.raises(ParseError, match="line 2: malformed CSV"):
         ingest(tmp_path, cats, ['b1,c1,2025-02-01,p1,K00,1.00,1,"' + "x" * 200_000 + '"'])
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("K00,a\nK01\n", "line 3: category row needs 2 fields, got 1"),
+        ("K00,a\nK01,b,extra\n", "line 3: category row needs 2 fields, got 3"),
+        ("K00,a\n,b\n", "line 3: empty category id or label"),
+        ("K00,a\nK01,\n", "line 3: empty category id or label"),
+        ("K00,a\n\nK01,b\nK00,c\n", "line 5: duplicate category id 'K00'"),
+        ('K00,a\nK01,"' + "x" * 200_000 + '"\n', "line 3: malformed CSV"),
+    ],
+)
+def test_bad_category_rows_rejected(tmp_path, body, message):
+    path = tmp_path / "categories.csv"
+    path.write_text("category_id,label\n" + body)
+    with pytest.raises((ParseError, ValidationError), match=message):
+        read_categories(path)
+
+
+def test_category_table_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "categories.csv"
+    path.write_bytes(b"category_id,label\nK00,a\nK01,\xff\n")
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        read_categories(path)
+
+
+def test_category_table_blank_lines_skipped(tmp_path):
+    path = tmp_path / "categories.csv"
+    path.write_text("category_id,label\n\nK00,a\n\nK01,b\n")
+    assert sorted(read_categories(path)) == ["K00", "K01"]
