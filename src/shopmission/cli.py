@@ -28,12 +28,22 @@ from .pipeline import (
     run_rfm,
     run_sm,
     score,
+    write_assignment_csv,
 )
 from .syngen import SyngenError, default_config, generate
 from .txmodel import AnalysisWindow, TxError, ingest_receipts
 from .validity import ValidityError, crosstab, purity, select_k
 
+
+class InputError(Exception):
+    """A malformed config file, assignment file or window date."""
+
+
+# Missing or unreadable files fail with OSError; every other data error is
+# one of the named classes. Other exceptions are bugs and keep their
+# traceback.
 DATA_ERRORS = (
+    InputError,
     TxError,
     FeatureError,
     KMeansError,
@@ -41,7 +51,6 @@ DATA_ERRORS = (
     PipelineError,
     SyngenError,
     OSError,
-    ValueError,
 )
 
 CONFIG_KEYS = {
@@ -58,16 +67,25 @@ def load_config(path) -> dict:
     """Flat ``key = value`` config file; # starts a comment."""
     config = {}
     with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            lines = list(f)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{line_no}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise InputError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
             config[key] = CONFIG_KEYS[key](value.strip("\"'"))
+        except ValueError:
+            raise InputError(
+                f"{path}:{line_no}: bad value {value!r} for {key}"
+            ) from None
     return config
 
 
@@ -94,10 +112,17 @@ def write_manifest(out_dir, command, args_snapshot, inputs, seed=None):
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
+def _parse_date(text, flag) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise InputError(f"{flag}: bad date {text!r}") from None
+
+
 def _load_dataset(args):
     window = AnalysisWindow(
-        start=date.fromisoformat(args.window_start),
-        end=date.fromisoformat(args.window_end),
+        start=_parse_date(args.window_start, "--window-start"),
+        end=_parse_date(args.window_end, "--window-end"),
     )
     return ingest_receipts(args.receipts, args.categories, window)
 
@@ -120,16 +145,36 @@ def _warn_unconverged(fit, converged):
 
 
 def _read_assignment_csv(path) -> dict:
+    """entity_id -> cluster label (a string) from an assignment file: an
+    ``entity_id,cluster`` header, then one row of two non-empty fields per
+    entity. Line numbers in messages are physical lines of the file."""
     assignment = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["entity_id", "cluster"]:
-            raise ValueError(
-                f"{path}: expected header entity_id,cluster, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            assignment[row["entity_id"]] = row["cluster"]
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header != ["entity_id", "cluster"]:
+                raise InputError(
+                    f"{path}: expected header entity_id,cluster, got {header}"
+                )
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != 2:
+                    raise InputError(f"{where}: need 2 fields, got {len(row)}")
+                eid, cluster = row
+                if not eid or not cluster:
+                    raise InputError(f"{where}: empty entity id or cluster")
+                if eid in assignment:
+                    raise InputError(f"{where}: duplicate entity id {eid!r}")
+                assignment[eid] = cluster
+        except csv.Error as exc:
+            raise InputError(
+                f"{path}: line {reader.line_num}: malformed CSV: {exc}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return assignment
 
 
@@ -344,17 +389,14 @@ def cmd_compare(args, config):
 
 
 def cmd_score(args, config):
-    with open(args.model) as f:
-        model = SmPipelineModel.from_json(f.read())
+    model = SmPipelineModel.from_json(Path(args.model).read_bytes())
     dataset = _load_dataset(args)
-    assignment = score(model, dataset)
+    labels = score(model, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scored_assignments.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["entity_id", "cluster"])
-        for eid in sorted(assignment):
-            writer.writerow([eid, assignment[eid]])
+    write_assignment_csv(
+        out / "scored_assignments.csv", dataset.customer_ids, labels
+    )
     write_manifest(
         out,
         "score",

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
 from .txmodel import Dataset
 
 MIN_BASKETS_FOR_Q95 = 20
+RFM_SCHEMA = ["recency_days", "frequency", "monetary"]
 
 
 class FeatureError(Exception):
@@ -23,7 +25,7 @@ class FeatureError(Exception):
 
 @dataclass
 class FeatureMatrix:
-    """Dense feature rows keyed by entity id, sorted by id."""
+    """Dense feature rows, one per entity id; ids strictly increasing."""
 
     ids: list
     X: np.ndarray  # shape (n, d)
@@ -36,6 +38,11 @@ class FeatureMatrix:
                 f"shape {self.X.shape} inconsistent with "
                 f"{len(self.ids)} ids x {len(self.schema)} features"
             )
+        for a, b in pairwise(self.ids):
+            if not a < b:
+                raise FeatureError(
+                    f"ids must be sorted without repeats; {b!r} follows {a!r}"
+                )
 
     @cached_property
     def n_distinct(self) -> int:
@@ -74,9 +81,7 @@ def rfm_features(dataset: Dataset) -> FeatureMatrix:
         frequency / window.length_days,
         cents / 100.0 / window.length_days,
     ])
-    return FeatureMatrix(
-        dataset.customer_ids, X, ["recency_days", "frequency", "monetary"]
-    )
+    return FeatureMatrix(dataset.customer_ids, X, list(RFM_SCHEMA))
 
 
 def pps_features(dataset: Dataset) -> FeatureMatrix:
@@ -126,20 +131,21 @@ def basket_sm_features(
 
 
 def customer_sm_features(
-    dataset: Dataset, basket_assignments, k_b
+    dataset: Dataset, basket_labels, k_b
 ) -> FeatureMatrix:
-    """Per-customer ratios of basket archetypes; rows sum to 1."""
-    labels = np.array(
-        [basket_assignments.get(b, -1) for b in dataset.basket_ids], np.int64
-    )
+    """Per-customer ratios of basket archetypes; rows sum to 1.
+    ``basket_labels`` holds one archetype per ``dataset.basket_ids`` entry."""
+    labels = np.asarray(basket_labels)
+    if labels.shape != (dataset.n_baskets,):
+        raise FeatureError(
+            f"expected {dataset.n_baskets} basket archetype labels, "
+            f"got shape {labels.shape}"
+        )
     bad = np.flatnonzero((labels < 0) | (labels >= k_b))
     if bad.size:
-        bid = dataset.basket_ids[bad[0]]
-        if bid not in basket_assignments:
-            raise FeatureError(f"basket {bid!r} has no archetype assignment")
         raise FeatureError(
-            f"basket {bid!r} assigned to cluster {labels[bad[0]]}, "
-            f"outside [0, {k_b})"
+            f"basket {dataset.basket_ids[bad[0]]!r} assigned to cluster "
+            f"{labels[bad[0]]}, outside [0, {k_b})"
         )
     n = len(dataset.customer_ids)
     counts = np.bincount(

@@ -1,8 +1,9 @@
 """Seedable k-means with k-means++ initialization and restarts.
 
-Deterministic given (matrix, k, seed): rows are sorted by entity id before
-any sampling, restarts use seeds derived from the run seed, and all
-reductions are single-threaded numpy.
+Deterministic given (matrix, k, seed): ``FeatureMatrix`` rows are in
+strictly increasing id order (checked when the matrix is built), restarts
+use seeds derived from the run seed, and all reductions are single-threaded
+numpy. Labels are integer arrays aligned with ``matrix.ids``.
 
 Lloyd's iterations skip distance evaluations with triangle-inequality
 bounds (Hamerly, "Making k-means even faster", SDM 2010). The pruning is
@@ -14,7 +15,6 @@ with lowest-index tie-breaking.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +54,17 @@ class ClusterModel:
             "centers": [list(row) for row in self.centers],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
+        centers = np.array(doc["centers"], dtype=float)
+        if centers.shape != (doc["k"], len(doc["feature_schema"])):
+            raise KMeansError(
+                f"centers of shape {centers.shape} do not match k={doc['k']} "
+                f"and {len(doc['feature_schema'])} features"
+            )
         return cls(
             k=doc["k"],
-            centers=np.array(doc["centers"], dtype=float),
+            centers=centers,
             feature_schema=doc["feature_schema"],
             seed=doc["seed"],
             inertia=doc["inertia"],
@@ -70,10 +73,6 @@ class ClusterModel:
             # Files written before the field existed did not record it.
             converged=doc.get("converged", True),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _squared_distances(X, centers):
@@ -221,14 +220,18 @@ def kmeans_fit(
     tol: float = 1e-6,
     n_init: int = 10,
 ):
-    """Fit k-means; returns (ClusterModel, assignment dict entity_id -> cluster)."""
+    """Fit k-means; returns (ClusterModel, labels aligned with matrix.ids)."""
     X = matrix.X
     if not np.all(np.isfinite(X)):
         raise KMeansError("feature matrix contains non-finite values")
     if k < 1:
         raise KMeansError(f"k must be >= 1, got {k}")
-    if max_iter < 1 or tol <= 0:
+    if max_iter < 1 or not tol > 0:
         raise KMeansError("max_iter must be >= 1 and tol > 0")
+    if n_init < 1:
+        raise KMeansError(f"n_init must be >= 1, got {n_init}")
+    if seed < 0:
+        raise KMeansError(f"seed must be >= 0, got {seed}")
     if k > matrix.n_distinct:
         raise KMeansError(
             f"k={k} exceeds number of distinct rows ({matrix.n_distinct})"
@@ -253,12 +256,12 @@ def kmeans_fit(
         inertia_history=history,
         converged=converged,
     )
-    assignment = {eid: int(c) for eid, c in zip(matrix.ids, labels)}
-    return model, assignment
+    return model, labels
 
 
-def assign(model: ClusterModel, matrix: FeatureMatrix) -> dict:
-    """Nearest-center assignment; ties broken by lowest cluster index."""
+def assign(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:
+    """Nearest-center labels aligned with ``matrix.ids``; ties go to the
+    lowest cluster index."""
     if list(matrix.schema) != list(model.feature_schema):
         raise KMeansError(
             f"schema mismatch: model {model.feature_schema} vs "
@@ -266,5 +269,4 @@ def assign(model: ClusterModel, matrix: FeatureMatrix) -> dict:
         )
     if not np.all(np.isfinite(matrix.X)):
         raise KMeansError("feature matrix contains non-finite values")
-    labels = np.argmin(_squared_distances(matrix.X, model.centers), axis=1)
-    return {eid: int(c) for eid, c in zip(matrix.ids, labels)}
+    return np.argmin(_squared_distances(matrix.X, model.centers), axis=1)

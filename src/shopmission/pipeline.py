@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,29 +24,39 @@ class PipelineError(Exception):
     pass
 
 
+def write_assignment_csv(path, ids, labels):
+    """``entity_id,cluster`` rows in ``ids`` order (sorted by id)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["entity_id", "cluster"])
+        writer.writerows(zip(ids, np.asarray(labels).tolist()))
+
+
 @dataclass
 class SegmentationReport:
-    assignment: dict  # entity_id -> cluster index
-    shares: dict  # cluster index -> fraction of entities
+    ids: list  # entity ids, sorted
+    labels: np.ndarray  # cluster index of each id
     centers: np.ndarray  # clusters x features
     feature_schema: list
     cluster_labels: list  # human-readable names, len = n clusters
     metrics: dict
 
+    @property
+    def shares(self) -> np.ndarray:
+        """Fraction of entities in each cluster."""
+        counts = np.bincount(self.labels, minlength=len(self.centers))
+        return counts / len(self.labels)
+
     def write(self, out_dir, prefix):
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{prefix}_assignments.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["entity_id", "cluster"])
-            for eid in sorted(self.assignment):
-                writer.writerow([eid, self.assignment[eid]])
+        write_assignment_csv(
+            out_dir / f"{prefix}_assignments.csv", self.ids, self.labels
+        )
         with open(out_dir / f"{prefix}_shares.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["cluster", "label", "share"])
-            for c in sorted(self.shares):
-                writer.writerow(
-                    [c, self.cluster_labels[c], repr(self.shares[c])]
-                )
+            for c, share in enumerate(self.shares.tolist()):
+                writer.writerow([c, self.cluster_labels[c], repr(share)])
         with open(out_dir / f"{prefix}_centers.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["cluster", "label"] + list(self.feature_schema))
@@ -55,14 +66,6 @@ class SegmentationReport:
                 )
         with open(out_dir / f"{prefix}_metrics.json", "w") as f:
             json.dump(self.metrics, f, indent=2)
-
-
-def _shares(assignment: dict, n_clusters: int) -> dict:
-    counts = {c: 0 for c in range(n_clusters)}
-    for c in assignment.values():
-        counts[c] += 1
-    n = len(assignment)
-    return {c: counts[c] / n for c in counts}
 
 
 def label_clusters(
@@ -81,7 +84,7 @@ def label_clusters(
 
 
 def _report_from_fit(
-    matrix, model, assignment, ratio_features: bool, dominance_threshold
+    matrix, model, labels, ratio_features: bool, dominance_threshold
 ) -> SegmentationReport:
     metrics = {
         "k": model.k,
@@ -91,21 +94,21 @@ def _report_from_fit(
     }
     if model.k >= 2:
         metrics["between_variance_ratio"] = between_variance_ratio(
-            matrix, assignment
+            matrix, labels
         )
-        metrics["davies_bouldin"] = davies_bouldin(matrix, assignment)
+        metrics["davies_bouldin"] = davies_bouldin(matrix, labels)
     if ratio_features:
-        labels = label_clusters(
+        names = label_clusters(
             model.centers, matrix.schema, dominance_threshold
         )
     else:
-        labels = [f"C{c + 1:02d}" for c in range(model.k)]
+        names = [f"C{c + 1:02d}" for c in range(model.k)]
     return SegmentationReport(
-        assignment=assignment,
-        shares=_shares(assignment, model.k),
+        ids=matrix.ids,
+        labels=labels,
         centers=model.centers,
         feature_schema=list(matrix.schema),
-        cluster_labels=labels,
+        cluster_labels=names,
         metrics=metrics,
     )
 
@@ -121,12 +124,28 @@ def _zscore(matrix: FeatureMatrix) -> FeatureMatrix:
 
 
 def load_expert_bounds(path) -> dict:
-    """Expert RFM bin edges: JSON {"recency_days": [...], ...}, strictly
-    increasing per dimension."""
-    with open(path) as f:
-        bounds = json.load(f)
-    for dim in ("recency_days", "frequency", "monetary"):
-        edges = bounds.get(dim, [])
+    """Expert RFM bin edges: a JSON object of lists of finite numbers,
+    {"recency_days": [...], ...}, strictly increasing per dimension."""
+    with open(path, "rb") as f:
+        try:
+            # Numbers become floats, as binning uses them; huge ints -> inf.
+            bounds = json.load(f, parse_int=float)
+        except ValueError as exc:  # bad JSON or invalid UTF-8
+            raise PipelineError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(bounds, dict):
+        raise PipelineError(f"{path}: expected a JSON object of edge lists")
+    for dim, edges in bounds.items():
+        if dim not in feat.RFM_SCHEMA:
+            raise PipelineError(
+                f"unknown RFM dimension {dim!r}, expected one of {feat.RFM_SCHEMA}"
+            )
+        if not isinstance(edges, list) or not all(
+            isinstance(e, float) and math.isfinite(e) for e in edges
+        ):
+            raise PipelineError(
+                f"bin edges for {dim!r} must be a list of finite numbers, "
+                f"got {edges!r}"
+            )
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise PipelineError(
                 f"bin edges for {dim} are not strictly increasing: {edges}"
@@ -150,19 +169,14 @@ def run_rfm(
         if k is None:
             raise PipelineError("kmeans mode requires k")
         fit_matrix = _zscore(matrix) if standardize else matrix
-        model, assignment = kmeans_fit(fit_matrix, k, seed=seed, **fit_kwargs)
-        # Report centers in raw feature units for interpretability.
-        raw_centers = np.array(
-            [
-                matrix.X[[assignment[e] == c for e in matrix.ids]].mean(axis=0)
-                for c in range(k)
-            ]
-        )
+        model, labels = kmeans_fit(fit_matrix, k, seed=seed, **fit_kwargs)
         report = _report_from_fit(
-            fit_matrix, model, assignment, False, DEFAULT_DOMINANCE_THRESHOLD
+            fit_matrix, model, labels, False, DEFAULT_DOMINANCE_THRESHOLD
         )
-        report.centers = raw_centers
-        report.feature_schema = list(matrix.schema)
+        # Report centers in raw feature units for interpretability.
+        report.centers = np.array(
+            [matrix.X[labels == c].mean(axis=0) for c in range(k)]
+        )
         return report
     if mode == "expert":
         if bounds is None:
@@ -172,15 +186,13 @@ def run_rfm(
 
 
 def _run_rfm_expert(matrix: FeatureMatrix, bounds: dict) -> SegmentationReport:
-    dims = ["recency_days", "frequency", "monetary"]
-    edges = [np.asarray(bounds.get(d, []), dtype=float) for d in dims]
+    edges = [np.asarray(bounds.get(d, []), dtype=float) for d in matrix.schema]
     n_bins = [len(e) + 1 for e in edges]
     bins = np.stack(
         [np.digitize(matrix.X[:, i], edges[i]) for i in range(3)], axis=1
     )
     segment = bins[:, 0] * n_bins[1] * n_bins[2] + bins[:, 1] * n_bins[2] + bins[:, 2]
     n_segments = n_bins[0] * n_bins[1] * n_bins[2]
-    assignment = {eid: int(s) for eid, s in zip(matrix.ids, segment)}
     centers = np.zeros((n_segments, 3))
     for c in range(n_segments):
         mask = segment == c
@@ -192,8 +204,8 @@ def _run_rfm_expert(matrix: FeatureMatrix, bounds: dict) -> SegmentationReport:
         fq, m = divmod(rem, n_bins[2])
         labels.append(f"rec{r}|frq{fq}|mon{m}")
     return SegmentationReport(
-        assignment=assignment,
-        shares=_shares(assignment, n_segments),
+        ids=matrix.ids,
+        labels=segment,
         centers=centers,
         feature_schema=list(matrix.schema),
         cluster_labels=labels,
@@ -210,10 +222,8 @@ def run_pps(
 ) -> SegmentationReport:
     """PPS segmentation: k-means on per-customer category spend ratios."""
     matrix = feat.pps_features(dataset)
-    model, assignment = kmeans_fit(matrix, k, seed=seed, **fit_kwargs)
-    return _report_from_fit(
-        matrix, model, assignment, True, dominance_threshold
-    )
+    model, labels = kmeans_fit(matrix, k, seed=seed, **fit_kwargs)
+    return _report_from_fit(matrix, model, labels, True, dominance_threshold)
 
 
 @dataclass
@@ -238,16 +248,22 @@ class SmPipelineModel:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "SmPipelineModel":
-        doc = json.loads(text)
-        return cls(
-            q95=QuantileSpec(q95=doc["q95"]),
-            basket_model=ClusterModel.from_dict(doc["basket_model"]),
-            customer_model=ClusterModel.from_dict(doc["customer_model"]),
-            category_ids=doc["category_ids"],
-            value_weight=doc["value_weight"],
-            dataset_fingerprint=doc["dataset_fingerprint"],
-        )
+    def from_json(cls, text) -> "SmPipelineModel":
+        """Parse a model file's text (str, or bytes in UTF-8)."""
+        try:
+            doc = json.loads(text)
+            return cls(
+                q95=QuantileSpec(q95=doc["q95"]),
+                basket_model=ClusterModel.from_dict(doc["basket_model"]),
+                customer_model=ClusterModel.from_dict(doc["customer_model"]),
+                category_ids=doc["category_ids"],
+                value_weight=doc["value_weight"],
+                dataset_fingerprint=doc["dataset_fingerprint"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise PipelineError(
+                f"not a valid SM model: {type(exc).__name__}: {exc}"
+            ) from None
 
 
 def run_sm(
@@ -270,13 +286,11 @@ def run_sm(
     basket_matrix = feat.basket_sm_features(
         dataset, dataset.category_ids, q, value_weight
     )
-    basket_model, basket_assignment = kmeans_fit(
+    basket_model, basket_labels = kmeans_fit(
         basket_matrix, k_b, seed=seed, **fit_kwargs
     )
 
-    customer_matrix = feat.customer_sm_features(
-        dataset, basket_assignment, k_b
-    )
+    customer_matrix = feat.customer_sm_features(dataset, basket_labels, k_b)
     row_sums = customer_matrix.X.sum(axis=1)
     if not np.allclose(row_sums, 1.0, atol=1e-9):
         worst = float(row_sums[np.argmax(np.abs(row_sums - 1.0))])
@@ -291,7 +305,7 @@ def run_sm(
             f"reducing k_sm from {k_sm} to {n_distinct}"
         )
         k_sm = n_distinct
-    customer_model, customer_assignment = kmeans_fit(
+    customer_model, customer_labels = kmeans_fit(
         customer_matrix, k_sm, seed=seed + STAGE2_SEED_OFFSET, **fit_kwargs
     )
 
@@ -304,18 +318,18 @@ def run_sm(
         dataset_fingerprint=dataset.fingerprint(),
     )
     basket_report = _report_from_fit(
-        basket_matrix, basket_model, basket_assignment, True,
-        dominance_threshold,
+        basket_matrix, basket_model, basket_labels, True, dominance_threshold
     )
     customer_report = _report_from_fit(
-        customer_matrix, customer_model, customer_assignment, True,
+        customer_matrix, customer_model, customer_labels, True,
         dominance_threshold,
     )
     return sm_model, basket_report, customer_report
 
 
-def score(model: SmPipelineModel, dataset: Dataset) -> dict:
-    """Assign new customers to SM segments with the frozen trained model.
+def score(model: SmPipelineModel, dataset: Dataset) -> np.ndarray:
+    """Assign new customers to SM segments with the frozen trained model;
+    returns labels aligned with ``dataset.customer_ids``.
 
     q95 is reused from training, never recomputed, so the value axis is
     stable over time.
@@ -329,8 +343,7 @@ def score(model: SmPipelineModel, dataset: Dataset) -> dict:
     basket_matrix = feat.basket_sm_features(
         dataset, model.category_ids, model.q95, model.value_weight
     )
-    basket_assignment = assign(model.basket_model, basket_matrix)
     customer_matrix = feat.customer_sm_features(
-        dataset, basket_assignment, model.basket_model.k
+        dataset, assign(model.basket_model, basket_matrix), model.basket_model.k
     )
     return assign(model.customer_model, customer_matrix)

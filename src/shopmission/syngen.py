@@ -64,7 +64,8 @@ class RfmPersona:
 
     def __post_init__(self):
         lo, hi = self.baskets_range
-        if lo < 1 or hi < lo:
+        # hi + 1 is an exclusive int64 bound of the generator's draw.
+        if lo < 1 or hi < lo or hi >= np.iinfo(np.int64).max:
             raise SyngenError(f"persona {self.name!r} has bad baskets range")
         if not 0 < self.active_fraction <= 1:
             raise SyngenError(
@@ -97,6 +98,8 @@ class GeneratorConfig:
             raise SyngenError(
                 f"need at least 1 customer, got {self.n_customers}"
             )
+        if self.seed < 0:
+            raise SyngenError(f"seed must be >= 0, got {self.seed}")
         if not (self.archetypes and self.missions and self.personas):
             raise SyngenError("need at least one archetype, mission and persona")
         for a in self.archetypes:

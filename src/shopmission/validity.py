@@ -1,4 +1,8 @@
-"""Cluster-count selection metrics and cross-segmentation comparison."""
+"""Cluster-count selection metrics and cross-segmentation comparison.
+
+The metrics take one cluster label per row of a ``FeatureMatrix``; purity
+and crosstab take entity id -> label mappings, as read from files.
+"""
 
 from __future__ import annotations
 
@@ -17,19 +21,19 @@ class ValidityError(Exception):
     pass
 
 
-def _labels_array(matrix: FeatureMatrix, assignment: dict) -> np.ndarray:
-    missing = [eid for eid in matrix.ids if eid not in assignment]
-    if missing:
+def _check_labels(matrix: FeatureMatrix, labels) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (len(matrix.ids),):
         raise ValidityError(
-            f"assignment missing {len(missing)} entities, e.g. {missing[:5]}"
+            f"expected one label per row ({len(matrix.ids)}), got {labels.shape}"
         )
-    return np.array([assignment[eid] for eid in matrix.ids])
+    return labels
 
 
-def between_variance_ratio(matrix: FeatureMatrix, assignment: dict) -> float:
+def between_variance_ratio(matrix: FeatureMatrix, labels) -> float:
     """1 - within-cluster SS / total SS, both about group / global means."""
     X = matrix.X
-    labels = _labels_array(matrix, assignment)
+    labels = _check_labels(matrix, labels)
     total_ss = float(((X - X.mean(axis=0)) ** 2).sum())
     if total_ss == 0.0:
         warnings.warn(
@@ -44,10 +48,10 @@ def between_variance_ratio(matrix: FeatureMatrix, assignment: dict) -> float:
     return 1.0 - within_ss / total_ss
 
 
-def davies_bouldin(matrix: FeatureMatrix, assignment: dict) -> float:
+def davies_bouldin(matrix: FeatureMatrix, labels) -> float:
     """Davies-Bouldin index with mean distance-to-center dispersion."""
     X = matrix.X
-    labels = _labels_array(matrix, assignment)
+    labels = _check_labels(matrix, labels)
     clusters = np.unique(labels)
     k = len(clusters)
     if k < 2:
@@ -138,15 +142,13 @@ def select_k(
         )
     rows = []
     for k in range(k_min, k_max + 1):
-        model, assignment = kmeans_fit(matrix, k, seed=seed + k, **fit_kwargs)
+        model, labels = kmeans_fit(matrix, k, seed=seed + k, **fit_kwargs)
         rows.append(
             KSweepRow(
                 k=k,
                 inertia=model.inertia,
-                between_variance_ratio=between_variance_ratio(
-                    matrix, assignment
-                ),
-                davies_bouldin=davies_bouldin(matrix, assignment),
+                between_variance_ratio=between_variance_ratio(matrix, labels),
+                davies_bouldin=davies_bouldin(matrix, labels),
                 converged=model.converged,
             )
         )

@@ -2,6 +2,7 @@ import itertools
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -19,6 +20,12 @@ def small_planted(tmp_path_factory):
     truth = generate(cfg, out)
     dataset = ingest_receipts(out / "receipts.csv", out / "categories.csv", WINDOW)
     return out, cfg, truth, dataset
+
+
+def as_assignment(ids, labels) -> dict:
+    """entity id -> label mapping of a label array, to compare it with
+    ground truth through ``validity.purity``."""
+    return dict(zip(ids, np.asarray(labels).tolist()))
 
 
 def write_receipts(path: Path, rows):

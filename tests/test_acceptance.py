@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import WINDOW, basket_rows
+from conftest import WINDOW, as_assignment, basket_rows
 from shopmission import features as feat
 from shopmission.cli import main as cli_main
 from shopmission.features import FeatureMatrix
@@ -129,9 +129,8 @@ def test_criterion_1_validity_metric_oracles():
         while len(set(labels.tolist())) < 2:
             labels = rng.integers(0, k, size=n)
         matrix = matrix_from(X)
-        assignment = {eid: int(c) for eid, c in zip(matrix.ids, labels)}
-        bvr = between_variance_ratio(matrix, assignment)
-        db = davies_bouldin(matrix, assignment)
+        bvr = between_variance_ratio(matrix, labels)
+        db = davies_bouldin(matrix, labels)
         bvr_ref = oracle_bvr(X, labels.tolist())
         db_ref = oracle_db(X, labels.tolist())
         worst = max(
@@ -177,11 +176,10 @@ def test_criterion_3_and_4_kmeans_contract_and_variance_decomposition():
         k = int(rng.integers(2, 6))
         X = rng.normal(size=(n, d))
         matrix = matrix_from(X)
-        model, assignment = kmeans_fit(matrix, k, seed=run, n_init=2)
+        model, labels = kmeans_fit(matrix, k, seed=run, n_init=2)
         hist = model.inertia_history
         if any(b > a * (1 + 1e-9) for a, b in zip(hist, hist[1:])):
             monotone = False
-        labels = np.array([assignment[eid] for eid in matrix.ids])
         total_ss = float(((X - X.mean(axis=0)) ** 2).sum())
         within = sum(
             float(((X[labels == j] - X[labels == j].mean(axis=0)) ** 2).sum())
@@ -200,7 +198,7 @@ def test_criterion_3_and_4_kmeans_contract_and_variance_decomposition():
     reproducible = (
         m1.centers.tobytes() == m2.centers.tobytes()
         and m1.inertia == m2.inertia
-        and a1 == a2
+        and np.array_equal(a1, a2)
     )
 
     blob_optimal = True
@@ -235,8 +233,14 @@ def test_criterion_5_planted_sm_pipeline(tmp_path):
     model, basket_report, customer_report = run_sm(
         dataset, k_b=6, k_sm=9, seed=42
     )
-    p_basket = purity(basket_report.assignment, truth.basket_archetype)
-    p_customer = purity(customer_report.assignment, truth.customer_mission)
+    p_basket = purity(
+        as_assignment(basket_report.ids, basket_report.labels),
+        truth.basket_archetype,
+    )
+    p_customer = purity(
+        as_assignment(customer_report.ids, customer_report.labels),
+        truth.customer_mission,
+    )
 
     q = feat.compute_q95(dataset)
     matrix = feat.basket_sm_features(dataset, dataset.category_ids, q)
@@ -276,9 +280,9 @@ def test_criterion_6_prism_geometry():
         ),
         schema=schema,
     )
-    result = assign(model, matrix)
-    ok = result["S1"] == 3 and result["S2"] == 0
-    report(6, ok, f"(S1 -> cluster {result['S1']}, S2 -> cluster {result['S2']})")
+    s1_label, s2_label = assign(model, matrix)
+    ok = s1_label == 3 and s2_label == 0
+    report(6, ok, f"(S1 -> cluster {s1_label}, S2 -> cluster {s2_label})")
 
 
 def test_criterion_7_feature_invariants(make_dataset):

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_lines
-from shopmission.cli import load_config, main
+from shopmission import cli
+from shopmission.cli import InputError, load_config, main
 
 WINDOW_ARGS = [
     "--window-start", "2025-01-01",
@@ -228,8 +229,138 @@ def test_config_file_parsing_and_overrides(tmp_path):
     }
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery_knob = 3\n")
-    with pytest.raises(ValueError, match="unknown key"):
+    with pytest.raises(InputError, match="unknown key"):
         load_config(bad)
+
+
+ASSIGNMENTS_HEADER = "entity_id,cluster\n"
+
+# (file name, bytes, command tail after the dataset arguments, message).
+# Each command reads one malformed side input; "{}" stands for its path.
+MALFORMED_INPUTS = [
+    ("run.cfg", b"n_init = 0\n", ["pps", "--k", "3"],
+     "n_init must be >= 1, got 0"),
+    ("run.cfg", b"n_init = 2.5\n", ["pps", "--k", "3"],
+     "run.cfg:1: bad value '2.5' for n_init"),
+    ("run.cfg", b"# tuned\ntol 1e-3\n", ["pps", "--k", "3"],
+     "run.cfg:2: expected key = value"),
+    ("run.cfg", b"tol = \xff\n", ["pps", "--k", "3"], "not valid UTF-8"),
+    ("bounds.json", b"[1, 2]", ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "expected a JSON object"),
+    ("bounds.json", b'{"monetary": ["a", 1]}',
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "bin edges for 'monetary' must be a list of finite numbers"),
+    ("bounds.json", b'{"frequency": [NaN]}',
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"], "finite numbers"),
+    ("bounds.json", b'{"recency_days": 30}',
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"], "finite numbers"),
+    ("bounds.json", b'{"recency": [30]}',
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "unknown RFM dimension 'recency'"),
+    ("bounds.json", b"{not json", ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "not valid JSON"),
+    ("model.json", b"{}", ["score", "--model", "{}"], "not a valid SM model"),
+    ("model.json", b"\xff", ["score", "--model", "{}"], "not a valid SM model"),
+]
+MALFORMED_ASSIGNMENTS = [
+    (ASSIGNMENTS_HEADER + "x,1\nx,2\ny\n", "line 3: duplicate entity id 'x'"),
+    (ASSIGNMENTS_HEADER + "x,1\ny\n", "line 3: need 2 fields, got 1"),
+    (ASSIGNMENTS_HEADER + "x,1\n\ny,\n", "line 4: empty entity id or cluster"),
+    (ASSIGNMENTS_HEADER + "x,1,extra\n", "line 2: need 2 fields, got 3"),
+    (ASSIGNMENTS_HEADER + "x," + "1" * 200_000 + "\n",
+     "line 2: malformed CSV: field larger than field limit"),
+    ("id,cluster\nx,1\n", "expected header entity_id,cluster"),
+    (ASSIGNMENTS_HEADER + "x,\xe9\n", "not valid UTF-8"),
+]
+
+
+def assert_one_error_line(code, capsys, message):
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+@pytest.mark.parametrize("name, content, command, message", MALFORMED_INPUTS)
+def test_malformed_side_input_is_one_line_error(
+    data_dir, tmp_path, capsys, name, content, command, message
+):
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = [str(path) if arg == "{}" else arg for arg in command]
+    argv[1:1] = dataset_args(data_dir)
+    if name == "run.cfg":
+        argv[:0] = ["--config", str(path)]
+    argv += ["--out", str(tmp_path / "out")]
+    assert_one_error_line(main(argv), capsys, message)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_ASSIGNMENTS)
+@pytest.mark.parametrize("command", ["compare", "report"])
+def test_malformed_assignment_file_is_one_line_error(
+    tmp_path, capsys, command, text, message
+):
+    good = tmp_path / "good.csv"
+    good.write_text(ASSIGNMENTS_HEADER + "x,1\ny,2\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text.encode("latin-1"))
+    code = main([
+        command, "--assignments", str(good), "--assignments", str(bad),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert_one_error_line(code, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (["--window-start", "2025-13-01", "--window-end", "2025-03-31"],
+         "--window-start: bad date '2025-13-01'"),
+        (["--window-start", "2025-01-01", "--window-end", "March"],
+         "--window-end: bad date 'March'"),
+        (["--window-start", "2025-03-31", "--window-end", "2025-01-01"],
+         "must be after start"),
+    ],
+)
+def test_bad_window_is_one_line_error(data_dir, tmp_path, capsys, window, message):
+    code = main([
+        "ingest",
+        "--receipts", str(data_dir / "receipts.csv"),
+        "--categories", str(data_dir / "categories.csv"),
+        *window,
+    ])
+    assert_one_error_line(code, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pps", "--k", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["syngen", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["syngen", "--baskets-max", str(10**20)], "bad baskets range"),
+    ],
+)
+def test_bad_seed_and_range_are_one_line_errors(
+    data_dir, tmp_path, capsys, argv, message
+):
+    if argv[0] != "syngen":
+        argv = argv[:1] + dataset_args(data_dir) + argv[1:]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert_one_error_line(code, capsys, message)
+
+
+def test_value_error_inside_the_program_is_not_a_data_error(
+    data_dir, tmp_path, monkeypatch
+):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad data")
+
+    monkeypatch.setattr(cli, "run_pps", broken)
+    with pytest.raises(ValueError, match="a bug, not bad data"):
+        main([
+            "pps", *dataset_args(data_dir), "--k", "3",
+            "--out", str(tmp_path / "out"),
+        ])
 
 
 @pytest.mark.parametrize(

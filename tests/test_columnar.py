@@ -191,8 +191,9 @@ def assert_matches_oracle(dataset, receipts, categories_csv, q95=None):
         bid: int(hashlib.sha256(bid.encode()).digest()[0]) % k_b
         for bid in dataset.basket_ids
     }
+    labels = np.array([assignments[b] for b in dataset.basket_ids], np.int64)
     assert_rows_identical(
-        feat.customer_sm_features(dataset, assignments, k_b),
+        feat.customer_sm_features(dataset, labels, k_b),
         oracle_customer_sm(histories, assignments, k_b),
     )
 

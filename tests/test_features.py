@@ -136,27 +136,27 @@ def test_category_ratios_scale_invariant(make_dataset):
 
 def test_customer_sm_all_in_one_cluster(make_dataset):
     ds = make_dataset(one_value_baskets([1.0] * 4), CATS)
-    matrix = feat.customer_sm_features(ds, {b: 2 for b in ds.basket_ids}, 3)
+    matrix = feat.customer_sm_features(ds, [2] * ds.n_baskets, 3)
     assert list(matrix.row("c1")) == [0.0, 0.0, 1.0]
 
 
 def test_customer_sm_even_split(make_dataset):
     ds = make_dataset(one_value_baskets([1.0] * 4), CATS)
-    assignments = dict(zip(ds.basket_ids, [0, 0, 1, 1]))
-    matrix = feat.customer_sm_features(ds, assignments, 2)
+    matrix = feat.customer_sm_features(ds, np.array([0, 0, 1, 1]), 2)
     assert list(matrix.row("c1")) == [0.5, 0.5]
 
 
-def test_customer_sm_missing_assignment_names_basket(make_dataset):
+def test_customer_sm_needs_one_label_per_basket(make_dataset):
     ds = make_dataset(basket_rows("b0", "c1", {"hair": 1.0}), CATS)
-    with pytest.raises(FeatureError, match="b0"):
-        feat.customer_sm_features(ds, {}, 2)
+    for labels in ([], [0, 1]):
+        with pytest.raises(FeatureError, match="expected 1 basket archetype"):
+            feat.customer_sm_features(ds, labels, 2)
 
 
 def test_customer_sm_cluster_out_of_range_names_basket(make_dataset):
     ds = make_dataset(basket_rows("b0", "c1", {"hair": 1.0}), CATS)
     with pytest.raises(FeatureError, match="'b0' assigned to cluster 2"):
-        feat.customer_sm_features(ds, {"b0": 2}, 2)
+        feat.customer_sm_features(ds, [2], 2)
 
 
 def test_ratio_vectors_unit_sum_on_planted_data(small_planted):
@@ -177,3 +177,12 @@ def test_n_distinct_counts_rows_once():
     )
     assert matrix.n_distinct == 2
     assert "n_distinct" in vars(matrix)  # cached on the instance
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [(["b", "a"], "'a' follows 'b'"), (["a", "b", "b"], "'b' follows 'b'")],
+)
+def test_feature_matrix_ids_must_be_sorted_and_unique(ids, message):
+    with pytest.raises(FeatureError, match=message):
+        feat.FeatureMatrix(ids=ids, X=np.zeros((len(ids), 1)), schema=["x"])

@@ -35,10 +35,10 @@ def exhaustive_best_inertia(X, k=2):
 def test_k1_center_is_mean():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 3))
-    model, assignment = kmeans_fit(matrix_from(X), k=1, seed=0)
+    model, labels = kmeans_fit(matrix_from(X), k=1, seed=0)
     assert model.centers[0] == pytest.approx(X.mean(axis=0))
     assert model.inertia == pytest.approx(((X - X.mean(axis=0)) ** 2).sum())
-    assert set(assignment.values()) == {0}
+    assert set(labels.tolist()) == {0}
 
 
 def test_two_blobs_match_exhaustive_partition_optimum():
@@ -50,19 +50,19 @@ def test_two_blobs_match_exhaustive_partition_optimum():
                 rng.normal(loc=5.0, scale=0.3, size=(6, 2)),
             ]
         )
-        model, assignment = kmeans_fit(matrix_from(X), k=2, seed=seed)
+        model, labels = kmeans_fit(matrix_from(X), k=2, seed=seed)
         assert model.inertia == pytest.approx(
             exhaustive_best_inertia(X), rel=1e-9
         )
-        labels = list(assignment.values())
+        labels = labels.tolist()
         assert len(set(labels[:6])) == 1 and len(set(labels[6:])) == 1
         assert labels[0] != labels[6]
 
 
 def test_duplicate_rows_get_identical_assignments():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
-    _, assignment = kmeans_fit(matrix_from(X), k=2, seed=3)
-    assert assignment["e000"] == assignment["e001"]
+    _, labels = kmeans_fit(matrix_from(X), k=2, seed=3)
+    assert labels[0] == labels[1]
 
 
 def test_inertia_history_non_increasing():
@@ -81,7 +81,7 @@ def test_fixed_seed_bit_identical():
     m2, a2 = kmeans_fit(matrix_from(X), k=3, seed=77)
     assert m1.centers.tobytes() == m2.centers.tobytes()
     assert m1.inertia == m2.inertia
-    assert a1 == a2
+    assert np.array_equal(a1, a2)
 
 
 def test_row_order_irrelevant_given_sorted_ids():
@@ -99,29 +99,29 @@ def test_row_order_irrelevant_given_sorted_ids():
     m1, a1 = kmeans_fit(fwd, k=3, seed=5)
     m2, a2 = kmeans_fit(rev, k=3, seed=5)
     assert m1.centers.tobytes() == m2.centers.tobytes()
-    assert a1 == a2
+    assert np.array_equal(a1, a2)
 
 
 def test_assign_reproduces_training_assignment():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(60, 3))
     matrix = matrix_from(X)
-    model, assignment = kmeans_fit(matrix, k=4, seed=14)
-    assert assign(model, matrix) == assignment
+    model, labels = kmeans_fit(matrix, k=4, seed=14)
+    assert np.array_equal(assign(model, matrix), labels)
 
 
 def test_assign_point_on_center():
     centers = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
     model = ClusterModel(4, centers, ["f0", "f1"], 0, 0.0, 0)
     matrix = FeatureMatrix(ids=["p"], X=np.array([[3.0, 0.0]]), schema=["f0", "f1"])
-    assert assign(model, matrix) == {"p": 3}
+    assert assign(model, matrix).tolist() == [3]
 
 
 def test_assign_tie_breaks_to_lowest_index():
     centers = np.array([[0.0], [2.0], [2.0], [0.0]])
     model = ClusterModel(4, centers, ["f0"], 0, 0.0, 0)
     matrix = FeatureMatrix(ids=["p"], X=np.array([[1.0]]), schema=["f0"])
-    assert assign(model, matrix) == {"p": 0}
+    assert assign(model, matrix).tolist() == [0]
 
 
 def test_assign_schema_mismatch():
@@ -149,9 +149,9 @@ def test_prism_geometry_s1_s2():
     s1 = [0.625, 0.375, 0.0, 8 / q95]
     s2 = [0.625, 0.375, 0.0, 40 / q95]
     matrix = FeatureMatrix(ids=["S1", "S2"], X=np.array([s1, s2]), schema=schema)
-    result = assign(model, matrix)
-    assert result["S1"] == 3  # C4 analog
-    assert result["S2"] == 0  # C1 analog
+    s1_label, s2_label = assign(model, matrix)
+    assert s1_label == 3  # C4 analog
+    assert s2_label == 0  # C1 analog
 
 
 def test_k_greater_than_distinct_rows_rejected():
@@ -169,8 +169,8 @@ def test_non_finite_rejected():
 def test_no_orphan_centers():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 2))
-    model, assignment = kmeans_fit(matrix_from(X), k=6, seed=3)
-    assert set(assignment.values()) == set(range(6))
+    model, labels = kmeans_fit(matrix_from(X), k=6, seed=3)
+    assert set(labels.tolist()) == set(range(6))
     assert model.inertia >= 0
 
 
@@ -178,11 +178,19 @@ def test_model_json_roundtrip_bit_exact():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(25, 3))
     model, _ = kmeans_fit(matrix_from(X), k=3, seed=8)
-    restored = ClusterModel.from_json(model.to_json())
+    restored = ClusterModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert restored.centers.tobytes() == model.centers.tobytes()
     assert restored.inertia == model.inertia
     assert restored.feature_schema == model.feature_schema
     assert restored.seed == model.seed
+
+
+def test_model_dict_with_misshapen_centers_rejected():
+    model = ClusterModel(2, np.zeros((2, 2)), ["f0", "f1"], 0, 0.0, 0)
+    doc = model.to_dict()
+    doc["centers"] = [[0.0], [1.0]]
+    with pytest.raises(KMeansError, match=r"centers of shape \(2, 1\)"):
+        ClusterModel.from_dict(doc)
 
 
 def test_restart_count_and_tol_validation():
@@ -193,6 +201,19 @@ def test_restart_count_and_tol_validation():
         kmeans_fit(matrix_from(X), k=2, seed=0, tol=0.0)
 
 
+@pytest.mark.parametrize("n_init", [0, -1])
+def test_n_init_below_one_rejected(n_init):
+    X = np.arange(10, dtype=float).reshape(-1, 1)
+    with pytest.raises(KMeansError, match=f"n_init must be >= 1, got {n_init}"):
+        kmeans_fit(matrix_from(X), k=2, seed=0, n_init=n_init)
+
+
+def test_negative_seed_rejected():
+    X = np.arange(10, dtype=float).reshape(-1, 1)
+    with pytest.raises(KMeansError, match="seed must be >= 0"):
+        kmeans_fit(matrix_from(X), k=2, seed=-1)
+
+
 def test_fit_reports_convergence():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(60, 3))
@@ -201,14 +222,15 @@ def test_fit_reports_convergence():
     stopped, _ = kmeans_fit(matrix_from(X), k=4, seed=4, max_iter=1)
     assert not stopped.converged
     assert stopped.iterations_run == 1
-    assert ClusterModel.from_json(stopped.to_json()).converged is False
+    doc = json.loads(json.dumps(stopped.to_dict()))
+    assert ClusterModel.from_dict(doc).converged is False
 
 
 def test_model_json_without_converged_field_loads():
     model, _ = kmeans_fit(matrix_from(np.eye(3)), k=2, seed=0)
-    doc = json.loads(model.to_json())
+    doc = json.loads(json.dumps(model.to_dict()))
     del doc["converged"]
-    assert ClusterModel.from_json(json.dumps(doc)).converged is True
+    assert ClusterModel.from_dict(doc).converged is True
 
 
 # --- Differential oracle: the plain Lloyd engine the pruned one replaced. ---
@@ -361,16 +383,15 @@ def test_engine_matches_plain_lloyd_oracle(inputs, seed, n_init, max_iter,
             best = want
 
     matrix = matrix_from(X)
-    model, assignment = kmeans_fit(
+    model, labels = kmeans_fit(
         matrix, k, seed=seed, max_iter=max_iter, tol=tol, n_init=n_init
     )
-    labels = np.array([assignment[eid] for eid in matrix.ids])
     assert_same_run(
         (model.centers, labels, model.inertia, model.iterations_run,
          model.inertia_history),
         best,
     )
-    assert assign(model, matrix) == assignment
+    assert np.array_equal(assign(model, matrix), labels)
 
 
 # The repair can leave a cluster empty; its NaN mean warns in both engines.

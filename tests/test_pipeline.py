@@ -1,9 +1,20 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import WINDOW, basket_rows, write_categories, write_receipts
+from conftest import (
+    WINDOW,
+    as_assignment,
+    basket_rows,
+    write_categories,
+    write_receipts,
+)
 from shopmission.pipeline import (
     PipelineError,
     SmPipelineModel,
@@ -14,6 +25,7 @@ from shopmission.pipeline import (
     run_sm,
     score,
 )
+from shopmission.syngen import default_config, generate
 from shopmission.txmodel import ValidationError, ingest_receipts
 from shopmission.validity import purity
 
@@ -35,8 +47,9 @@ def test_rfm_expert_bounds_split_at_threshold(tmp_path, make_dataset):
     bounds_file = tmp_path / "bounds.json"
     bounds_file.write_text(json.dumps({"recency_days": [30]}))
     report = run_rfm(ds, mode="expert", bounds=load_expert_bounds(bounds_file))
-    assert report.assignment["recent"] != report.assignment["stale"]
-    assert sum(report.shares.values()) == pytest.approx(1.0)
+    labels = as_assignment(report.ids, report.labels)
+    assert labels["recent"] != labels["stale"]
+    assert report.shares.sum() == pytest.approx(1.0)
 
 
 def test_expert_bounds_non_monotone_rejected(tmp_path):
@@ -49,13 +62,14 @@ def test_expert_bounds_non_monotone_rejected(tmp_path):
 def test_rfm_single_customer_single_cluster(make_dataset):
     ds = make_dataset(basket_rows("b1", "only", {"K00": 3.0}), CATS)
     report = run_rfm(ds, k=1, seed=0)
-    assert report.shares == {0: 1.0}
+    assert report.shares.tolist() == [1.0]
 
 
 def test_rfm_kmeans_recovers_planted_personas(small_planted):
     _, _, truth, dataset = small_planted
     report = run_rfm(dataset, k=3, seed=7)
-    assert purity(report.assignment, truth.customer_persona) >= 0.9
+    found = as_assignment(report.ids, report.labels)
+    assert purity(found, truth.customer_persona) >= 0.9
 
 
 def test_rfm_requires_k_in_kmeans_mode(make_dataset):
@@ -71,8 +85,8 @@ def test_pps_degenerate_one_hot_triggers_repair(make_dataset):
     rows += basket_rows("b_odd", "c0", {"K01": 4.0, "K02": 0.01}, "2025-02-03")
     ds = make_dataset(rows, CATS)
     report = run_pps(ds, k=2, seed=0)
-    assert sum(report.shares.values()) == pytest.approx(1.0)
-    assert set(report.assignment.values()) == {0, 1}
+    assert report.shares.sum() == pytest.approx(1.0)
+    assert set(report.labels.tolist()) == {0, 1}
 
 
 def test_pps_recovers_planted_structure(small_planted):
@@ -80,7 +94,7 @@ def test_pps_recovers_planted_structure(small_planted):
     # 4 focused populations + 1 generalist blob at the customer level:
     # missions serve as a coarse proxy since personas do not move ratios.
     report = run_pps(dataset, k=5, seed=3)
-    assert sum(report.shares.values()) == pytest.approx(1.0, abs=1e-9)
+    assert report.shares.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cluster_labels_dominant_vs_general():
@@ -94,10 +108,12 @@ def test_run_sm_planted_recovery(small_planted):
     model, basket_report, customer_report = run_sm(
         dataset, k_b=6, k_sm=9, seed=42
     )
-    assert purity(basket_report.assignment, truth.basket_archetype) >= 0.9
-    assert purity(customer_report.assignment, truth.customer_mission) >= 0.85
-    assert sum(basket_report.shares.values()) == pytest.approx(1.0, abs=1e-9)
-    assert sum(customer_report.shares.values()) == pytest.approx(1.0, abs=1e-9)
+    baskets = as_assignment(basket_report.ids, basket_report.labels)
+    customers = as_assignment(customer_report.ids, customer_report.labels)
+    assert purity(baskets, truth.basket_archetype) >= 0.9
+    assert purity(customers, truth.customer_mission) >= 0.85
+    assert basket_report.shares.sum() == pytest.approx(1.0, abs=1e-9)
+    assert customer_report.shares.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_archetype_customers_one_hot_centers(make_dataset):
@@ -122,7 +138,7 @@ def test_run_sm_kb1_degenerates_with_warning(make_dataset):
     with pytest.warns(UserWarning, match="reducing k_sm"):
         model, _, customer_report = run_sm(ds, k_b=1, k_sm=3, seed=0)
     assert model.customer_model.k == 1
-    assert customer_report.shares == {0: 1.0}
+    assert customer_report.shares.tolist() == [1.0]
 
 
 def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch, make_dataset):
@@ -146,7 +162,34 @@ def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch, make_dataset
 def test_score_reproduces_training_assignments(small_planted):
     _, _, _, dataset = small_planted
     model, _, customer_report = run_sm(dataset, k_b=6, k_sm=9, seed=42)
-    assert score(model, dataset) == customer_report.assignment
+    assert np.array_equal(score(model, dataset), customer_report.labels)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    customers=st.integers(30, 150),
+    k_b=st.integers(2, 6),
+    k_sm=st.integers(2, 9),
+    seed=st.integers(0, 10**6),
+)
+def test_score_reproduces_training_labels_property(
+    data_seed, customers, k_b, k_sm, seed
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        generate(default_config(n_customers=customers, seed=data_seed), out)
+        dataset = ingest_receipts(
+            out / "receipts.csv", out / "categories.csv", WINDOW
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k_sm reduced to the distinct rows
+        model, _, customer_report = run_sm(
+            dataset, k_b=k_b, k_sm=k_sm, seed=seed, n_init=2
+        )
+    labels = score(model, dataset)
+    assert labels.shape == (len(dataset.customer_ids),)
+    assert np.array_equal(labels, customer_report.labels)
 
 
 def test_score_reuses_frozen_q95(small_planted, tmp_path):
@@ -197,8 +240,9 @@ def test_score_held_out_customers(tmp_path):
         test_dir / "receipts.csv", test_dir / "categories.csv", WINDOW
     )
     model, _, _ = run_sm(train, k_b=6, k_sm=9, seed=42)
-    assignment = score(model, held_out)
-    assert purity(assignment, truth.customer_mission) >= 0.8
+    labels = score(model, held_out)
+    found = as_assignment(held_out.customer_ids, labels)
+    assert purity(found, truth.customer_mission) >= 0.8
 
 
 def test_end_to_end_determinism(small_planted):
@@ -214,7 +258,7 @@ def test_sm_model_json_roundtrip(small_planted):
     model, _, _ = run_sm(dataset, k_b=6, k_sm=9, seed=42)
     restored = SmPipelineModel.from_json(model.to_json())
     assert restored.to_json() == model.to_json()
-    assert score(restored, dataset) == score(model, dataset)
+    assert np.array_equal(score(restored, dataset), score(model, dataset))
 
 
 def test_report_files_written(tmp_path, small_planted):

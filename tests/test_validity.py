@@ -19,10 +19,6 @@ def matrix_from(X):
     return FeatureMatrix(ids=ids, X=X, schema=[f"f{j}" for j in range(X.shape[1])])
 
 
-def labels_to_assignment(matrix, labels):
-    return {eid: int(c) for eid, c in zip(matrix.ids, labels)}
-
-
 def oracle_bvr(X, labels):
     # plain-Python recomputation from the raw definitions
     n, d = X.shape
@@ -75,21 +71,19 @@ def oracle_purity(a, b):
 
 def test_bvr_k1_is_zero():
     matrix = matrix_from(np.random.default_rng(0).normal(size=(10, 2)))
-    assignment = labels_to_assignment(matrix, [0] * 10)
-    assert between_variance_ratio(matrix, assignment) == 0.0
+    assert between_variance_ratio(matrix, [0] * 10) == 0.0
 
 
 def test_bvr_singletons_is_one():
     matrix = matrix_from(np.arange(8, dtype=float).reshape(-1, 1))
-    assignment = labels_to_assignment(matrix, range(8))
-    assert between_variance_ratio(matrix, assignment) == pytest.approx(1.0)
+    assert between_variance_ratio(matrix, range(8)) == pytest.approx(1.0)
 
 
 def test_bvr_constant_data_warns_and_returns_zero():
     matrix = matrix_from(np.ones((5, 2)))
-    assignment = labels_to_assignment(matrix, [0, 0, 1, 1, 1])
+    labels = [0, 0, 1, 1, 1]
     with pytest.warns(UserWarning):
-        assert between_variance_ratio(matrix, assignment) == 0.0
+        assert between_variance_ratio(matrix, labels) == 0.0
 
 
 def test_bvr_matches_oracle_random():
@@ -98,16 +92,14 @@ def test_bvr_matches_oracle_random():
         X = rng.normal(size=(50, 3))
         labels = rng.integers(0, 3, size=50)
         matrix = matrix_from(X)
-        assignment = labels_to_assignment(matrix, labels)
-        assert between_variance_ratio(matrix, assignment) == pytest.approx(
+        assert between_variance_ratio(matrix, labels) == pytest.approx(
             oracle_bvr(X, list(labels)), rel=1e-9
         )
 
 
 def test_db_two_singletons_is_zero():
     matrix = matrix_from([[0.0, 0.0], [1.0, 0.0]])
-    assignment = labels_to_assignment(matrix, [0, 1])
-    assert davies_bouldin(matrix, assignment) == 0.0
+    assert davies_bouldin(matrix, [0, 1]) == 0.0
 
 
 def test_db_symmetric_two_cluster_hand_case():
@@ -116,10 +108,10 @@ def test_db_symmetric_two_cluster_hand_case():
         [[-1 - eps, 0.0], [-1 + eps, 0.0], [1 - eps, 0.0], [1 + eps, 0.0]]
     )
     matrix = matrix_from(X)
-    assignment = labels_to_assignment(matrix, [0, 0, 1, 1])
+    labels = [0, 0, 1, 1]
     # s_0 = s_1 = eps, d = 2  ->  DB = (eps + eps) / 2 = eps
-    assert davies_bouldin(matrix, assignment) == pytest.approx(eps, abs=1e-12)
-    assert davies_bouldin(matrix, assignment) == pytest.approx(
+    assert davies_bouldin(matrix, labels) == pytest.approx(eps, abs=1e-12)
+    assert davies_bouldin(matrix, labels) == pytest.approx(
         oracle_db(X, [0, 0, 1, 1]), abs=1e-12
     )
 
@@ -132,8 +124,7 @@ def test_db_matches_oracle_random():
         if len(set(labels)) < 2:
             continue
         matrix = matrix_from(X)
-        assignment = labels_to_assignment(matrix, labels)
-        assert davies_bouldin(matrix, assignment) == pytest.approx(
+        assert davies_bouldin(matrix, labels) == pytest.approx(
             oracle_db(X, list(labels)), rel=1e-9
         )
 
@@ -141,15 +132,22 @@ def test_db_matches_oracle_random():
 def test_db_requires_k_at_least_two():
     matrix = matrix_from([[0.0], [1.0]])
     with pytest.raises(ValidityError):
-        davies_bouldin(matrix, labels_to_assignment(matrix, [0, 0]))
+        davies_bouldin(matrix, [0, 0])
 
 
 def test_db_coincident_centers_named():
     X = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, -2.0]])
     matrix = matrix_from(X)
-    assignment = labels_to_assignment(matrix, [0, 0, 1, 1])
+    labels = [0, 0, 1, 1]
     with pytest.raises(ValidityError, match="coincident"):
-        davies_bouldin(matrix, assignment)
+        davies_bouldin(matrix, labels)
+
+
+@pytest.mark.parametrize("metric", [between_variance_ratio, davies_bouldin])
+def test_metrics_need_one_label_per_row(metric):
+    matrix = matrix_from([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValidityError, match="one label per row"):
+        metric(matrix, [0, 1])
 
 
 def test_select_k_single_row_sweep():
