@@ -150,7 +150,7 @@ def _read_assignment_csv(path) -> dict:
     entity. Line numbers in messages are physical lines of the file."""
     assignment = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)
             if header != ["entity_id", "cluster"]:

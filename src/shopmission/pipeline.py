@@ -60,7 +60,7 @@ class SegmentationReport:
         with open(out_dir / f"{prefix}_centers.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["cluster", "label"] + list(self.feature_schema))
-            for c, row in enumerate(self.centers):
+            for c, row in enumerate(self.centers.tolist()):
                 writer.writerow(
                     [c, self.cluster_labels[c]] + [repr(v) for v in row]
                 )

@@ -174,7 +174,7 @@ def read_categories(path) -> dict:
     physical lines of the file."""
     categories = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)
             if header != CATEGORY_COLUMNS:
@@ -231,7 +231,7 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     unknown_category_rows = []
 
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)
             if header != RECEIPT_COLUMNS:

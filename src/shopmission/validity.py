@@ -207,7 +207,7 @@ class CrosstabMatrix:
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow([""] + [str(c) for c in self.col_labels])
-            for label, row in zip(self.row_labels, self.values):
+            for label, row in zip(self.row_labels, self.values.tolist()):
                 writer.writerow([str(label)] + [repr(v) for v in row])
 
     def to_json_payload(self) -> str:

@@ -269,6 +269,8 @@ MALFORMED_ASSIGNMENTS = [
     (ASSIGNMENTS_HEADER + "x,1,extra\n", "line 2: need 2 fields, got 3"),
     (ASSIGNMENTS_HEADER + "x," + "1" * 200_000 + "\n",
      "line 2: malformed CSV: field larger than field limit"),
+    (ASSIGNMENTS_HEADER + 'x,1\ny,"2',
+     "line 3: malformed CSV: unexpected end of data"),
     ("id,cluster\nx,1\n", "expected header entity_id,cluster"),
     (ASSIGNMENTS_HEADER + "x,\xe9\n", "not valid UTF-8"),
 ]

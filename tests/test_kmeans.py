@@ -1,14 +1,19 @@
+import hashlib
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from shopmission import kmeans
-from shopmission.features import FeatureMatrix
+from conftest import WINDOW
+from shopmission import kmeans, validity
+from shopmission.features import FeatureMatrix, basket_sm_features, compute_q95
 from shopmission.kmeans import ClusterModel, KMeansError, assign, kmeans_fit
+from shopmission.syngen import default_config, generate
+from shopmission.txmodel import ingest_receipts
 
 
 def matrix_from(X, prefix="e"):
@@ -166,6 +171,14 @@ def test_non_finite_rejected():
         kmeans_fit(matrix_from(X), k=1, seed=0)
 
 
+def test_overflowing_squared_distances_rejected():
+    # Finite rows whose squared distances overflow: the k-means++ draw would
+    # search a cdf of NaN.
+    X = [[0, 0], [1e200, 0], [0, 1e200], [1e200, 1e200], [5, 5]]
+    with pytest.raises(KMeansError, match="overflow"):
+        kmeans_fit(matrix_from(X), k=3, seed=0)
+
+
 def test_no_orphan_centers():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 2))
@@ -237,11 +250,11 @@ def test_model_json_without_converged_field_loads():
 # Brute-force (n, k, d) distances, masked means and np.unique empty-cluster
 # checks. The engine must match it bit for bit, restart by restart.
 #
-# The final repair loop of both engines can cycle forever: once two empty
-# clusters are re-seeded on equal rows, one stays empty with a NaN mean that
-# draws every row. The oracle gives up after a fixed number of passes, and
-# the tests reject such draws before the engine sees them, so no draw can
-# hang the suite.
+# The final repair loop of both engines can cycle forever, for example with
+# more centers than distinct rows, where two centers always share the rows
+# of one value. The oracle gives up after a fixed number of passes, and the
+# tests reject such draws before the engine sees them, so no draw can hang
+# the suite.
 
 _MAX_FINAL_REPAIRS = 100
 
@@ -271,7 +284,31 @@ def _oracle_plusplus_init(X, k, rng):
     return centers
 
 
+class _NoFreeRow(Exception):
+    pass
+
+
 def _oracle_repair_empty(X, centers, labels, d2):
+    """Re-seed each empty cluster on the farthest row whose coordinates no
+    earlier empty cluster of this pass took."""
+    k = centers.shape[0]
+    own = d2[np.arange(len(labels)), labels].copy()
+    taken = np.zeros(len(labels), dtype=bool)
+    for j in range(k):
+        if np.any(labels == j):
+            continue
+        if taken.all():
+            raise _NoFreeRow
+        idx = int(np.argmax(np.where(taken, -np.inf, own)))
+        centers[j] = X[idx]
+        labels[idx] = j
+        taken |= (X == X[idx]).all(axis=1)
+    return centers, labels
+
+
+def _seed_repair_empty(X, centers, labels, d2):
+    """The seed's repair: it can re-seed two empty clusters on equal rows,
+    and the higher index then stays empty."""
     k = centers.shape[0]
     own = d2[np.arange(len(labels)), labels].copy()
     for j in range(k):
@@ -284,7 +321,7 @@ def _oracle_repair_empty(X, centers, labels, d2):
     return centers, labels
 
 
-def _oracle_lloyd(X, centers, max_iter, tol):
+def _oracle_lloyd(X, centers, max_iter, tol, repair=_oracle_repair_empty):
     centers = centers.copy()
     history = []
     iterations = 0
@@ -292,7 +329,7 @@ def _oracle_lloyd(X, centers, max_iter, tol):
         d2 = _oracle_squared_distances(X, centers)
         labels = np.argmin(d2, axis=1)
         if len(np.unique(labels)) < centers.shape[0]:
-            centers, labels = _oracle_repair_empty(X, centers, labels, d2)
+            centers, labels = repair(X, centers, labels, d2)
             d2 = _oracle_squared_distances(X, centers)
             labels = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(len(labels)), labels].sum()))
@@ -311,7 +348,7 @@ def _oracle_lloyd(X, centers, max_iter, tol):
         repairs += 1
         if repairs > _MAX_FINAL_REPAIRS:
             raise _RepairCycle
-        centers, labels = _oracle_repair_empty(X, centers, labels, d2)
+        centers, labels = repair(X, centers, labels, d2)
         for j in range(centers.shape[0]):
             centers[j] = X[labels == j].mean(axis=0)
         d2 = _oracle_squared_distances(X, centers)
@@ -319,6 +356,17 @@ def _oracle_lloyd(X, centers, max_iter, tol):
     inertia = float(d2[np.arange(len(labels)), labels].sum())
     history.append(inertia)
     return centers, labels, inertia, iterations, history
+
+
+def engine_init(X, k, rng):
+    return kmeans._plusplus_init(X, k, rng, np.empty(X.shape))
+
+
+def engine_lloyd(X, init, max_iter, tol):
+    """``kmeans._lloyd`` with the transpose and scratch buffer a fit makes."""
+    return kmeans._lloyd(
+        X, np.ascontiguousarray(X.T), init, max_iter, tol, np.empty(X.shape)
+    )
 
 
 def oracle_or_reject(X, centers, max_iter, tol):
@@ -375,10 +423,10 @@ def test_engine_matches_plain_lloyd_oracle(inputs, seed, n_init, max_iter,
     for restart in range(n_init):
         stream = (seed, restart)
         init = _oracle_plusplus_init(X, k, np.random.default_rng(stream))
-        engine_init = kmeans._plusplus_init(X, k, np.random.default_rng(stream))
-        assert engine_init.tobytes() == init.tobytes()
+        got_init = engine_init(X, k, np.random.default_rng(stream))
+        assert got_init.tobytes() == init.tobytes()
         want = oracle_or_reject(X, init, max_iter, tol)
-        assert_same_run(kmeans._lloyd(X, init, max_iter, tol)[:5], want)
+        assert_same_run(engine_lloyd(X, init, max_iter, tol)[:5], want)
         if best is None or want[2] < best[2]:
             best = want
 
@@ -422,7 +470,7 @@ def test_custom_inits_match_oracle(n, d, grid, far_init, data_seed, max_iter):
         init = np.unique(init.astype(float), axis=0)
         rng.shuffle(init)
     want = oracle_or_reject(X, init, max_iter, 1e-6)
-    assert_same_run(kmeans._lloyd(X, init, max_iter, 1e-6)[:5], want)
+    assert_same_run(engine_lloyd(X, init, max_iter, 1e-6)[:5], want)
 
 
 def test_row_midway_between_centers_matches_oracle():
@@ -432,7 +480,7 @@ def test_row_midway_between_centers_matches_oracle():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0], [1.0, 0.0],
                   [2.0, 0.0], [2.0, 3.0], [3.0, 3.0]])
     init = np.array([[3.0, 2.0], [2.0, 3.0], [1.0, 0.0]])
-    got = kmeans._lloyd(X, init, 3, 1e-6)
+    got = engine_lloyd(X, init, 3, 1e-6)
     assert_same_run(got[:5], _oracle_lloyd(X, init, 3, 1e-6))
     assert got[1][5] == 0
 
@@ -446,7 +494,7 @@ def test_final_repair_matches_oracle():
     updated = np.array([X[first == j].mean(axis=0) for j in range(3)])
     final = np.argmin(_oracle_squared_distances(X, updated), axis=1)
     assert len(np.unique(first)) == 3 and len(np.unique(final)) < 3
-    got = kmeans._lloyd(X, init, 1, 1e-6)
+    got = engine_lloyd(X, init, 1, 1e-6)
     assert_same_run(got[:5], _oracle_lloyd(X, init, 1, 1e-6))
     assert sorted(set(got[1])) == [0, 1, 2]
 
@@ -459,6 +507,147 @@ def test_final_repair_cycle_raises():
     X = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 5.0, 5.0])[:, None]
     init = np.array([[0.0], [1.0], [5.0], [2.0]])
     with pytest.raises(KMeansError, match="did not settle after 100 passes"):
-        kmeans._lloyd(X, init, 300, 1e-6)
+        engine_lloyd(X, init, 300, 1e-6)
     with pytest.raises(_RepairCycle):
         _oracle_lloyd(X, init, 300, 1e-6)
+
+
+def test_plusplus_init_matches_choice_on_duplicate_rows():
+    # Rows repeat four values, so every row equal to a chosen center has a
+    # ``closest`` entry of exactly 0, which neither draw may pick. With k
+    # above four the total reaches 0 and the uniform branch draws instead.
+    # Both must leave the generator in the same state.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(4, 3))[rng.integers(4, size=60)]
+    for k in range(2, 7):
+        for seed in range(40):
+            want_rng, got_rng = (np.random.default_rng(seed) for _ in "ab")
+            want = _oracle_plusplus_init(X, k, want_rng)
+            assert engine_init(X, k, got_rng).tobytes() == want.tobytes()
+            assert got_rng.random() == want_rng.random()
+
+
+def _outcome(run, *args):
+    """("ok", run) or ("raise", None), and whether a cluster mean was taken
+    over no rows (a NaN center)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", run(*args))
+        except (KMeansError, _RepairCycle, _NoFreeRow):
+            result = ("raise", None)
+    return result, any("Mean of empty slice" in str(w.message) for w in caught)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    d=st.integers(1, 3),
+    n_values=st.integers(1, 5),
+    extra_k=st.integers(0, 2),
+    data_seed=st.integers(0, 2**32 - 1),
+    max_iter=st.integers(1, 8),
+)
+def test_repair_never_reseeds_equal_rows(n, d, n_values, extra_k, data_seed,
+                                         max_iter):
+    # Rows repeat a few grid values and the inits are arbitrary grid points,
+    # so several clusters can be empty at once while equal rows are the
+    # farthest. The engine must match the oracle, whose repair skips rows
+    # equal to one an earlier empty cluster of the pass took. Where the
+    # seed's repair gives another run, that run raised, carried NaN in
+    # inertia_history or took a mean over an empty cluster.
+    rng = np.random.default_rng(data_seed)
+    X = rng.integers(0, 3, size=(n_values, d))[rng.integers(n_values, size=n)]
+    X = X.astype(float)
+    k = int(rng.integers(1, len(np.unique(X, axis=0)) + 1)) + extra_k
+    init = rng.integers(-1, 4, size=(k, d)).astype(float)
+    want, _ = _outcome(_oracle_lloyd, X, init, max_iter, 1e-6)
+    got, _ = _outcome(engine_lloyd, X, init, max_iter, 1e-6)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert_same_run(got[1][:5], want[1])
+    seed_run, seed_nan_center = _outcome(
+        _oracle_lloyd, X, init, max_iter, 1e-6, _seed_repair_empty
+    )
+    if seed_run[0] == "ok" and want[0] == "ok":
+        same = all(
+            np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            for a, b in zip(seed_run[1], want[1])
+        )
+        if same or seed_nan_center:
+            return
+        assert np.isnan(seed_run[1][4]).any()
+    elif seed_run[0] == "ok":
+        # Only more clusters than distinct rows leave no free row.
+        assert k > len(np.unique(X, axis=0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_repair_of_two_empty_clusters_takes_distinct_rows():
+    # The first update leaves clusters 1 and 2 empty, and the rows at 3 are
+    # the farthest from center 0. The seed's repair put both clusters on
+    # them; cluster 2 stayed empty and its mean was NaN.
+    X = np.array([[0.0], [0.0], [1.0], [3.0], [3.0]])
+    init = np.array([[0.0], [-5.0], [-6.0]])
+    got = engine_lloyd(X, init, 10, 1e-6)
+    assert_same_run(got[:5], _oracle_lloyd(X, init, 10, 1e-6))
+    assert np.isfinite(got[4]).all() and sorted(set(got[1])) == [0, 1, 2]
+    with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+        seed = _oracle_lloyd(X, init, 10, 1e-6, _seed_repair_empty)
+    assert np.isnan(seed[4]).any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_repair_without_a_free_row_raises():
+    # Every row goes to center 0, so three clusters are empty, but the rows
+    # hold only two distinct values to re-seed them on.
+    X = np.array([[0.0], [0.0], [1.0]])
+    init = np.array([[0.5], [9.0], [10.0], [11.0]])
+    with pytest.raises(KMeansError, match="cannot re-seed empty cluster 3"):
+        engine_lloyd(X, init, 10, 1e-6)
+    with pytest.raises(_NoFreeRow):
+        _oracle_lloyd(X, init, 10, 1e-6)
+
+
+# k-sweep on the 150-customer syngen set of seed 1, select_k seed 42, as
+# recorded from the engine before the fit reused its buffers: per k,
+# float.hex(inertia), iterations_run and a sha256 prefix of the labels.
+PINNED_SWEEP = {
+    2: ("0x1.67880c9de84d6p+8", 2, "4a03de65cc4478d3"),
+    3: ("0x1.077f8993bbbf2p+8", 2, "e073f6b9833a6088"),
+    4: ("0x1.3d920ed59dee5p+7", 2, "4566a79ba7fdbde6"),
+    5: ("0x1.31dbd2952376ap+6", 2, "927970b7dbdd8061"),
+    6: ("0x1.794a7ea191187p+3", 2, "cc4d5d795f5e7632"),
+    7: ("0x1.38f9e6174c9b9p+3", 6, "98c0d561b87907d6"),
+    8: ("0x1.29a504cdfbc22p+3", 10, "ed514e5d3a1b6ece"),
+    9: ("0x1.1d4e913ce58eap+3", 22, "6ba8cf92e7355470"),
+    10: ("0x1.137122dc04188p+3", 23, "0f4a5af1336cb5b3"),
+    11: ("0x1.0dd56a5d4d4cfp+3", 12, "64e2a7354c96d84b"),
+    12: ("0x1.063893e64dd77p+3", 17, "403cf4fdd9349808"),
+}
+
+
+def test_select_k_sweep_pinned_on_syngen_baskets(tmp_path, monkeypatch):
+    generate(default_config(n_customers=150, seed=1), tmp_path)
+    dataset = ingest_receipts(
+        tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
+    )
+    matrix = basket_sm_features(
+        dataset, dataset.category_ids, compute_q95(dataset), 1.0
+    )
+    fits = {}
+
+    def recording_fit(matrix, k, **kwargs):
+        model, labels = kmeans_fit(matrix, k, **kwargs)
+        digest = hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest()
+        fits[k] = (float(model.inertia).hex(), model.iterations_run, digest[:16])
+        return model, labels
+
+    monkeypatch.setattr(validity, "kmeans_fit", recording_fit)
+    sweep = validity.select_k(matrix, (2, 12), seed=42)
+    assert matrix.X.shape == (1153, 9)
+    assert fits == PINNED_SWEEP
+    assert [row.inertia for row in sweep.rows] == [
+        float.fromhex(PINNED_SWEEP[k][0]) for k in range(2, 13)
+    ]

@@ -263,6 +263,12 @@ def test_malformed_csv_is_a_parse_error(tmp_path, cats):
         ingest(tmp_path, cats, ['b1,c1,2025-02-01,p1,K00,1.00,1,"' + "x" * 200_000 + '"'])
 
 
+def test_unterminated_quote_is_a_parse_error(tmp_path, cats):
+    # A quote opened in the last field must not swallow the rest of the file.
+    with pytest.raises(ParseError, match="line 2: malformed CSV: unexpected end"):
+        ingest(tmp_path, cats, ['b1,c1,2025-02-01,p1,K00,1.00,1,"0'])
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -272,6 +278,7 @@ def test_malformed_csv_is_a_parse_error(tmp_path, cats):
         ("K00,a\nK01,\n", "line 3: empty category id or label"),
         ("K00,a\n\nK01,b\nK00,c\n", "line 5: duplicate category id 'K00'"),
         ('K00,a\nK01,"' + "x" * 200_000 + '"\n', "line 3: malformed CSV"),
+        ('K00,a\nK01,"b', "line 3: malformed CSV: unexpected end of data"),
     ],
 )
 def test_bad_category_rows_rejected(tmp_path, body, message):
