@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import sys
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 from . import __version__
@@ -30,13 +30,13 @@ from .pipeline import (
     score,
     write_assignment_csv,
 )
-from .syngen import SyngenError, default_config, generate
 from .txmodel import AnalysisWindow, TxError, ingest_receipts
 from .validity import ValidityError, crosstab, purity, select_k
 
 
 class InputError(Exception):
-    """A malformed config file, assignment file or window date."""
+    """A malformed config file, assignment file, window date or syngen
+    option."""
 
 
 # Missing or unreadable files fail with OSError; every other data error is
@@ -49,7 +49,6 @@ DATA_ERRORS = (
     KMeansError,
     ValidityError,
     PipelineError,
-    SyngenError,
     OSError,
 )
 
@@ -106,7 +105,6 @@ def write_manifest(out_dir, command, args_snapshot, inputs, seed=None):
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": seed,
         "tool_version": __version__,
-        "created_at": datetime.now().isoformat(),
     }
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -179,13 +177,19 @@ def _read_assignment_csv(path) -> dict:
 
 
 def cmd_syngen(args, config):
-    cfg = default_config(
-        n_customers=args.customers,
-        seed=args.seed,
-        n_categories=args.n_categories,
-        baskets_range=(args.baskets_min, args.baskets_max),
-    )
-    generate(cfg, args.out)
+    # Imported here so that no other command loads the generator.
+    from .syngen import SyngenError, default_config, generate
+
+    try:
+        cfg = default_config(
+            n_customers=args.customers,
+            seed=args.seed,
+            n_categories=args.n_categories,
+            baskets_range=(args.baskets_min, args.baskets_max),
+        )
+        generate(cfg, args.out)
+    except SyngenError as exc:
+        raise InputError(str(exc)) from None
     write_manifest(
         args.out,
         "syngen",

@@ -7,6 +7,7 @@ archetype ratios, all from the dataset's exact cents matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
@@ -46,8 +47,14 @@ class FeatureMatrix:
 
     @cached_property
     def n_distinct(self) -> int:
-        """Number of distinct rows, counted once; X must not change after."""
-        return np.unique(self.X, axis=0).shape[0]
+        """Number of distinct rows (-0.0 equals 0.0), counted once; X must
+        not change after."""
+        X = self.X
+        if len(X) == 0:
+            return 0
+        # Equal rows are adjacent after a lexicographic sort.
+        rows = X[np.lexsort(X.T)] if X.shape[1] else X
+        return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
     def row(self, entity_id):
         return self.X[self.ids.index(entity_id)]
@@ -104,7 +111,16 @@ def compute_q95(dataset: Dataset) -> QuantileSpec:
             f"quantile, got {dataset.n_baskets}"
         )
     values = dataset.basket_cents / 100.0
-    return QuantileSpec(q95=float(np.quantile(values, 0.95)))
+    # np.quantile's "linear" method, step for step: the order statistics
+    # around (n - 1) * 0.95 and numpy's two-sided lerp between them.
+    position = (len(values) - 1) * 0.95
+    i = math.floor(position)
+    lo, hi = np.partition(values, (i, i + 1))[i : i + 2].tolist()
+    gamma = position - i
+    diff = hi - lo
+    if gamma >= 0.5:
+        return QuantileSpec(q95=hi - diff * (1 - gamma))
+    return QuantileSpec(q95=lo + diff * gamma)
 
 
 def basket_sm_features(
@@ -118,13 +134,14 @@ def basket_sm_features(
     and value enter with similar weight).
     """
     column = {c: j for j, c in enumerate(category_ids)}
-    spend = np.zeros((dataset.n_baskets, len(column)), np.int64)
-    spend[:, [column[c] for c in dataset.category_ids]] = dataset.spend_cents
+    X = np.zeros((dataset.n_baskets, len(column) + 1))
+    # Cents are below 2**53, so they convert to float64 exactly.
+    X[:, [column[c] for c in dataset.category_ids]] = dataset.spend_cents
     totals = dataset.basket_cents
-    value_coord = np.minimum(totals / 100.0 / q.q95, 1.0)
-    X = np.column_stack(
-        [spend / totals[:, None], value_weight * value_coord]
-    )
+    ratios, value = X[:, :-1], X[:, -1]
+    np.divide(ratios, totals[:, None], out=ratios)
+    np.minimum(totals / 100.0 / q.q95, 1.0, out=value)
+    value *= value_weight
     return FeatureMatrix(
         dataset.basket_ids, X, [f"cat:{c}" for c in category_ids] + ["value"]
     )

@@ -28,7 +28,8 @@ import numpy as np
 from .features import FeatureMatrix
 
 
-# Passes of the final empty-cluster repair in ``_lloyd`` before it gives up.
+# Passes of each empty-cluster repair loop in ``_lloyd`` (the main loop's
+# and the final one) before it gives up.
 MAX_FINAL_REPAIRS = 100
 
 
@@ -191,6 +192,16 @@ def _repair_empty(X, centers, labels, own):
     return centers, labels
 
 
+def _count_repair(passes, k):
+    """One more pass of a repair loop; raises once it exceeds the limit."""
+    if passes >= MAX_FINAL_REPAIRS:
+        raise KMeansError(
+            f"empty-cluster repair did not settle after "
+            f"{MAX_FINAL_REPAIRS} passes (k={k})"
+        )
+    return passes + 1
+
+
 def _lloyd(X, XT, centers, max_iter, tol, buf):
     """Lloyd's iterations from ``centers``; ``XT`` is ``X.T`` made
     contiguous and ``buf`` is (n, d) scratch, both shared by the restarts of
@@ -211,7 +222,11 @@ def _lloyd(X, XT, centers, max_iter, tol, buf):
         if iterations:
             _reassign(X, centers, labels, lower, slack, buf, own)
         counts = np.bincount(labels, minlength=k)
-        if counts.min() == 0:
+        # A re-seeded center can take every row of a cluster whose center
+        # has not moved yet, so repair until no cluster is empty.
+        passes = 0
+        while counts.min() == 0:
+            passes = _count_repair(passes, k)
             centers, labels = _repair_empty(X, centers, labels, own)
             labels, own, lower = _nearest(X, centers, buf)
             counts = np.bincount(labels, minlength=k)
@@ -231,12 +246,7 @@ def _lloyd(X, XT, centers, max_iter, tol, buf):
     # the repair can cycle, so give up after a fixed number of passes.
     passes = 0
     while counts.min() == 0:
-        passes += 1
-        if passes > MAX_FINAL_REPAIRS:
-            raise KMeansError(
-                f"empty-cluster repair did not settle after "
-                f"{MAX_FINAL_REPAIRS} passes (k={k})"
-            )
+        passes = _count_repair(passes, k)
         centers, labels = _repair_empty(X, centers, labels, own)
         centers = _cluster_means(
             X, XT, labels, np.bincount(labels, minlength=k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
@@ -139,7 +140,8 @@ def _parse_price(text: str, line_no: int, basket_id: str) -> int:
     return int(rounded * 100)
 
 
-def _parse_quantity(text: str, line_no: int, basket_id: str) -> int:
+def _parse_quantity(text: str, line_no: int, basket_id: str) -> float:
+    """The quantity as a float, exact because it is below 2**53."""
     try:
         qty = int(text)
     except ValueError:
@@ -149,7 +151,7 @@ def _parse_quantity(text: str, line_no: int, basket_id: str) -> int:
             f"line {line_no}: quantity must be >= 1 and below 2**53 "
             f"in basket {basket_id!r}"
         )
-    return qty
+    return float(qty)
 
 
 def _parse_timestamp(text: str, line_no: int, seen: dict) -> datetime:
@@ -226,8 +228,15 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     # Each distinct timestamp, price and quantity string is parsed once;
     # a bad one raises at its first row.
     timestamps, prices, quantities = {}, {}, {}
-    baskets = {}  # basket_id -> (basket index, customer_id, timestamp)
-    row_cell, row_cents = [], []  # basket * n_cats + category, line value
+    basket_index = {}  # basket_id -> basket index, in first-seen order
+    customer_index = {}  # customer_id -> customer index, in first-seen order
+    # Per basket: its customer's first-seen index and its timestamp.
+    basket_customer, basket_ts = array("q"), []
+    # Per row: basket * n_cats + category, and the line value in cents as
+    # a double, since price times quantity can pass the int64 range. Both
+    # factors are exact doubles, so their product rounds once, to the
+    # double nearest the exact integer product.
+    row_cell, row_cents = array("q"), array("d")
     unknown_category_rows = []
 
     with open(path, newline="", encoding="utf-8") as f:
@@ -274,22 +283,28 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                     unknown_category_rows.append((line_no, cat))
                     continue
 
-                meta = baskets.get(bid)
-                if meta is None:
-                    meta = baskets[bid] = (len(baskets), cid, ts)
-                elif meta[1] != cid:
+                b = basket_index.get(bid)
+                if b is None:
+                    b = basket_index[bid] = len(basket_ts)
+                    basket_customer.append(
+                        customer_index.setdefault(cid, len(customer_index))
+                    )
+                    basket_ts.append(ts)
+                elif customer_index.get(cid) != basket_customer[b]:
+                    first = list(customer_index)[basket_customer[b]]
                     raise ValidationError(
                         f"line {line_no}: basket {bid!r} has conflicting "
-                        f"customer ids {meta[1]!r} and {cid!r}"
+                        f"customer ids {first!r} and {cid!r}"
                     )
-                elif meta[2] is not ts and (
-                    meta[2].isoformat() != ts.isoformat()
+                elif basket_ts[b] is not ts and (
+                    basket_ts[b].isoformat() != ts.isoformat()
                 ):
                     raise ValidationError(
                         f"line {line_no}: basket {bid!r} has conflicting "
-                        f"timestamps {meta[2].isoformat()!r} and {ts.isoformat()!r}"
+                        f"timestamps {basket_ts[b].isoformat()!r} and "
+                        f"{ts.isoformat()!r}"
                     )
-                row_cell.append(meta[0] * n_cats + c)
+                row_cell.append(b * n_cats + c)
                 row_cents.append(price * qty)
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
@@ -307,13 +322,19 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     # Sums in float64 are exact below 2**53, and a line value or sum that
     # reaches 2**53 still rounds to >= 2**53, which the total check rejects.
     spend = np.bincount(
-        np.array(row_cell, dtype=np.int64),
-        weights=np.array(row_cents, dtype=float),
-        minlength=len(baskets) * n_cats,
+        np.frombuffer(row_cell, dtype=np.int64),
+        weights=np.frombuffer(row_cents, dtype=float),
+        minlength=len(basket_ts) * n_cats,
     ).reshape(-1, n_cats)
+    del row_cell, row_cents
 
-    kept = [b for b in sorted(baskets) if window.contains(baskets[b][2])]
-    spend = spend[[baskets[b][0] for b in kept]]
+    kept = sorted(
+        bid for bid, b in basket_index.items() if window.contains(basket_ts[b])
+    )
+    rows = np.fromiter(
+        map(basket_index.__getitem__, kept), dtype=np.intp, count=len(kept)
+    )
+    spend = spend[rows]
     basket_values = spend.sum(axis=1)
     empty = np.flatnonzero(basket_values <= 0)
     if empty.size:
@@ -326,17 +347,20 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
             "cents sums would no longer be exact"
         )
 
-    customer_ids = sorted({baskets[b][1] for b in kept})
-    customer_index = {c: i for i, c in enumerate(customer_ids)}
+    # Customers of kept baskets, by first-seen index, then ranked by id.
+    first_seen = np.frombuffer(basket_customer, dtype=np.int64)[rows]
+    seen_ids = list(customer_index)
+    present = np.flatnonzero(np.bincount(first_seen, minlength=len(seen_ids)))
+    by_id = sorted(present.tolist(), key=seen_ids.__getitem__)
+    rank = np.empty(len(seen_ids), dtype=np.intp)
+    rank[by_id] = np.arange(len(by_id))
     return Dataset(
         categories=categories,
         window=window,
         basket_ids=kept,
-        customer_ids=customer_ids,
-        basket_customer=np.array(
-            [customer_index[baskets[b][1]] for b in kept], dtype=np.intp
-        ),
-        timestamps=[baskets[b][2] for b in kept],
+        customer_ids=[seen_ids[i] for i in by_id],
+        basket_customer=rank[first_seen],
+        timestamps=[basket_ts[b] for b in rows.tolist()],
         spend_cents=spend.astype(np.int64),
-        dropped_outside_window=len(baskets) - len(kept),
+        dropped_outside_window=len(basket_ts) - len(kept),
     )

@@ -42,7 +42,7 @@ def between_variance_ratio(matrix: FeatureMatrix, labels) -> float:
         )
         return 0.0
     within_ss = 0.0
-    for j in np.unique(labels):
+    for j in np.flatnonzero(np.bincount(labels)):
         pts = X[labels == j]
         within_ss += float(((pts - pts.mean(axis=0)) ** 2).sum())
     return 1.0 - within_ss / total_ss
@@ -52,7 +52,7 @@ def davies_bouldin(matrix: FeatureMatrix, labels) -> float:
     """Davies-Bouldin index with mean distance-to-center dispersion."""
     X = matrix.X
     labels = _check_labels(matrix, labels)
-    clusters = np.unique(labels)
+    clusters = np.flatnonzero(np.bincount(labels))
     k = len(clusters)
     if k < 2:
         raise ValidityError(f"Davies-Bouldin needs k >= 2, got {k}")

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_lines
+import shopmission
 from shopmission import cli
 from shopmission.cli import InputError, load_config, main
 
@@ -132,6 +137,29 @@ def test_select_k_command(data_dir, tmp_path):
     for row in rows[1:]:
         for cell in row:
             float(cell)
+
+
+@pytest.mark.parametrize("command", [
+    ["sm", "--k-b", "6", "--k-sm", "9"],
+    ["select-k", "--target", "basket", "--k-max", "4"],
+])
+def test_sm_and_select_k_leave_numpy_ma_unloaded(data_dir, tmp_path, command):
+    # np.quantile and np.unique import numpy.ma; these commands use neither.
+    script = (
+        "import sys\n"
+        "from shopmission.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(shopmission.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *command, *dataset_args(data_dir),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout == "0 False\n"
 
 
 def test_unconverged_fits_warn_on_stderr(data_dir, tmp_path, capsys):

@@ -1,11 +1,15 @@
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import basket_rows
+from conftest import WINDOW, basket_rows
 from shopmission import features as feat
 from shopmission.features import FeatureError, QuantileSpec
+from shopmission.txmodel import Category, Dataset
 
 CATS = ["hair", "body", "face"]
 
@@ -177,6 +181,10 @@ def test_n_distinct_counts_rows_once():
     )
     assert matrix.n_distinct == 2
     assert "n_distinct" in vars(matrix)  # cached on the instance
+    # -0.0 equals 0.0, as in np.unique; an empty matrix has no rows.
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])
+    assert feat.FeatureMatrix(["a", "b", "c"], X, ["x", "y"]).n_distinct == 2
+    assert feat.FeatureMatrix([], np.zeros((0, 2)), ["x", "y"]).n_distinct == 0
 
 
 @pytest.mark.parametrize(
@@ -186,3 +194,57 @@ def test_n_distinct_counts_rows_once():
 def test_feature_matrix_ids_must_be_sorted_and_unique(ids, message):
     with pytest.raises(FeatureError, match=message):
         feat.FeatureMatrix(ids=ids, X=np.zeros((len(ids), 1)), schema=["x"])
+
+
+def value_dataset(cents):
+    """One-category dataset whose baskets are worth ``cents``."""
+    n = len(cents)
+    return Dataset(
+        categories={"K00": Category("K00", "only")},
+        window=WINDOW,
+        basket_ids=[f"b{i:05d}" for i in range(n)],
+        customer_ids=["c1"],
+        basket_customer=np.zeros(n, dtype=np.intp),
+        timestamps=[datetime(2025, 2, 1)] * n,
+        spend_cents=np.asarray(cents, dtype=np.int64)[:, None],
+    )
+
+
+# numpy interpolates down from the upper neighbour when the fraction is at
+# least 0.5 and up from the lower one otherwise; each example rounds
+# differently if its other formula is used.
+@example(n=62, n_values=30, scale=11, seed=409)
+@example(n=98, n_values=45, scale=9, seed=114)
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(feat.MIN_BASKETS_FOR_Q95, 400),
+    n_values=st.integers(1, 400),
+    scale=st.integers(0, 13),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_q95_has_the_bits_of_np_quantile(n, n_values, scale, seed):
+    # Few distinct values give heavy ties at the interpolation points.
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(1, 10**scale + 2, size=n_values)
+    cents = pool[rng.integers(n_values, size=n)]
+    want = np.quantile(cents / 100.0, 0.95)
+    got = feat.compute_q95(value_dataset(cents)).q95
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    d=st.integers(0, 4),
+    n_rows=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n_distinct_counts_what_np_unique_counts(n, d, n_rows, seed):
+    # Rows repeat a few rows of values that include both -0.0 and 0.0.
+    rng = np.random.default_rng(seed)
+    pool = rng.choice([-0.0, 0.0, 1.0, -2.5, 1e-300], size=(n_rows, d))
+    X = pool[rng.integers(n_rows, size=n)]
+    matrix = feat.FeatureMatrix(
+        [f"e{i:03d}" for i in range(n)], X, [f"x{j}" for j in range(d)]
+    )
+    assert matrix.n_distinct == np.unique(X, axis=0).shape[0]

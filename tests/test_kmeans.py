@@ -250,13 +250,13 @@ def test_model_json_without_converged_field_loads():
 # Brute-force (n, k, d) distances, masked means and np.unique empty-cluster
 # checks. The engine must match it bit for bit, restart by restart.
 #
-# The final repair loop of both engines can cycle forever, for example with
+# The repair loops of both engines can cycle forever, for example with
 # more centers than distinct rows, where two centers always share the rows
 # of one value. The oracle gives up after a fixed number of passes, and the
 # tests reject such draws before the engine sees them, so no draw can hang
 # the suite.
 
-_MAX_FINAL_REPAIRS = 100
+_MAX_REPAIRS = 100
 
 
 class _RepairCycle(Exception):
@@ -321,17 +321,27 @@ def _seed_repair_empty(X, centers, labels, d2):
     return centers, labels
 
 
-def _oracle_lloyd(X, centers, max_iter, tol, repair=_oracle_repair_empty):
+def _oracle_lloyd(X, centers, max_iter, tol, repair=_oracle_repair_empty,
+                  recheck=True):
+    """Plain Lloyd. In each iteration the repair repeats until no cluster is
+    empty; ``recheck=False`` makes one pass, as the seed did, so a
+    re-seeded center can leave another cluster empty with a NaN mean."""
     centers = centers.copy()
     history = []
     iterations = 0
     for _ in range(max_iter):
         d2 = _oracle_squared_distances(X, centers)
         labels = np.argmin(d2, axis=1)
-        if len(np.unique(labels)) < centers.shape[0]:
+        repairs = 0
+        while len(np.unique(labels)) < centers.shape[0]:
+            repairs += 1
+            if repairs > _MAX_REPAIRS:
+                raise _RepairCycle
             centers, labels = repair(X, centers, labels, d2)
             d2 = _oracle_squared_distances(X, centers)
             labels = np.argmin(d2, axis=1)
+            if not recheck:
+                break
         history.append(float(d2[np.arange(len(labels)), labels].sum()))
         new_centers = np.empty_like(centers)
         for j in range(centers.shape[0]):
@@ -346,7 +356,7 @@ def _oracle_lloyd(X, centers, max_iter, tol, repair=_oracle_repair_empty):
     repairs = 0
     while len(np.unique(labels)) < centers.shape[0]:
         repairs += 1
-        if repairs > _MAX_FINAL_REPAIRS:
+        if repairs > _MAX_REPAIRS:
             raise _RepairCycle
         centers, labels = repair(X, centers, labels, d2)
         for j in range(centers.shape[0]):
@@ -568,7 +578,7 @@ def test_repair_never_reseeds_equal_rows(n, d, n_values, extra_k, data_seed,
     if want[0] == "ok":
         assert_same_run(got[1][:5], want[1])
     seed_run, seed_nan_center = _outcome(
-        _oracle_lloyd, X, init, max_iter, 1e-6, _seed_repair_empty
+        _oracle_lloyd, X, init, max_iter, 1e-6, _seed_repair_empty, False
     )
     if seed_run[0] == "ok" and want[0] == "ok":
         same = all(
@@ -594,8 +604,26 @@ def test_repair_of_two_empty_clusters_takes_distinct_rows():
     assert_same_run(got[:5], _oracle_lloyd(X, init, 10, 1e-6))
     assert np.isfinite(got[4]).all() and sorted(set(got[1])) == [0, 1, 2]
     with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
-        seed = _oracle_lloyd(X, init, 10, 1e-6, _seed_repair_empty)
+        seed = _oracle_lloyd(X, init, 10, 1e-6, _seed_repair_empty, False)
     assert np.isnan(seed[4]).any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_main_loop_repeats_repair_until_no_cluster_is_empty():
+    # Every row starts on center 0, so center 1 is re-seeded on the row at
+    # 2. That center then wins the rows at 3 too, while center 0 has not
+    # moved: a second pass must re-seed center 0. With one pass, as in the
+    # seed, cluster 0's mean was NaN for all 300 iterations.
+    X = np.array([[2.0], [3.0], [3.0]])
+    init = np.array([[5.0], [-2.0]])
+    got = engine_lloyd(X, init, 300, 1e-6)
+    assert_same_run(got[:5], _oracle_lloyd(X, init, 300, 1e-6))
+    assert got[0].ravel().tolist() == [3.0, 2.0]
+    assert got[1].tolist() == [1, 0, 0]
+    assert got[3:] == (1, [0.0, 0.0], True)
+    with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+        seed = _oracle_lloyd(X, init, 300, 1e-6, recheck=False)
+    assert seed[3] == 300 and np.isnan(seed[4][1:-1]).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -191,6 +191,31 @@ def test_total_value_reaching_2_pow_53_cents_rejected(tmp_path, cats):
         ingest(tmp_path, cats, ["b1,c1,2025-02-01,p1,K00,90071992547409.92,1,0"])
 
 
+@pytest.mark.parametrize(
+    "price, quantity",
+    [("0.02", 2**52), ("90071992547409.91", 2**53 - 1)],
+)
+def test_line_value_reaching_2_pow_53_cents_rejected(
+    tmp_path, cats, price, quantity
+):
+    # Price and quantity are each below 2**53, but their product reaches
+    # 2**53 cents (up to about 2**106, beyond int64); it must still be seen
+    # by the total check, and in a basket outside the window it is dropped.
+    row = f"b1,c1,2025-02-01,p1,K00,{price},{quantity},0"
+    with pytest.raises(
+        ValidationError,
+        match=r"^total value reaches 2\*\*53 cents \(9007199254740992\); "
+        "cents sums would no longer be exact$",
+    ):
+        ingest(tmp_path, cats, [row, "b2,c1,2025-02-02,p1,K01,1.00,1,0"])
+    ds = ingest(tmp_path, cats, [
+        row.replace("2025-02-01", "2024-12-31"),
+        "b2,c1,2025-02-02,p1,K01,1.00,1,0",
+    ])
+    assert ds.basket_ids == ["b2"] and ds.dropped_outside_window == 1
+    assert ds.total_value_cents == 100
+
+
 def test_huge_quantity_rejected(tmp_path, cats):
     with pytest.raises(ValidationError, match=r"line 2: quantity must be >= 1 and below 2\*\*53"):
         ingest(tmp_path, cats, [f"b1,c1,2025-02-01,p1,K00,0.01,{2**53},0"])
