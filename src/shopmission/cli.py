@@ -96,17 +96,41 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, args_snapshot, inputs, seed=None):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+# Options that the manifest records outside "args" (the output directory,
+# the seed and the dataset), and the entries the top-level parser adds.
+NOT_ARGS = {
+    "out", "seed", "receipts", "categories", "window_start", "window_end",
+    "command", "config", "step", "read",
+}
+# File-valued options; each file's sha256 goes into the manifest's "inputs".
+INPUT_OPTIONS = (
+    "receipts", "categories", "bounds_file", "model", "assignments",
+)
+
+
+def write_manifest(out_dir, args, config):
+    """Write ``manifest.json`` from the parsed args of a run. ``args`` holds
+    every option of the subcommand except those in ``NOT_ARGS``, plus the
+    analysis window of a dataset command and, if it also takes a seed, the
+    config."""
+    options = {k: v for k, v in vars(args).items() if k not in NOT_ARGS}
+    if "receipts" in args:
+        options["window"] = [args.window_start, args.window_end]
+        if "seed" in args:
+            options["config"] = config
+    inputs = []
+    for name in INPUT_OPTIONS:
+        value = getattr(args, name, None)
+        if value:  # an empty --bounds-file names no file
+            inputs += value if isinstance(value, list) else [value]
     manifest = {
-        "command": command,
-        "args": args_snapshot,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "seed": seed,
+        "command": args.command.replace("-", "_"),
+        "args": options,
+        "inputs": {p: _sha256(p) for p in inputs},
+        "seed": getattr(args, "seed", None),
         "tool_version": __version__,
     }
-    with open(out_dir / "manifest.json", "w") as f:
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
@@ -176,7 +200,19 @@ def _read_assignment_csv(path) -> dict:
     return assignment
 
 
-def cmd_syngen(args, config):
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+# Each command's step gets the parsed args, the config and the dataset (None
+# for a command without --receipts), and score's also the model its ``read``
+# hook read. It computes everything, then returns a function that writes the
+# command's files into the --out directory (None for ingest, which has no
+# --out).
+
+
+def cmd_syngen(args, config, dataset):
     # Imported here so that no other command loads the generator.
     from .syngen import SyngenError, default_config, generate
 
@@ -187,27 +223,17 @@ def cmd_syngen(args, config):
             n_categories=args.n_categories,
             baskets_range=(args.baskets_min, args.baskets_max),
         )
-        generate(cfg, args.out)
     except SyngenError as exc:
         raise InputError(str(exc)) from None
-    write_manifest(
-        args.out,
-        "syngen",
-        {
-            "customers": args.customers,
-            "n_categories": args.n_categories,
-            "baskets_min": args.baskets_min,
-            "baskets_max": args.baskets_max,
-        },
-        [],
-        seed=args.seed,
-    )
-    print(f"wrote synthetic dataset to {args.out}", file=sys.stderr)
-    return 0
+
+    def write(out):
+        generate(cfg, out)
+        print(f"wrote synthetic dataset to {args.out}", file=sys.stderr)
+
+    return write
 
 
-def cmd_ingest(args, config):
-    dataset = _load_dataset(args)
+def cmd_ingest(args, config, dataset):
     summary = {
         "n_baskets": dataset.n_baskets,
         "n_customers": len(dataset.customer_ids),
@@ -217,11 +243,9 @@ def cmd_ingest(args, config):
         "fingerprint": dataset.fingerprint(),
     }
     print(json.dumps(summary, indent=2))
-    return 0
 
 
-def cmd_rfm(args, config):
-    dataset = _load_dataset(args)
+def cmd_rfm(args, config, dataset):
     bounds = None
     if args.mode == "expert":
         if not args.bounds_file:
@@ -237,28 +261,10 @@ def cmd_rfm(args, config):
         **_fit_kwargs(config),
     )
     _warn_unconverged("rfm", report.metrics.get("converged", True))
-    out = Path(args.out)
-    report.write(out, "rfm")
-    inputs = [args.receipts, args.categories]
-    if args.bounds_file:
-        inputs.append(args.bounds_file)
-    write_manifest(
-        out,
-        "rfm",
-        {
-            "k": args.k,
-            "mode": args.mode,
-            "window": [args.window_start, args.window_end],
-            "config": config,
-        },
-        inputs,
-        seed=args.seed,
-    )
-    return 0
+    return lambda out: report.write(out, "rfm")
 
 
-def cmd_pps(args, config):
-    dataset = _load_dataset(args)
+def cmd_pps(args, config, dataset):
     report = run_pps(
         dataset,
         k=args.k,
@@ -269,24 +275,10 @@ def cmd_pps(args, config):
         **_fit_kwargs(config),
     )
     _warn_unconverged("pps", report.metrics["converged"])
-    out = Path(args.out)
-    report.write(out, "pps")
-    write_manifest(
-        out,
-        "pps",
-        {
-            "k": args.k,
-            "window": [args.window_start, args.window_end],
-            "config": config,
-        },
-        [args.receipts, args.categories],
-        seed=args.seed,
-    )
-    return 0
+    return lambda out: report.write(out, "pps")
 
 
-def cmd_sm(args, config):
-    dataset = _load_dataset(args)
+def cmd_sm(args, config, dataset):
     model, basket_report, customer_report = run_sm(
         dataset,
         k_b=args.k_b,
@@ -300,28 +292,16 @@ def cmd_sm(args, config):
     )
     _warn_unconverged("stage-1 basket", model.basket_model.converged)
     _warn_unconverged("stage-2 customer", model.customer_model.converged)
-    out = Path(args.out)
-    basket_report.write(out, "sm_baskets")
-    customer_report.write(out, "sm_customers")
-    with open(out / "sm_model.json", "w") as f:
-        f.write(model.to_json())
-    write_manifest(
-        out,
-        "sm",
-        {
-            "k_b": args.k_b,
-            "k_sm": args.k_sm,
-            "window": [args.window_start, args.window_end],
-            "config": config,
-        },
-        [args.receipts, args.categories],
-        seed=args.seed,
-    )
-    return 0
+
+    def write(out):
+        basket_report.write(out, "sm_baskets")
+        customer_report.write(out, "sm_customers")
+        _write_text(out / "sm_model.json", model.to_json())
+
+    return write
 
 
-def cmd_select_k(args, config):
-    dataset = _load_dataset(args)
+def cmd_select_k(args, config, dataset):
     if args.target == "pps":
         matrix = feat.pps_features(dataset)
     elif args.target == "basket":
@@ -343,32 +323,21 @@ def cmd_select_k(args, config):
     )
     for row in sweep.rows:
         _warn_unconverged(f"k={row.k}", row.converged)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sweep.to_csv(out / "k_sweep.csv")
-    with open(out / "k_recommendation.json", "w") as f:
-        json.dump(
-            {"recommended_k": sweep.recommended_k, "policy": sweep.policy}, f
+
+    def write(out):
+        sweep.to_csv(out / "k_sweep.csv")
+        _write_text(
+            out / "k_recommendation.json",
+            json.dumps(
+                {"recommended_k": sweep.recommended_k, "policy": sweep.policy}
+            ),
         )
-    write_manifest(
-        out,
-        "select_k",
-        {
-            "target": args.target,
-            "k_min": args.k_min,
-            "k_max": args.k_max,
-            "policy": args.policy,
-            "window": [args.window_start, args.window_end],
-            "config": config,
-        },
-        [args.receipts, args.categories],
-        seed=args.seed,
-    )
-    print(f"recommended k: {sweep.recommended_k}", file=sys.stderr)
-    return 0
+        print(f"recommended k: {sweep.recommended_k}", file=sys.stderr)
+
+    return write
 
 
-def cmd_compare(args, config):
+def cmd_compare(args, config, dataset):
     assignments = [_read_assignment_csv(p) for p in args.assignments]
     names = [Path(p).stem for p in args.assignments]
     n = len(assignments)
@@ -376,61 +345,83 @@ def cmd_compare(args, config):
         [purity(assignments[i], assignments[j]) for j in range(n)]
         for i in range(n)
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "purity_matrix.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([""] + names)
+
+    def write(out):
+        with open(
+            out / "purity_matrix.csv", "w", newline="", encoding="utf-8"
+        ) as f:
+            writer = csv.writer(f)
+            writer.writerow([""] + names)
+            for name, row in zip(names, matrix):
+                writer.writerow([name] + [repr(v) for v in row])
         for name, row in zip(names, matrix):
-            writer.writerow([name] + [repr(v) for v in row])
-    write_manifest(
-        out, "compare", {"assignments": [str(p) for p in args.assignments]},
-        args.assignments,
-    )
-    for name, row in zip(names, matrix):
-        print(name, " ".join(f"{v:.4f}" for v in row))
-    return 0
+            print(name, " ".join(f"{v:.4f}" for v in row))
+
+    return write
 
 
-def cmd_score(args, config):
-    model = SmPipelineModel.from_json(Path(args.model).read_bytes())
-    dataset = _load_dataset(args)
+def _read_model(args):
+    # Read before the dataset, so that a bad model is reported first.
+    return {"model": SmPipelineModel.from_json(Path(args.model).read_bytes())}
+
+
+def cmd_score(args, config, dataset, model):
     labels = score(model, dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_assignment_csv(
+    return lambda out: write_assignment_csv(
         out / "scored_assignments.csv", dataset.customer_ids, labels
     )
-    write_manifest(
-        out,
-        "score",
-        {"model": str(args.model), "window": [args.window_start, args.window_end]},
-        [args.model, args.receipts, args.categories],
-    )
-    return 0
 
 
-def cmd_report(args, config):
+def cmd_report(args, config, dataset):
     assignment_i = _read_assignment_csv(args.assignments[0])
     assignment_ii = _read_assignment_csv(args.assignments[1])
     table = crosstab(assignment_i, assignment_ii)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "crosstab.csv")
-    with open(out / "crosstab.json", "w") as f:
-        f.write(table.to_json_payload())
-    write_manifest(
-        out, "report", {"assignments": [str(p) for p in args.assignments]},
-        args.assignments,
-    )
+
+    def write(out):
+        table.to_csv(out / "crosstab.csv")
+        _write_text(out / "crosstab.json", table.to_json_payload())
+
+    return write
+
+
+def run(args, config) -> int:
+    """Run the parsed subcommand: read what its ``read`` hook reads, load the
+    dataset, run its step, and only after the step has succeeded make the
+    --out directory, write the step's files and the manifest into it."""
+    side_inputs = args.read(args) if args.read else {}
+    dataset = _load_dataset(args) if "receipts" in args else None
+    write = args.step(args, config, dataset, **side_inputs)
+    if "out" in args:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write(out)
+        write_manifest(out, args, config)
     return 0
 
 
-def _add_dataset_args(parser):
-    parser.add_argument("--receipts", required=True)
-    parser.add_argument("--categories", required=True)
-    parser.add_argument("--window-start", required=True)
-    parser.add_argument("--window-end", required=True)
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _command(
+    sub, name, help, step, *options,
+    dataset=False, seed=False, out=True, read=None,
+):
+    """Add subcommand ``name`` with its own ``options`` (from ``_arg``) and
+    the shared dataset, --seed and --out flags it takes."""
+    p = sub.add_parser(name, help=help)
+    if dataset:
+        for flag in (
+            "--receipts", "--categories", "--window-start", "--window-end"
+        ):
+            p.add_argument(flag, required=True)
+    for flags, kwargs in options:
+        p.add_argument(*flags, **kwargs)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if out:
+        p.add_argument("--out", required=True)
+    p.set_defaults(step=step, read=read)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,84 +434,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("syngen", help="generate a synthetic planted dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--customers", type=int, default=1000)
-    p.add_argument("--n-categories", type=int, default=8)
-    p.add_argument("--baskets-min", type=int, default=8)
-    p.add_argument("--baskets-max", type=int, default=16)
-    p.set_defaults(func=cmd_syngen)
-
-    p = sub.add_parser("ingest", help="validate a dataset and print a summary")
-    _add_dataset_args(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("rfm", help="RFM segmentation")
-    _add_dataset_args(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=["kmeans", "expert"], default="kmeans")
-    p.add_argument("--bounds-file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rfm)
-
-    p = sub.add_parser("pps", help="purchased-product-structure segmentation")
-    _add_dataset_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pps)
-
-    p = sub.add_parser("sm", help="two-stage shopping-mission segmentation")
-    _add_dataset_args(p)
-    p.add_argument("--k-b", type=int, required=True, help="basket archetypes")
-    p.add_argument("--k-sm", type=int, required=True, help="customer segments")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sm)
-
-    p = sub.add_parser("select-k", help="sweep k and recommend a cluster count")
-    _add_dataset_args(p)
-    p.add_argument(
-        "--target", choices=["pps", "basket", "rfm"], default="basket"
+    _command(
+        sub, "syngen", "generate a synthetic planted dataset", cmd_syngen,
+        _arg("--customers", type=int, default=1000),
+        _arg("--n-categories", type=int, default=8),
+        _arg("--baskets-min", type=int, default=8),
+        _arg("--baskets-max", type=int, default=16),
+        seed=True,
     )
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument(
-        "--policy",
-        choices=["db_min", "variance_elbow", "report_only"],
-        default="db_min",
+    _command(
+        sub, "ingest", "validate a dataset and print a summary", cmd_ingest,
+        dataset=True, out=False,
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_select_k)
-
-    p = sub.add_parser(
-        "compare", help="N x N purity matrix over assignment files"
+    _command(
+        sub, "rfm", "RFM segmentation", cmd_rfm,
+        _arg("--k", type=int),
+        _arg("--mode", choices=["kmeans", "expert"], default="kmeans"),
+        _arg("--bounds-file"),
+        dataset=True, seed=True,
     )
-    p.add_argument("--assignments", action="append", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("score", help="assign new data with a trained SM model")
-    _add_dataset_args(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser(
-        "report", help="crosstab heatmap payload from two assignment files"
+    _command(
+        sub, "pps", "purchased-product-structure segmentation", cmd_pps,
+        _arg("--k", type=int, required=True),
+        dataset=True, seed=True,
     )
-    p.add_argument(
-        "--assignments",
-        action="append",
-        required=True,
-        help="give exactly twice: rows then columns",
+    _command(
+        sub, "sm", "two-stage shopping-mission segmentation", cmd_sm,
+        _arg("--k-b", type=int, required=True, help="basket archetypes"),
+        _arg("--k-sm", type=int, required=True, help="customer segments"),
+        dataset=True, seed=True,
     )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
+    _command(
+        sub, "select-k", "sweep k and recommend a cluster count", cmd_select_k,
+        _arg("--target", choices=["pps", "basket", "rfm"], default="basket"),
+        _arg("--k-min", type=int, default=2),
+        _arg("--k-max", type=int, default=12),
+        _arg(
+            "--policy",
+            choices=["db_min", "variance_elbow", "report_only"],
+            default="db_min",
+        ),
+        dataset=True, seed=True,
+    )
+    _command(
+        sub, "compare", "N x N purity matrix over assignment files",
+        cmd_compare,
+        _arg("--assignments", action="append", required=True),
+    )
+    _command(
+        sub, "score", "assign new data with a trained SM model", cmd_score,
+        _arg("--model", required=True),
+        dataset=True, read=_read_model,
+    )
+    _command(
+        sub, "report", "crosstab heatmap payload from two assignment files",
+        cmd_report,
+        _arg(
+            "--assignments",
+            action="append",
+            required=True,
+            help="give exactly twice: rows then columns",
+        ),
+    )
     return parser
 
 
@@ -529,15 +504,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report" and len(args.assignments) != 2:
         parser.error("report needs exactly two --assignments")
-    config = {}
-    if args.config:
-        try:
-            config = load_config(args.config)
-        except DATA_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
-        return args.func(args, config)
+        config = load_config(args.config) if args.config else {}
+        return run(args, config)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,23 +48,28 @@ class SegmentationReport:
         return counts / len(self.labels)
 
     def write(self, out_dir, prefix):
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_assignment_csv(
             out_dir / f"{prefix}_assignments.csv", self.ids, self.labels
         )
-        with open(out_dir / f"{prefix}_shares.csv", "w", newline="") as f:
+        with open(
+            out_dir / f"{prefix}_shares.csv", "w", newline="", encoding="utf-8"
+        ) as f:
             writer = csv.writer(f)
             writer.writerow(["cluster", "label", "share"])
             for c, share in enumerate(self.shares.tolist()):
                 writer.writerow([c, self.cluster_labels[c], repr(share)])
-        with open(out_dir / f"{prefix}_centers.csv", "w", newline="") as f:
+        with open(
+            out_dir / f"{prefix}_centers.csv", "w", newline="", encoding="utf-8"
+        ) as f:
             writer = csv.writer(f)
             writer.writerow(["cluster", "label"] + list(self.feature_schema))
             for c, row in enumerate(self.centers.tolist()):
                 writer.writerow(
                     [c, self.cluster_labels[c]] + [repr(v) for v in row]
                 )
-        with open(out_dir / f"{prefix}_metrics.json", "w") as f:
+        with open(
+            out_dir / f"{prefix}_metrics.json", "w", encoding="utf-8"
+        ) as f:
             json.dump(self.metrics, f, indent=2)
 
 

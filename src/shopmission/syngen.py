@@ -340,10 +340,14 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
 def load_truth(out_dir) -> GroundTruth:
     out_dir = Path(out_dir)
     truth = GroundTruth({}, {}, {})
-    with open(out_dir / "ground_truth_baskets.csv", newline="") as f:
+    with open(
+        out_dir / "ground_truth_baskets.csv", newline="", encoding="utf-8"
+    ) as f:
         for row in csv.DictReader(f):
             truth.basket_archetype[row["basket_id"]] = row["archetype"]
-    with open(out_dir / "ground_truth_customers.csv", newline="") as f:
+    with open(
+        out_dir / "ground_truth_customers.csv", newline="", encoding="utf-8"
+    ) as f:
         for row in csv.DictReader(f):
             truth.customer_mission[row["customer_id"]] = row["mission"]
             truth.customer_persona[row["customer_id"]] = row["persona"]

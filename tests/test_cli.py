@@ -38,6 +38,16 @@ def data_dir(tmp_path_factory):
     return out
 
 
+def subprocess_env(**extra):
+    """This environment plus ``extra``, with the package importable."""
+    src = str(Path(shopmission.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+        **extra,
+    )
+
+
 def write_truth_assignments(data_dir, path):
     with open(data_dir / "ground_truth_customers.csv", newline="") as f:
         rows = list(csv.DictReader(f))
@@ -151,15 +161,45 @@ def test_sm_and_select_k_leave_numpy_ma_unloaded(data_dir, tmp_path, command):
         "code = main(sys.argv[1:])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(shopmission.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     result = subprocess.run(
         [sys.executable, "-c", script, *command, *dataset_args(data_dir),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=subprocess_env(), check=True,
     )
     assert result.stdout == "0 False\n"
+
+
+def test_outputs_do_not_depend_on_the_locale(data_dir, tmp_path):
+    # A category id outside ASCII reaches the headers and cluster labels of
+    # the output files; under the C locale with UTF-8 mode off, Python's
+    # default file encoding is ASCII.
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("receipts.csv", "categories.csv"):
+        text = (data_dir / name).read_text(encoding="utf-8")
+        (data / name).write_text(text.replace("K00", "Kč0"), encoding="utf-8")
+    environments = {
+        "c": subprocess_env(
+            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+        ),
+        "utf8": subprocess_env(PYTHONUTF8="1"),
+    }
+    for command in (["pps", "--k", "4"], ["sm", "--k-b", "6", "--k-sm", "9"]):
+        outs = []
+        for name, env in environments.items():
+            out = tmp_path / name / command[0]
+            result = subprocess.run(
+                [sys.executable, "-m", "shopmission.cli", *command,
+                 *dataset_args(data), "--out", str(out)],
+                capture_output=True, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            outs.append(out)
+        c_out, utf8_out = outs
+        files = sorted(p.name for p in utf8_out.iterdir())
+        assert sorted(p.name for p in c_out.iterdir()) == files
+        for file in files:
+            assert (c_out / file).read_bytes() == (utf8_out / file).read_bytes()
 
 
 def test_unconverged_fits_warn_on_stderr(data_dir, tmp_path, capsys):
@@ -323,6 +363,7 @@ def test_malformed_side_input_is_one_line_error(
         argv[:0] = ["--config", str(path)]
     argv += ["--out", str(tmp_path / "out")]
     assert_one_error_line(main(argv), capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", MALFORMED_ASSIGNMENTS)
@@ -339,6 +380,7 @@ def test_malformed_assignment_file_is_one_line_error(
         "--out", str(tmp_path / "out"),
     ])
     assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -377,6 +419,21 @@ def test_bad_seed_and_range_are_one_line_errors(
         argv = argv[:1] + dataset_args(data_dir) + argv[1:]
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_reads_the_model_before_the_dataset(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("{}")
+    code = main([
+        "score",
+        "--receipts", str(tmp_path / "nope.csv"),
+        "--categories", str(tmp_path / "nope2.csv"),
+        *WINDOW_ARGS,
+        "--model", str(model), "--out", str(tmp_path / "out"),
+    ])
+    assert_one_error_line(code, capsys, "not a valid SM model")
+    assert not (tmp_path / "out").exists()
 
 
 def test_value_error_inside_the_program_is_not_a_data_error(

@@ -23,6 +23,17 @@ from shopmission.pipeline import SmPipelineModel, score
 from shopmission.txmodel import ingest_receipts, read_categories
 
 MANIFEST_KEYS = {"command", "args", "inputs", "seed", "tool_version"}
+# The keys of each command's manifest "args", as derived from its options.
+MANIFEST_ARGS_KEYS = {
+    "syngen": {"customers", "n_categories", "baskets_min", "baskets_max"},
+    "rfm": {"k", "mode", "bounds_file", "window", "config"},
+    "pps": {"k", "window", "config"},
+    "sm": {"k_b", "k_sm", "window", "config"},
+    "select_k": {"target", "k_min", "k_max", "policy", "window", "config"},
+    "score": {"model", "window"},
+    "compare": {"assignments"},
+    "report": {"assignments"},
+}
 METRICS_KEYS = {
     "k", "inertia", "seed", "converged", "between_variance_ratio",
     "davies_bouldin",
@@ -46,6 +57,7 @@ def check_manifest(path, command):
     manifest = json.loads(path.read_text())
     assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == command
+    assert set(manifest["args"]) == MANIFEST_ARGS_KEYS[command]
     assert manifest["tool_version"] == __version__
     for input_path, digest in manifest["inputs"].items():
         assert hashlib.sha256(Path(input_path).read_bytes()).hexdigest() == digest

@@ -6,15 +6,43 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shopmission"
 
 
+def package_trees():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no modules under {PACKAGE}"
+    return [
+        (path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths
+    ]
+
+
 def test_package_has_no_assert_statements():
     # ``python -O`` strips assert statements, so an invariant the package
     # relies on must raise a real exception instead.
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths, f"no modules under {PACKAGE}"
     found = [
         f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for path, tree in package_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def is_text_mode_open(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    mode = node.args[1] if len(node.args) > 1 else (modes or [None])[0]
+    return not (isinstance(mode, ast.Constant) and "b" in mode.value)
+
+
+def test_every_text_mode_open_names_its_encoding():
+    # Without encoding=, a text file is read and written in the locale's
+    # encoding, so the output bytes would depend on the machine.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in package_trees()
+        for node in ast.walk(tree)
+        if is_text_mode_open(node)
+        and not any(kw.arg == "encoding" for kw in node.keywords)
+    ]
+    assert not found, f"open() without encoding= in the package: {found}"
