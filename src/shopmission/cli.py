@@ -247,7 +247,13 @@ def cmd_ingest(args, config, dataset):
 
 def cmd_rfm(args, config, dataset):
     bounds = None
+    if args.mode == "kmeans" and args.bounds_file:
+        raise PipelineError("kmeans mode takes no --bounds-file")
     if args.mode == "expert":
+        if args.k is not None:
+            raise PipelineError(
+                "expert mode takes no --k: the bounds file sets the segments"
+            )
         if not args.bounds_file:
             raise PipelineError("expert mode requires --bounds-file")
         bounds = load_expert_bounds(args.bounds_file)

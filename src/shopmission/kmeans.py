@@ -17,6 +17,10 @@ restarts share one (n, d) scratch buffer for every distance row, so an
 iteration writes its own distances in place instead of allocating. The
 k-means++ draws search the cdf that ``rng.choice(n, p=...)`` builds, on the
 same ``rng.random()`` double, so the seeding keeps ``rng.choice``'s draws.
+The seeding computes every row's distance to every center it picks, so it
+also keeps each row's nearest center, that distance and the runner-up
+distance, and hands Lloyd its first assignment: Lloyd starts without a full
+distance pass of its own.
 """
 
 from __future__ import annotations
@@ -93,31 +97,46 @@ def _squared_distances(X, centers, buf):
 
 
 def _plusplus_init(X, k, rng, buf):
-    """k-means++ seeding; ``buf`` is (n, d) scratch.
+    """k-means++ seeding; ``buf`` is (n, d) scratch. Returns the centers and
+    the first assignment Lloyd starts from, ``(labels, own, lower)`` as
+    ``_nearest(X, centers, buf)`` gives it.
 
-    Each draw searches the cdf of ``closest / total`` exactly as
-    ``rng.choice(n, p=closest / total)`` builds and searches it, on the same
+    Each draw searches the cdf of ``own / total`` exactly as
+    ``rng.choice(n, p=own / total)`` builds and searches it, on the same
     ``rng.random()`` double, so every pick is the one ``rng.choice`` makes.
+    ``own`` is each row's squared distance to its nearest center so far and
+    ``second`` to the runner-up; a strict ``<`` keeps the lowest index on
+    ties, as ``argmin`` does.
     """
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    closest = np.full(n, np.inf)
+    labels = np.zeros(n, dtype=np.intp)
+    own = np.full(n, np.inf)
+    second = np.full(n, np.inf)
     d2 = np.empty(n)
     cdf = np.empty(n)
-    for j in range(1, k):
-        np.subtract(X, centers[j - 1], out=buf)
+    closer = np.empty(n, dtype=bool)
+    for j in range(k):
+        if j:
+            total = own.sum()
+            if total <= 0:
+                centers[j] = X[rng.integers(n)]
+            else:
+                np.divide(own, total, out=cdf)
+                np.cumsum(cdf, out=cdf)
+                cdf /= cdf[-1]
+                centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
+        np.subtract(X, centers[j], out=buf)
         np.einsum("nd,nd->n", buf, buf, out=d2)
-        np.minimum(closest, d2, out=closest)
-        total = closest.sum()
-        if total <= 0:
-            centers[j] = X[rng.integers(n)]
-            continue
-        np.divide(closest, total, out=cdf)
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
-    return centers
+        np.less(d2, own, out=closer)
+        np.copyto(labels, j, where=closer)
+        # The runner-up is the old nearest where center j wins, else the
+        # nearer of the old runner-up and center j.
+        np.maximum(own, d2, out=cdf)
+        np.minimum(second, cdf, out=second)
+        np.minimum(own, d2, out=own)
+    return centers, (labels, own, np.sqrt(second, out=second))
 
 
 def _nearest(X, centers, buf):
@@ -202,10 +221,11 @@ def _count_repair(passes, k):
     return passes + 1
 
 
-def _lloyd(X, XT, centers, max_iter, tol, buf):
-    """Lloyd's iterations from ``centers``; ``XT`` is ``X.T`` made
-    contiguous and ``buf`` is (n, d) scratch, both shared by the restarts of
-    a fit."""
+def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
+    """Lloyd's iterations from ``centers`` and their nearest-center
+    ``assignment``, the ``(labels, own, lower)`` of ``_nearest``, which the
+    iterations update in place; ``XT`` is ``X.T`` made contiguous and ``buf``
+    is (n, d) scratch, both shared by the restarts of a fit."""
     centers = centers.copy()
     k = centers.shape[0]
     # Centers are rows or means of rows, so every distance is at most the
@@ -214,7 +234,7 @@ def _lloyd(X, XT, centers, max_iter, tol, buf):
     # iterations, so a row that skips its distance row has a strictly
     # nearest center: the label an argmin would give.
     slack = 1e-9 * np.sqrt(((XT.max(axis=1) - XT.min(axis=1)) ** 2).sum())
-    labels, own, lower = _nearest(X, centers, buf)
+    labels, own, lower = assignment
     history = []
     iterations = 0
     converged = False
@@ -298,8 +318,8 @@ def kmeans_fit(
     best = None
     for restart in range(n_init):
         rng = np.random.default_rng((seed, restart))
-        init = _plusplus_init(X, k, rng, buf)
-        fit = _lloyd(X, XT, init, max_iter, tol, buf)
+        init, assignment = _plusplus_init(X, k, rng, buf)
+        fit = _lloyd(X, XT, init, assignment, max_iter, tol, buf)
         if best is None or fit[2] < best[2]:
             best = fit
 

@@ -108,11 +108,18 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """Stable content hash, independent of ingestion order."""
+        # Ingest parses each distinct timestamp text once, so baskets share
+        # timestamp objects; format each object once. Keyed by identity:
+        # equal instants with different UTC offsets print differently.
+        distinct = {id(ts): ts for ts in self.timestamps}
+        iso = {key: ts.isoformat() for key, ts in distinct.items()}
         text = "".join(
-            f"{bid},{self.customer_ids[c]},{ts.isoformat()},{cents}\n"
-            for bid, c, ts, cents in zip(
+            f"{bid},{cid},{iso[id(ts)]},{cents}\n"
+            for bid, cid, ts, cents in zip(
                 self.basket_ids,
-                self.basket_customer.tolist(),
+                map(
+                    self.customer_ids.__getitem__, self.basket_customer.tolist()
+                ),
                 self.timestamps,
                 self.basket_cents.tolist(),
             )
@@ -238,6 +245,13 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     # double nearest the exact integer product.
     row_cell, row_cents = array("q"), array("d")
     unknown_category_rows = []
+    # A row with the basket id, customer id and timestamp text of the
+    # previous accepted row continues its basket: its timestamp is parsed
+    # and its basket passed the conflict checks, so it skips both lookups.
+    last_bid = last_cid = last_ts = None
+    get_ts, get_price, get_qty = timestamps.get, prices.get, quantities.get
+    get_cat, get_basket = cat_index.get, basket_index.get
+    add_cell, add_cents = row_cell.append, row_cents.append
 
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, strict=True)
@@ -259,17 +273,21 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                         )
                     raise ParseError("missing column value", line_no)
                 bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
-                ts = timestamps.get(ts_text)
-                if ts is None:
-                    ts = timestamps[ts_text] = _parse_timestamp(
-                        ts_text, line_no, timestamps
-                    )
-                price = prices.get(price_text)
+                same_basket = (
+                    bid == last_bid and cid == last_cid and ts_text == last_ts
+                )
+                if not same_basket:
+                    ts = get_ts(ts_text)
+                    if ts is None:
+                        ts = timestamps[ts_text] = _parse_timestamp(
+                            ts_text, line_no, timestamps
+                        )
+                price = get_price(price_text)
                 if price is None:
                     price = prices[price_text] = _parse_price(
                         price_text, line_no, bid
                     )
-                qty = quantities.get(qty_text)
+                qty = get_qty(qty_text)
                 if qty is None:
                     qty = quantities[qty_text] = _parse_quantity(
                         qty_text, line_no, bid
@@ -278,34 +296,37 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                     raise ParseError(
                         f"promo_flag must be 0 or 1, got {promo!r}", line_no
                     )
-                c = cat_index.get(cat)
+                c = get_cat(cat)
                 if c is None:
                     unknown_category_rows.append((line_no, cat))
                     continue
 
-                b = basket_index.get(bid)
-                if b is None:
-                    b = basket_index[bid] = len(basket_ts)
-                    basket_customer.append(
-                        customer_index.setdefault(cid, len(customer_index))
-                    )
-                    basket_ts.append(ts)
-                elif customer_index.get(cid) != basket_customer[b]:
-                    first = list(customer_index)[basket_customer[b]]
-                    raise ValidationError(
-                        f"line {line_no}: basket {bid!r} has conflicting "
-                        f"customer ids {first!r} and {cid!r}"
-                    )
-                elif basket_ts[b] is not ts and (
-                    basket_ts[b].isoformat() != ts.isoformat()
-                ):
-                    raise ValidationError(
-                        f"line {line_no}: basket {bid!r} has conflicting "
-                        f"timestamps {basket_ts[b].isoformat()!r} and "
-                        f"{ts.isoformat()!r}"
-                    )
-                row_cell.append(b * n_cats + c)
-                row_cents.append(price * qty)
+                if not same_basket:
+                    b = get_basket(bid)
+                    if b is None:
+                        b = basket_index[bid] = len(basket_ts)
+                        basket_customer.append(
+                            customer_index.setdefault(cid, len(customer_index))
+                        )
+                        basket_ts.append(ts)
+                    elif customer_index.get(cid) != basket_customer[b]:
+                        first = list(customer_index)[basket_customer[b]]
+                        raise ValidationError(
+                            f"line {line_no}: basket {bid!r} has conflicting "
+                            f"customer ids {first!r} and {cid!r}"
+                        )
+                    elif basket_ts[b] is not ts and (
+                        basket_ts[b].isoformat() != ts.isoformat()
+                    ):
+                        raise ValidationError(
+                            f"line {line_no}: basket {bid!r} has conflicting "
+                            f"timestamps {basket_ts[b].isoformat()!r} and "
+                            f"{ts.isoformat()!r}"
+                        )
+                    first_cell = b * n_cats
+                    last_bid, last_cid, last_ts = bid, cid, ts_text
+                add_cell(first_cell + c)
+                add_cents(price * qty)
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
         except UnicodeDecodeError as exc:

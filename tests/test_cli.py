@@ -329,6 +329,14 @@ MALFORMED_INPUTS = [
      "not valid JSON"),
     ("model.json", b"{}", ["score", "--model", "{}"], "not a valid SM model"),
     ("model.json", b"\xff", ["score", "--model", "{}"], "not a valid SM model"),
+    # Options the mode would ignore: the file is never parsed, and the
+    # bins, not --k, set the expert segments.
+    ("bounds.json", b"{not json",
+     ["rfm", "--mode", "kmeans", "--k", "3", "--bounds-file", "{}"],
+     "kmeans mode takes no --bounds-file"),
+    ("bounds.json", b'{"recency_days": [30]}',
+     ["rfm", "--mode", "expert", "--k", "7", "--bounds-file", "{}"],
+     "expert mode takes no --k"),
 ]
 MALFORMED_ASSIGNMENTS = [
     (ASSIGNMENTS_HEADER + "x,1\nx,2\ny\n", "line 3: duplicate entity id 'x'"),

@@ -369,13 +369,18 @@ def _oracle_lloyd(X, centers, max_iter, tol, repair=_oracle_repair_empty,
 
 
 def engine_init(X, k, rng):
+    """The seeding's centers and the first assignment it hands to Lloyd."""
     return kmeans._plusplus_init(X, k, rng, np.empty(X.shape))
 
 
-def engine_lloyd(X, init, max_iter, tol):
-    """``kmeans._lloyd`` with the transpose and scratch buffer a fit makes."""
+def engine_lloyd(X, init, max_iter, tol, assignment=None):
+    """``kmeans._lloyd`` with the transpose and scratch buffer a fit makes,
+    from ``assignment`` or, for a custom init, from ``_nearest``."""
+    buf = np.empty(X.shape)
+    if assignment is None:
+        assignment = kmeans._nearest(X, init, buf)
     return kmeans._lloyd(
-        X, np.ascontiguousarray(X.T), init, max_iter, tol, np.empty(X.shape)
+        X, np.ascontiguousarray(X.T), init, assignment, max_iter, tol, buf
     )
 
 
@@ -433,10 +438,13 @@ def test_engine_matches_plain_lloyd_oracle(inputs, seed, n_init, max_iter,
     for restart in range(n_init):
         stream = (seed, restart)
         init = _oracle_plusplus_init(X, k, np.random.default_rng(stream))
-        got_init = engine_init(X, k, np.random.default_rng(stream))
+        got_init, assignment = engine_init(
+            X, k, np.random.default_rng(stream)
+        )
         assert got_init.tobytes() == init.tobytes()
         want = oracle_or_reject(X, init, max_iter, tol)
-        assert_same_run(engine_lloyd(X, init, max_iter, tol)[:5], want)
+        got = engine_lloyd(X, init, max_iter, tol, assignment)
+        assert_same_run(got[:5], want)
         if best is None or want[2] < best[2]:
             best = want
 
@@ -533,8 +541,43 @@ def test_plusplus_init_matches_choice_on_duplicate_rows():
         for seed in range(40):
             want_rng, got_rng = (np.random.default_rng(seed) for _ in "ab")
             want = _oracle_plusplus_init(X, k, want_rng)
-            assert engine_init(X, k, got_rng).tobytes() == want.tobytes()
+            assert engine_init(X, k, got_rng)[0].tobytes() == want.tobytes()
             assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 4),
+    kind=st.sampled_from(["normal", "grid", "duplicated", "equal"]),
+    extra_k=st.integers(-3, 2),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 10**6),
+)
+def test_seeding_hands_lloyd_the_nearest_assignment(n, d, kind, extra_k,
+                                                    data_seed, seed):
+    # The assignment the seeding tracks must be the one a full distance pass
+    # gives, bit for bit: ties on the integer grid and duplicate rows go to
+    # the lowest index, k = 1 has no runner-up, and all-equal rows (or k
+    # above the distinct-row count) take the uniform ``total <= 0`` draw.
+    rng = np.random.default_rng(data_seed)
+    if kind == "normal":
+        X = rng.normal(size=(n, d))
+    elif kind == "grid":
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "duplicated":
+        X = rng.normal(size=(int(rng.integers(1, n + 1)), d))
+        X = X[rng.integers(len(X), size=n)]
+    else:
+        X = np.full((n, d), rng.normal())
+    k = max(1, np.unique(X, axis=0).shape[0] + extra_k)
+    centers, (labels, own, lower) = engine_init(
+        X, k, np.random.default_rng(seed)
+    )
+    want = kmeans._nearest(X, centers, np.empty(X.shape))
+    for got, expected in zip((labels, own, lower), want):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 def _outcome(run, *args):

@@ -267,6 +267,65 @@ def test_line_numbers_are_physical_lines(tmp_path, cats):
         ingest_receipts(receipts, cats, WINDOW)
 
 
+GOOD_ROW = "b1,c1,2025-02-01T10:00:00,p1,K00,1.00,1,0"
+
+# Rows bad in two fields: each row checks its timestamp, price, quantity,
+# promo flag and category, then its basket, so the earlier check's message
+# wins. The bad row continues GOOD_ROW's basket where it can, so the checks
+# a continuation row skips are not the ones that decide.
+CHECK_ORDER = [
+    ("b1,c1,noon,p2,K00,abc,1,0", ParseError,
+     "line 3: bad timestamp 'noon'"),
+    ("b1,c1,2025-02-01T10:00:00,p2,K00,abc,1,7", ParseError,
+     "line 3: bad money value 'abc'"),
+    ("b1,c1,2025-02-01T10:00:00,p2,K99,1.00,x,0", ParseError,
+     "line 3: bad quantity 'x'"),
+    ("b1,c2,2025-02-01T10:00:00,p2,K00,1.00,1,7", ParseError,
+     "line 3: promo_flag must be 0 or 1, got '7'"),
+    # Continuation rows: the same basket id with a changed customer id, or
+    # a changed timestamp text, still goes through the basket checks.
+    ("b1,c2,2025-02-01T10:00:00,p2,K01,1.00,1,0", ValidationError,
+     "line 3: basket 'b1' has conflicting customer ids 'c1' and 'c2'"),
+    ("b1,c1,2025-02-01T11:00:00,p2,K01,1.00,1,0", ValidationError,
+     "line 3: basket 'b1' has conflicting timestamps "
+     "'2025-02-01T10:00:00' and '2025-02-01T11:00:00'"),
+]
+
+
+@pytest.mark.parametrize("row, error, message", CHECK_ORDER)
+def test_earlier_check_wins_on_a_row_bad_in_two_fields(
+    tmp_path, cats, row, error, message
+):
+    with pytest.raises(error) as exc:
+        ingest(tmp_path, cats, [GOOD_ROW, row])
+    assert str(exc.value) == message
+
+
+def test_basket_split_by_another_basket_rows(tmp_path, cats):
+    rows = [
+        GOOD_ROW,
+        "b2,c2,2025-02-02T10:00:00,p1,K01,2.00,1,0",
+        "b1,c1,2025-02-01T10:00:00,p2,K02,3.00,2,0",
+        "b2,c2,2025-02-02T10:00:00,p2,K01,0.50,1,1",
+        "b1,c1,2025-02-01T10:00:00,p3,K02,1.00,1,0",
+    ]
+    ds = ingest(tmp_path, cats, rows)
+    assert ds.basket_ids == ["b1", "b2"]
+    assert ds.customer_ids == ["c1", "c2"]
+    assert ds.spend_cents.tolist() == [[100, 0, 700], [0, 250, 0]]
+    # A split basket's returning row still meets the conflict checks.
+    for bad, message in [
+        ("b1,c2,2025-02-01T10:00:00,p4,K00,1.00,1,0",
+         "line 7: basket 'b1' has conflicting customer ids 'c1' and 'c2'"),
+        ("b1,c1,2025-02-02T10:00:00,p4,K00,1.00,1,0",
+         "line 7: basket 'b1' has conflicting timestamps "
+         "'2025-02-01T10:00:00' and '2025-02-02T10:00:00'"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            ingest(tmp_path, cats, rows + [bad])
+        assert str(exc.value) == message
+
+
 def test_blank_lines_skipped(tmp_path, cats):
     receipts = tmp_path / "receipts.csv"
     receipts.write_text(
@@ -324,3 +383,25 @@ def test_category_table_blank_lines_skipped(tmp_path):
     path = tmp_path / "categories.csv"
     path.write_text("category_id,label\n\nK00,a\n\nK01,b\n")
     assert sorted(read_categories(path)) == ["K00", "K01"]
+
+
+def test_fingerprint_tells_utc_offsets_apart(tmp_path, cats):
+    # 10:00+01:00 and 09:00+00:00 are one instant, so they compare equal,
+    # but they print differently, and so must hash differently.
+    def digest(first, second):
+        return ingest(tmp_path, cats, [
+            f"b1,c1,2025-02-01T{first},p1,K00,1.00,1,0",
+            f"b2,c1,2025-02-01T{second},p1,K00,1.00,1,0",
+        ]).fingerprint()
+
+    one, other = "10:00:00+01:00", "09:00:00+00:00"
+    digests = {digest(one, other), digest(one, one), digest(other, other)}
+    assert len(digests) == 3
+
+
+def test_fingerprint_of_a_fixed_syngen_dataset(small_planted):
+    # Pins the digest, so a faster fingerprint cannot change what it hashes.
+    _, _, _, dataset = small_planted
+    assert dataset.fingerprint() == (
+        "2e236dd227bbaf6462f73ac39aebfcae412489189b209e14e26a0558e30d80bf"
+    )
