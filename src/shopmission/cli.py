@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from datetime import date
 from pathlib import Path
@@ -52,12 +53,20 @@ DATA_ERRORS = (
     OSError,
 )
 
+def _finite_float(text, minimum=-math.inf):
+    """``float(text)``; NaN, +-inf and values below ``minimum`` are bad."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= minimum):
+        raise ValueError(text)
+    return value
+
+
 CONFIG_KEYS = {
-    "tol": float,
+    "tol": _finite_float,
     "n_init": int,
     "max_iter": int,
-    "dominance_threshold": float,
-    "value_weight": float,
+    "dominance_threshold": _finite_float,
+    "value_weight": lambda s: _finite_float(s, minimum=0.0),
     "standardize_rfm": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 

@@ -13,6 +13,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,47 @@ def _cdf(weights) -> list:
     return cdf.tolist()
 
 
+def _dirichlet_sampler(rng, alpha):
+    """A callable that returns the draws of ``rng.dirichlet(alpha).tolist()``.
+
+    Below a largest alpha of 0.1 numpy draws by stick-breaking, so the
+    callable calls ``rng.dirichlet``. Otherwise it draws numpy's gammas
+    without the per-call checks on ``alpha``: one scalar-shape
+    ``standard_gamma`` call per run of adjacent equal alphas, then numpy's
+    normalisation, a left-to-right sum (``sum()`` would compensate it) and
+    one reciprocal.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.max() < 0.1:
+        dirichlet = rng.dirichlet
+        return lambda: dirichlet(alpha).tolist()
+    gamma = rng.standard_gamma
+    runs = [(v, len(list(g))) for v, g in groupby(alpha.tolist())]
+
+    def draw():
+        drawn = []
+        for v, n in runs:
+            if n == 1:
+                drawn.append(gamma(v))
+            else:
+                drawn += gamma(v, n).tolist()
+        acc = 0.0
+        for g in drawn:
+            acc += g
+        inv = 1.0 / acc
+        return [g * inv for g in drawn]
+
+    return draw
+
+
+class _PriceText(dict):
+    """Integer cents -> price text, formatted on first use."""
+
+    def __missing__(self, c):
+        text = self[c] = f"{c // 100}.{c % 100:02d}"
+        return text
+
+
 def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     """Emit receipts.csv, categories.csv and the two ground-truth files.
 
@@ -211,12 +253,17 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     the draws are: mission, persona, basket count, visit days; per basket:
     archetype, value, Dirichlet shares (unless the concentration is
     infinite), hour, then one promo double per emitted line.
+
+    The shares are the draws of ``rng.dirichlet(alpha)``, made from one
+    scalar-shape gamma call per run of adjacent equal alphas
+    (``_dirichlet_sampler``); archetypes whose largest alpha is below 0.1
+    still call ``rng.dirichlet``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     random, integers = rng.random, rng.integers
-    lognormal, dirichlet = rng.lognormal, rng.dirichlet
+    lognormal = rng.lognormal
 
     n_cats = config.n_categories
     category_ids = [f"K{i:02d}" for i in range(n_cats)]
@@ -226,22 +273,25 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
         (config.window_start + timedelta(days=d)).isoformat()
         for d in range(window_days + 1)
     ]
+    hours = [f"T{h:02d}:00:00," for h in range(21)]
+    prices = _PriceText()
 
     # Per archetype: name, value distribution, fixed shares (used when the
-    # concentration is infinite), and the Dirichlet alphas of its nonzero
+    # concentration is infinite), and the Dirichlet sampler of its nonzero
     # categories with their indices (None when all are nonzero). Zero-mixture
     # categories stay exactly zero, since Dirichlet alphas must be positive.
     archetypes = []
     for a in config.archetypes:
         mixture = np.asarray(a.mixture, dtype=float)
-        alpha = active = None
+        draw_shares = active = None
         if not np.isinf(config.concentration):
             alpha = config.concentration * mixture
             active = np.flatnonzero(alpha > 0)
-            alpha = alpha[active]
+            draw_shares = _dirichlet_sampler(rng, alpha[active])
             active = active.tolist() if len(active) < n_cats else None
         archetypes.append(
-            (a.name, a.value_mu, a.value_sigma, mixture.tolist(), alpha, active)
+            (a.name, a.value_mu, a.value_sigma, mixture.tolist(), draw_shares,
+             active)
         )
     missions = [(m.name, _cdf(m.archetype_weights)) for m in config.missions]
     personas = [
@@ -263,10 +313,12 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     # csv.writer's do. Quantity is always 1, promo flag is 1 in 10 lines.
     lines = ["basket_id,customer_id,timestamp,product_id,category_id,"
              "unit_price,quantity,promo_flag\r\n"]
+    append = lines.append
     line_ends = (",1,0\r\n", ",1,1\r\n")
 
     for ci in range(config.n_customers):
         customer_id = f"c{ci:05d}"
+        basket_prefix = f"b{ci:05d}_"
         mission, arch_cdf = missions[bisect_right(mission_cdf, random())]
         persona, lo, hi, day_end, value_scale = personas[
             bisect_right(persona_cdf, random())
@@ -279,31 +331,30 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
         day_offsets.sort()
 
         for bi, day in enumerate(day_offsets):
-            basket_id = f"b{ci:05d}_{bi:03d}"
-            name, mu, sigma, shares, alpha, active = archetypes[
+            basket_id = f"{basket_prefix}{bi:03d}"
+            name, mu, sigma, shares, draw_shares, active = archetypes[
                 bisect_right(arch_cdf, random())
             ]
             basket_archetype[basket_id] = name
 
             total = value_scale * lognormal(mu, sigma)
-            if alpha is not None:
+            if draw_shares is not None:
                 if active is None:
-                    shares = dirichlet(alpha).tolist()
+                    shares = draw_shares()
                 else:
                     shares = [0.0] * n_cats
-                    for j, s in zip(active, dirichlet(alpha).tolist()):
+                    for j, s in zip(active, draw_shares()):
                         shares[j] = s
             # round() of a float is half-even, as np.round
             cents = [round(s * total * 100) for s in shares]
             if sum(cents) <= 0:
                 cents[shares.index(max(shares))] = 100
-            hour = int(integers(8, 21))
-            head = f"{basket_id},{customer_id},{days[day]}T{hour:02d}:00:00,"
+            head = (f"{basket_id},{customer_id},{days[day]}"
+                    f"{hours[integers(8, 21)]}")
             emitted = [j for j, c in enumerate(cents) if c > 0]
             for j, u in zip(emitted, random(len(emitted)).tolist()):
-                c = cents[j]
-                lines.append(
-                    f"{head}{product_fields[j]}{c // 100}.{c % 100:02d}"
+                append(
+                    f"{head}{product_fields[j]}{prices[cents[j]]}"
                     f"{line_ends[u < 0.1]}"
                 )
 
@@ -313,26 +364,24 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     with open(out_dir / "categories.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["category_id", "label"])
-        for cid in category_ids:
-            writer.writerow([cid, f"Category {cid}"])
+        writer.writerows([cid, f"Category {cid}"] for cid in category_ids)
 
     with open(
         out_dir / "ground_truth_baskets.csv", "w", newline="", encoding="utf-8"
     ) as f:
         writer = csv.writer(f)
         writer.writerow(["basket_id", "archetype"])
-        for bid in sorted(truth.basket_archetype):
-            writer.writerow([bid, truth.basket_archetype[bid]])
+        writer.writerows(sorted(basket_archetype.items()))
 
     with open(
         out_dir / "ground_truth_customers.csv", "w", newline="", encoding="utf-8"
     ) as f:
         writer = csv.writer(f)
         writer.writerow(["customer_id", "mission", "persona"])
-        for cid in sorted(truth.customer_mission):
-            writer.writerow(
-                [cid, truth.customer_mission[cid], truth.customer_persona[cid]]
-            )
+        writer.writerows(
+            (cid, mission, truth.customer_persona[cid])
+            for cid, mission in sorted(truth.customer_mission.items())
+        )
 
     return truth
 

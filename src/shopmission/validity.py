@@ -136,9 +136,10 @@ def select_k(
     report_only.
     """
     k_min, k_max = k_range
-    if k_min < 2 or k_max >= len(matrix.ids):
+    if not 2 <= k_min <= k_max < len(matrix.ids):
         raise ValidityError(
-            f"k range [{k_min}, {k_max}] must lie within [2, rows-1]"
+            f"k range [{k_min}, {k_max}] must be non-empty and lie within "
+            f"[2, rows-1]"
         )
     rows = []
     for k in range(k_min, k_max + 1):

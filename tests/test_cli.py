@@ -301,6 +301,24 @@ def test_config_file_parsing_and_overrides(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("key", ["tol", "dominance_threshold", "value_weight"])
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+def test_config_rejects_non_finite_floats(tmp_path, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(InputError, match=f"bad value '{value}' for {key}$"):
+        load_config(cfg)
+
+
+def test_config_value_weight_is_non_negative(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("value_weight = 0\ndominance_threshold = -0.5\n")
+    assert load_config(cfg) == {"value_weight": 0.0, "dominance_threshold": -0.5}
+    cfg.write_text("value_weight = -1e-9\n")
+    with pytest.raises(InputError, match="bad value '-1e-9' for value_weight"):
+        load_config(cfg)
+
+
 ASSIGNMENTS_HEADER = "entity_id,cluster\n"
 
 # (file name, bytes, command tail after the dataset arguments, message).
@@ -337,6 +355,14 @@ MALFORMED_INPUTS = [
     ("bounds.json", b'{"recency_days": [30]}',
      ["rfm", "--mode", "expert", "--k", "7", "--bounds-file", "{}"],
      "expert mode takes no --k"),
+    # Each converts as a float: tol = inf would stop every fit after one
+    # iteration, and a NaN threshold would label every cluster General.
+    ("run.cfg", b"tol = inf\n", ["pps", "--k", "3"],
+     "run.cfg:1: bad value 'inf' for tol"),
+    ("run.cfg", b"dominance_threshold = nan\n", ["sm", "--k-b", "6", "--k-sm", "9"],
+     "run.cfg:1: bad value 'nan' for dominance_threshold"),
+    ("run.cfg", b"value_weight = -1\n", ["sm", "--k-b", "6", "--k-sm", "9"],
+     "run.cfg:1: bad value '-1' for value_weight"),
 ]
 MALFORMED_ASSIGNMENTS = [
     (ASSIGNMENTS_HEADER + "x,1\nx,2\ny\n", "line 3: duplicate entity id 'x'"),
@@ -418,6 +444,8 @@ def test_bad_window_is_one_line_error(data_dir, tmp_path, capsys, window, messag
         (["pps", "--k", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["syngen", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["syngen", "--baskets-max", str(10**20)], "bad baskets range"),
+        (["select-k", "--target", "basket", "--k-min", "5", "--k-max", "3"],
+         "k range [5, 3] must be non-empty"),
     ],
 )
 def test_bad_seed_and_range_are_one_line_errors(

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from datetime import date
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import WINDOW
+from shopmission.cli import main
 from shopmission import features as feat
 from shopmission.syngen import (
     Archetype,
@@ -164,3 +166,27 @@ def test_truth_label_counts_match_entities(small_planted):
     assert len(truth.basket_archetype) == dataset.n_baskets
     assert len(truth.customer_mission) == len(dataset.customer_ids)
     assert len(truth.customer_persona) == len(dataset.customer_ids)
+
+
+def test_benchmark_dataset_is_pinned(tmp_path):
+    # select-k-500's first reference dataset: any change to a draw or to
+    # the text of a line shows here.
+    digests = {
+        "receipts.csv":
+            "f65e989373b74a22ecbd5c56af31c2b7ac03e81508360750bbf38adf320e67e7",
+        "ground_truth_baskets.csv":
+            "372ccfc08f7ba0b7046be79607d770998f58c8c25692c2f798a412467c9e2fac",
+        "ground_truth_customers.csv":
+            "f56a4b932737a698746b1120edd401491fd8df3f577d6bb93ef0ea62d84798ca",
+        "categories.csv":
+            "7c3f3da1f0b10e52ab15fd960a34622d5fbee4b1d5000e062c295628f5d37081",
+    }
+    generate(default_config(n_customers=500, seed=1), tmp_path / "api")
+    assert main([
+        "syngen", "--out", str(tmp_path / "cli"), "--seed", "1",
+        "--customers", "500",
+    ]) == 0
+    for name, digest in digests.items():
+        for out in ("api", "cli"):
+            data = (tmp_path / out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (out, name)

@@ -1,14 +1,16 @@
 """``syngen.generate`` against the per-row loop it replaced.
 
 The oracle below is a test-only copy of that loop: it draws with
-``rng.choice`` and one scalar ``rng.random()`` per receipt line, and writes
-through ``csv.writer``. ``generate`` must make the same draws in the same
-order, so all four files must be byte-identical and the ground truth equal.
+``rng.choice``, ``rng.dirichlet`` and one scalar ``rng.random()`` per
+receipt line, and writes through ``csv.writer``. ``generate`` must make the
+same draws in the same order, so all four files must be byte-identical and
+the ground truth equal.
 """
 
 import csv
 from datetime import date, datetime, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from shopmission.syngen import (
     GroundTruth,
     MissionProfile,
     RfmPersona,
+    _dirichlet_sampler,
     default_config,
     generate,
 )
@@ -214,6 +217,20 @@ def custom_config(seed=11, concentration=5.0):
         pytest.param(
             custom_config(concentration=float("inf")), id="custom-zero-noise"
         ),
+        # Every alpha is below 0.1: numpy's stick-breaking path.
+        pytest.param(
+            default_config(n_customers=40, seed=7, concentration=0.05),
+            id="stick-breaking",
+        ),
+        pytest.param(
+            custom_config(concentration=0.05), id="custom-stick-breaking"
+        ),
+        # The uniform archetypes' alphas are exactly 0.1 (0.8 / 8): the
+        # gamma path, at its threshold.
+        pytest.param(
+            default_config(n_customers=40, seed=8, concentration=0.8),
+            id="alpha-0.1",
+        ),
     ],
 )
 def test_generate_matches_oracle(tmp_path, config):
@@ -242,7 +259,7 @@ def test_custom_config_reaches_every_branch(tmp_path):
     n_categories=st.integers(4, 10),
     lo=st.integers(1, 6),
     extra=st.integers(0, 6),
-    concentration=st.sampled_from([float("inf"), 0.5, 3.0, 80.0]),
+    concentration=st.sampled_from([float("inf"), 0.05, 0.5, 0.8, 3.0, 80.0]),
 )
 def test_generate_matches_oracle_property(
     tmp_path_factory, seed, n_customers, n_categories, lo, extra, concentration
@@ -255,3 +272,34 @@ def test_generate_matches_oracle_property(
         concentration=concentration,
     )
     assert_matches_oracle(config, tmp_path_factory.mktemp("syngen"))
+
+
+@pytest.mark.parametrize(
+    "alpha, method",
+    [
+        pytest.param((4.0, 4.0, 4.0, 4.0), "standard_gamma", id="all-equal"),
+        pytest.param(
+            (1.0, 1.0, 9.0, 1.0, 1.0), "standard_gamma", id="one-large"
+        ),
+        pytest.param(
+            (2.0, 1.0, 2.0), "standard_gamma", id="equal-not-adjacent"
+        ),
+        pytest.param((0.3, 0.7, 0.7, 0.3), "standard_gamma", id="below-one"),
+        pytest.param(
+            (0.1, 0.05, 0.1), "standard_gamma", id="max-exactly-0.1"
+        ),
+        pytest.param((0.0999, 0.0999), "dirichlet", id="max-below-0.1"),
+        pytest.param((0.09, 0.02, 0.05), "dirichlet", id="all-below-0.1"),
+    ],
+)
+def test_dirichlet_sampler_makes_numpys_draws(alpha, method):
+    want_rng = np.random.default_rng(2024)
+    got_rng = np.random.default_rng(2024)
+    # The sampler sees only the generator method of the path it should
+    # take, so taking the other path fails.
+    only = SimpleNamespace(**{method: getattr(got_rng, method)})
+    draw = _dirichlet_sampler(only, np.array(alpha))
+    for _ in range(2000):
+        assert draw() == want_rng.dirichlet(np.array(alpha)).tolist()
+    # the generator state advanced by the same draws
+    assert got_rng.random() == want_rng.random()
