@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -31,7 +30,7 @@ from .pipeline import (
     score,
     write_assignment_csv,
 )
-from .txmodel import AnalysisWindow, TxError, ingest_receipts
+from .txmodel import AnalysisWindow, TxError, ValidationError, ingest_receipts
 from .validity import ValidityError, crosstab, purity, select_k
 
 
@@ -61,13 +60,40 @@ def _finite_float(text, minimum=-math.inf):
     return value
 
 
+class _OutOfRange(ValueError):
+    """A config value that converts but lies outside its key's range."""
+
+
+def _positive_float(text):
+    value = _finite_float(text)
+    if not value > 0:
+        raise _OutOfRange(f"must be > 0, got {value!r}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise _OutOfRange(f"must be >= 1, got {value}")
+    return value
+
+
+def _boolean(text):
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
 CONFIG_KEYS = {
-    "tol": _finite_float,
-    "n_init": int,
-    "max_iter": int,
+    "tol": _positive_float,
+    "n_init": _positive_int,
+    "max_iter": _positive_int,
     "dominance_threshold": _finite_float,
     "value_weight": lambda s: _finite_float(s, minimum=0.0),
-    "standardize_rfm": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "standardize_rfm": _boolean,
 }
 
 
@@ -90,6 +116,8 @@ def load_config(path) -> dict:
             raise InputError(f"{path}:{line_no}: unknown key {key!r}")
         try:
             config[key] = CONFIG_KEYS[key](value.strip("\"'"))
+        except _OutOfRange as exc:
+            raise InputError(f"{path}:{line_no}: {key} {exc}") from None
         except ValueError:
             raise InputError(
                 f"{path}:{line_no}: bad value {value!r} for {key}"
@@ -98,6 +126,9 @@ def load_config(path) -> dict:
 
 
 def _sha256(path) -> str:
+    # Imported here: OpenSSL maps a few MB, needed only for the manifest.
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -155,7 +186,13 @@ def _load_dataset(args):
         start=_parse_date(args.window_start, "--window-start"),
         end=_parse_date(args.window_end, "--window-end"),
     )
-    return ingest_receipts(args.receipts, args.categories, window)
+    dataset = ingest_receipts(args.receipts, args.categories, window)
+    if not dataset.n_baskets:
+        raise ValidationError(
+            f"no basket inside the window {window.start}..{window.end} "
+            f"({dataset.dropped_outside_window} dropped outside it)"
+        )
+    return dataset
 
 
 def _fit_kwargs(config):

@@ -21,6 +21,14 @@ The seeding computes every row's distance to every center it picks, so it
 also keeps each row's nearest center, that distance and the runner-up
 distance, and hands Lloyd its first assignment: Lloyd starts without a full
 distance pass of its own.
+
+Restart r of a fit seeded s draws from ``_Pcg64Draws((s, r))``: the exact
+``integers(n)`` and ``random()`` draws of ``np.random.default_rng((s, r))``,
+computed in Python from numpy's published algorithms. Importing
+``numpy.random`` would load ``secrets`` and OpenSSL, a few MB of a run's
+peak memory, for one draw per center; and numpy keeps bit-generator streams
+stable across versions but not the streams of ``Generator`` methods, so
+owning these two draws also pins the seeding against numpy upgrades.
 """
 
 from __future__ import annotations
@@ -39,6 +47,96 @@ MAX_FINAL_REPAIRS = 100
 
 class KMeansError(Exception):
     pass
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Pcg64Draws:
+    """The ``integers(n)`` and ``random()`` draws of
+    ``np.random.default_rng(entropy)`` for a tuple of non-negative ints.
+
+    numpy's ``SeedSequence`` (4-word pool) seeds a ``PCG64``, the 128-bit
+    LCG with XSL-RR output (O'Neill 2014); ``integers`` is numpy's 32-bit
+    Lemire rejection (Lemire, ACM TOMACS 2019) on ``next32``, which hands
+    out the low then the high half of one 64-bit output.
+    """
+
+    def __init__(self, entropy):
+        words = []
+        for value in entropy:
+            words.append(value & _MASK32)
+            while value > _MASK32:
+                value >>= 32
+                words.append(value & _MASK32)
+        h = 0x43B0D7E5
+
+        def hashmix(v):
+            nonlocal h
+            v ^= h
+            h = h * 0x931E8875 & _MASK32
+            v = v * h & _MASK32
+            return v ^ v >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if dst != src:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight words, paired low word first.
+        h, state = 0x8B51F9DD, []
+        for i in range(8):
+            v = pool[i % 4] ^ h
+            h = h * 0x58F38DED & _MASK32
+            v = v * h & _MASK32
+            state.append(v ^ v >> 16)
+        u = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = ((u[2] << 64 | u[3]) << 1 | 1) & _MASK128
+        self._state = (self._inc + (u[0] << 64 | u[1])) & _MASK128
+        self._next64()
+        self._half = None  # the buffered high half for next32
+
+    def _next64(self):
+        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        rot = s >> 122
+        x = (s >> 64 ^ s) & _MASK64
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self):
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def random(self):
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, n):
+        """Uniform on [0, n); ``n == 1`` takes no draw."""
+        if n == 1:
+            return 0
+        if n > 1 << 32:
+            raise KMeansError(f"cannot draw one of {n} rows: at most 2**32")
+        if n == 1 << 32:
+            return self._next32()
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = ((1 << 32) - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
 
 
 @dataclass
@@ -96,10 +194,14 @@ def _squared_distances(X, centers, buf):
     return d2
 
 
-def _plusplus_init(X, k, rng, buf):
+def _plusplus_init(X, k, rng, buf, check_distinct=None):
     """k-means++ seeding; ``buf`` is (n, d) scratch. Returns the centers and
     the first assignment Lloyd starts from, ``(labels, own, lower)`` as
     ``_nearest(X, centers, buf)`` gives it.
+
+    When every row's distance to its nearest center is 0 before the k-th
+    pick, ``check_distinct()`` (if given) runs before the uniform draw: the
+    rows may all coincide with the centers, or their distances underflow.
 
     Each draw searches the cdf of ``own / total`` exactly as
     ``rng.choice(n, p=own / total)`` builds and searches it, on the same
@@ -121,6 +223,8 @@ def _plusplus_init(X, k, rng, buf):
         if j:
             total = own.sum()
             if total <= 0:
+                if check_distinct is not None:
+                    check_distinct()
                 centers[j] = X[rng.integers(n)]
             else:
                 np.divide(own, total, out=cdf)
@@ -298,16 +402,27 @@ def kmeans_fit(
         raise KMeansError(f"n_init must be >= 1, got {n_init}")
     if seed < 0:
         raise KMeansError(f"seed must be >= 0, got {seed}")
-    if k > matrix.n_distinct:
-        raise KMeansError(
-            f"k={k} exceeds number of distinct rows ({matrix.n_distinct})"
-        )
+
+    def check_distinct():
+        if k > matrix.n_distinct:
+            raise KMeansError(
+                f"k={k} exceeds number of distinct rows ({matrix.n_distinct})"
+            )
+
+    # Counting distinct rows sorts the whole matrix, so it waits until it
+    # can matter. Each seeding pick with a nonzero total is a row at a
+    # nonzero distance from every earlier pick, a new distinct row, so k
+    # such picks prove k distinct rows; the seeding checks only when the
+    # total reaches 0 first.
+    if k > len(X):
+        check_distinct()
     # Every squared distance between rows is at most the squared
     # bounding-box diagonal, so the seeding total and the inertia are at most
     # n times it; an overflow there would corrupt the k-means++ draws.
     with np.errstate(over="ignore"):
         diagonal2 = (np.ptp(X, axis=0) ** 2).sum()
     if not np.isfinite(len(X) * diagonal2):
+        check_distinct()
         raise KMeansError(
             "feature values span too wide a range: squared distances "
             "overflow float64"
@@ -317,8 +432,8 @@ def kmeans_fit(
     buf = np.empty(X.shape)
     best = None
     for restart in range(n_init):
-        rng = np.random.default_rng((seed, restart))
-        init, assignment = _plusplus_init(X, k, rng, buf)
+        rng = _Pcg64Draws((seed, restart))
+        init, assignment = _plusplus_init(X, k, rng, buf, check_distinct)
         fit = _lloyd(X, XT, init, assignment, max_iter, tol, buf)
         if best is None or fit[2] < best[2]:
             best = fit

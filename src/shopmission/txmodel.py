@@ -8,7 +8,6 @@ that all downstream feature computations share.
 from __future__ import annotations
 
 import csv
-import hashlib
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -33,6 +32,8 @@ CATEGORY_COLUMNS = ["category_id", "label"]
 # and every float sum of them is exact.
 MAX_CENTS = 2**53
 _CENT = Decimal("0.01")
+# Baskets hashed per sha256 update in ``Dataset.fingerprint``.
+_FINGERPRINT_CHUNK = 4096
 
 
 class TxError(Exception):
@@ -107,24 +108,35 @@ class Dataset:
         return int(self.spend_cents.sum())
 
     def fingerprint(self) -> str:
-        """Stable content hash, independent of ingestion order."""
+        """Stable content hash, independent of ingestion order: the sha256
+        of one ``basket_id,customer_id,timestamp,cents`` line per basket,
+        then one line per category id."""
+        # Imported here: OpenSSL maps a few MB, needed only once the
+        # dataset is hashed.
+        import hashlib
+
         # Ingest parses each distinct timestamp text once, so baskets share
         # timestamp objects; format each object once. Keyed by identity:
         # equal instants with different UTC offsets print differently.
         distinct = {id(ts): ts for ts in self.timestamps}
         iso = {key: ts.isoformat() for key, ts in distinct.items()}
-        text = "".join(
-            f"{bid},{cid},{iso[id(ts)]},{cents}\n"
-            for bid, cid, ts, cents in zip(
-                self.basket_ids,
-                map(
-                    self.customer_ids.__getitem__, self.basket_customer.tolist()
-                ),
-                self.timestamps,
-                self.basket_cents.tolist(),
-            )
-        ) + "".join(f"{cid}\n" for cid in self.category_ids)
-        return hashlib.sha256(text.encode()).hexdigest()
+        customer = self.customer_ids.__getitem__
+        cents = self.basket_cents
+        h = hashlib.sha256()
+        # A few thousand lines at a time, not the whole text at once.
+        for start in range(0, self.n_baskets, _FINGERPRINT_CHUNK):
+            stop = start + _FINGERPRINT_CHUNK
+            h.update("".join(
+                f"{bid},{cid},{iso[id(ts)]},{c}\n"
+                for bid, cid, ts, c in zip(
+                    self.basket_ids[start:stop],
+                    map(customer, self.basket_customer[start:stop].tolist()),
+                    self.timestamps[start:stop],
+                    cents[start:stop].tolist(),
+                )
+            ).encode())
+        h.update("".join(f"{cid}\n" for cid in self.category_ids).encode())
+        return h.hexdigest()
 
 
 def _parse_price(text: str, line_no: int, basket_id: str) -> int:

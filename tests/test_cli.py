@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_lines
@@ -155,18 +155,31 @@ def test_select_k_command(data_dir, tmp_path):
 ])
 def test_sm_and_select_k_leave_numpy_ma_unloaded(data_dir, tmp_path, command):
     # np.quantile and np.unique import numpy.ma; these commands use neither.
+    # The k-means++ draws are computed without numpy.random, which would
+    # load secrets and OpenSSL.
     script = (
         "import sys\n"
         "from shopmission.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
+        "print(code, 'numpy.ma' in sys.modules,\n"
+        "      'numpy.random' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, *command, *dataset_args(data_dir),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=subprocess_env(), check=True,
     )
-    assert result.stdout == "0 False\n"
+    assert result.stdout == "0 False False\n"
+
+
+def test_importing_the_cli_leaves_openssl_unloaded():
+    # hashlib maps OpenSSL; only the fingerprint and the manifest need it.
+    script = "import sys, shopmission.cli\nprint('_hashlib' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=subprocess_env(), check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_outputs_do_not_depend_on_the_locale(data_dir, tmp_path):
@@ -308,6 +321,45 @@ def test_config_rejects_non_finite_floats(tmp_path, key, value):
     cfg.write_text(f"{key} = {value}\n")
     with pytest.raises(InputError, match=f"bad value '{value}' for {key}$"):
         load_config(cfg)
+
+
+def test_config_boolean_words(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for word, value in [("1", True), ("TRUE", True), ("Yes", True),
+                        ("on", True), ("0", False), ("False", False),
+                        ("NO", False), ("Off", False)]:
+        cfg.write_text(f"standardize_rfm = {word}\n")
+        assert load_config(cfg) == {"standardize_rfm": value}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("standardize_rfm = ture\n",
+         "run.cfg:1: bad value 'ture' for standardize_rfm"),
+        ("# tuned\nn_init = 0\ntol = -1\n",
+         "run.cfg:2: n_init must be >= 1, got 0"),
+        ("tol = -1\n", "run.cfg:1: tol must be > 0, got -1.0"),
+        ("tol = 0\n", "run.cfg:1: tol must be > 0, got 0.0"),
+        ("max_iter = -3\n", "run.cfg:1: max_iter must be >= 1, got -3"),
+    ],
+)
+def test_config_values_are_checked_when_read(
+    data_dir, tmp_path, capsys, text, message
+):
+    # Expert RFM runs no k-means fit, so only the config reader can reject
+    # these before they reach manifest.json.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text('{"recency_days": [30]}')
+    code = main([
+        "--config", str(cfg), "rfm", *dataset_args(data_dir),
+        "--mode", "expert", "--bounds-file", str(bounds),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_value_weight_is_non_negative(tmp_path):
@@ -527,13 +579,41 @@ FUZZ_RECEIPTS = [
 FUZZ_CATEGORIES = ["category_id,label", "K00,Fresh", "K01,Dairy", "K02,Bakery"]
 
 
+def csv_bytes(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
 def file_bytes(lines):
-    return st.just(("\n".join(lines) + "\n").encode()) | mutated_lines(lines)
+    return st.just(csv_bytes(lines)) | mutated_lines(lines)
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["pps", "--k", "2"]])
+def test_no_basket_inside_the_window_is_one_line_error(
+    tmp_path, capsys, command
+):
+    (tmp_path / "receipts.csv").write_bytes(
+        csv_bytes([FUZZ_RECEIPTS[0], FUZZ_RECEIPTS[-1]])
+    )
+    (tmp_path / "categories.csv").write_bytes(csv_bytes(FUZZ_CATEGORIES))
+    argv = [command[0], *dataset_args(tmp_path), *command[1:]]
+    if command[0] != "ingest":
+        argv += ["--out", str(tmp_path / "out")]
+    assert_one_error_line(
+        main(argv), capsys,
+        "no basket inside the window 2025-01-01..2025-03-31 "
+        "(1 dropped outside it)",
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(receipts=file_bytes(FUZZ_RECEIPTS), categories=file_bytes(FUZZ_CATEGORIES))
+# The only basket lies outside the window.
+@example(
+    receipts=csv_bytes([FUZZ_RECEIPTS[0], FUZZ_RECEIPTS[-1]]),
+    categories=csv_bytes(FUZZ_CATEGORIES),
+)
 def test_ingest_cli_on_mutated_files_exits_0_or_1(tmp_path, capsys, receipts, categories):
     (tmp_path / "receipts.csv").write_bytes(receipts)
     (tmp_path / "categories.csv").write_bytes(categories)

@@ -165,6 +165,65 @@ def test_k_greater_than_distinct_rows_rejected():
         kmeans_fit(matrix_from(X), k=3, seed=0)
 
 
+def test_distinct_row_error_comes_before_the_overflow_error():
+    # Two distinct rows, so k=3 fails the distinct-row count before the
+    # range check that would also fail.
+    X = [[0.0, 0.0], [0.0, 0.0], [1e200, 1e200]]
+    with pytest.raises(KMeansError, match=r"k=3 exceeds .* \(2\)"):
+        kmeans_fit(matrix_from(X), k=3, seed=0)
+    with pytest.raises(KMeansError, match=r"k=4 exceeds .* \(3\)"):
+        kmeans_fit(matrix_from([[0.0], [1.0], [2.0]]), k=4, seed=0)
+
+
+def test_distinct_rows_are_counted_only_when_the_seeding_needs_them():
+    rng = np.random.default_rng(6)
+    matrix = matrix_from(rng.normal(size=(40, 3)))
+    kmeans_fit(matrix, k=5, seed=1)
+    assert "n_distinct" not in vars(matrix)
+    # 0 and 1e-200 are distinct rows at a squared distance that underflows
+    # to 0, so the seeding total reaches 0 before the third pick. The count
+    # proves three distinct rows and the uniform draw picks the center;
+    # Lloyd cannot split those two rows either. A fourth center exceeds
+    # the count.
+    matrix = matrix_from([[0.0], [1e-200], [5.0], [5.0]])
+    with pytest.raises(KMeansError, match="did not settle"):
+        kmeans_fit(matrix, k=3, seed=0)
+    assert vars(matrix)["n_distinct"] == 3
+    with pytest.raises(KMeansError, match=r"k=4 exceeds .* \(3\)"):
+        kmeans_fit(matrix, k=4, seed=0)
+
+
+ENTROPY_INTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(
+    2**64, 2**130
+) | st.integers(0, 2**40)
+DRAW_BOUNDS = [1, 2, 13, 15997, 2**31 + 11, 2**32]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=ENTROPY_INTS,
+    restart=st.integers(0, 12),
+    draws=st.lists(st.sampled_from(DRAW_BOUNDS) | st.none(), max_size=24),
+)
+def test_seeding_draws_match_numpy_default_rng(seed, restart, draws):
+    # None is a random() draw, an int n an integers(n) draw; runs of
+    # integers calls use the buffered high half of a 64-bit output, and
+    # n = 2**31 + 11 rejects about half its draws.
+    want = np.random.default_rng((seed, restart))
+    got = kmeans._Pcg64Draws((seed, restart))
+    for n in draws:
+        if n is None:
+            assert got.random() == want.random()
+        else:
+            assert got.integers(n) == want.integers(n)
+    assert got.random() == want.random()
+
+
+def test_seeding_draws_reject_more_than_2_to_the_32_rows():
+    with pytest.raises(KMeansError, match="at most 2\\*\\*32"):
+        kmeans._Pcg64Draws((0, 0)).integers(2**32 + 1)
+
+
 def test_non_finite_rejected():
     X = np.array([[1.0], [np.nan]])
     with pytest.raises(KMeansError, match="non-finite"):
