@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -24,13 +25,17 @@ from .pipeline import (
     PipelineError,
     SmPipelineModel,
     load_expert_bounds,
+    rfm_matrix,
     run_pps,
     run_rfm,
     run_sm,
     score,
+    stage1_matrix,
     write_assignment_csv,
 )
-from .txmodel import AnalysisWindow, TxError, ValidationError, ingest_receipts
+from .txmodel import (
+    AnalysisWindow, TxError, ValidationError, ingest_receipts, write_csv,
+)
 from .validity import ValidityError, crosstab, purity, select_k
 
 
@@ -205,10 +210,8 @@ def _fit_kwargs(config):
 
 def _warn_unconverged(fit, converged):
     if not converged:
-        print(
-            f"warning: {fit} k-means fit stopped at max_iter before "
-            "converging",
-            file=sys.stderr,
+        warnings.warn(
+            f"{fit} k-means fit stopped at max_iter before converging"
         )
 
 
@@ -354,18 +357,13 @@ def cmd_sm(args, config, dataset):
 
 
 def cmd_select_k(args, config, dataset):
+    # Each target sweeps the matrix that the command it advises fits.
     if args.target == "pps":
         matrix = feat.pps_features(dataset)
     elif args.target == "basket":
-        q = feat.compute_q95(dataset)
-        matrix = feat.basket_sm_features(
-            dataset,
-            dataset.category_ids,
-            q,
-            config.get("value_weight", 1.0),
-        )
+        matrix = stage1_matrix(dataset, config.get("value_weight", 1.0))[1]
     else:  # rfm
-        matrix = feat.rfm_features(dataset)
+        matrix = rfm_matrix(dataset, config.get("standardize_rfm", True))[1]
     sweep = select_k(
         matrix,
         (args.k_min, args.k_max),
@@ -374,7 +372,7 @@ def cmd_select_k(args, config, dataset):
         **_fit_kwargs(config),
     )
     for row in sweep.rows:
-        _warn_unconverged(f"k={row.k}", row.converged)
+        _warn_unconverged(f"k={row['k']}", row["converged"])
 
     def write(out):
         sweep.to_csv(out / "k_sweep.csv")
@@ -399,13 +397,8 @@ def cmd_compare(args, config, dataset):
     ]
 
     def write(out):
-        with open(
-            out / "purity_matrix.csv", "w", newline="", encoding="utf-8"
-        ) as f:
-            writer = csv.writer(f)
-            writer.writerow([""] + names)
-            for name, row in zip(names, matrix):
-                writer.writerow([name] + [repr(v) for v in row])
+        rows = ([name] + row for name, row in zip(names, matrix))
+        write_csv(out / "purity_matrix.csv", [""] + names, rows)
         for name, row in zip(names, matrix):
             print(name, " ".join(f"{v:.4f}" for v in row))
 
@@ -436,13 +429,21 @@ def cmd_report(args, config, dataset):
     return write
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(args, config) -> int:
     """Run the parsed subcommand: read what its ``read`` hook reads, load the
     dataset, run its step, and only after the step has succeeded make the
-    --out directory, write the step's files and the manifest into it."""
+    --out directory, write the step's files and the manifest into it. Each
+    ``warnings.warn`` of the step prints as one ``warning:`` line."""
     side_inputs = args.read(args) if args.read else {}
     dataset = _load_dataset(args) if "receipts" in args else None
-    write = args.step(args, config, dataset, **side_inputs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        write = args.step(args, config, dataset, **side_inputs)
     if "out" in args:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

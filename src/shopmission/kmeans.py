@@ -200,8 +200,11 @@ def _plusplus_init(X, k, rng, buf, check_distinct=None):
     ``_nearest(X, centers, buf)`` gives it.
 
     When every row's distance to its nearest center is 0 before the k-th
-    pick, ``check_distinct()`` (if given) runs before the uniform draw: the
-    rows may all coincide with the centers, or their distances underflow.
+    pick, the rows may all coincide with the centers, or their distances
+    underflow. If given, ``check_distinct()`` raises in the first case
+    (fewer distinct rows than k); when it passes, the distances underflow,
+    no center can separate those rows and the seeding raises. Without it
+    the pick is a uniform draw.
 
     Each draw searches the cdf of ``own / total`` exactly as
     ``rng.choice(n, p=own / total)`` builds and searches it, on the same
@@ -225,6 +228,11 @@ def _plusplus_init(X, k, rng, buf, check_distinct=None):
             if total <= 0:
                 if check_distinct is not None:
                     check_distinct()
+                    raise KMeansError(
+                        f"cannot seed k={k} centers: some distinct rows are "
+                        "at squared distances that underflow to 0, so no "
+                        "squared distance separates them"
+                    )
                 centers[j] = X[rng.integers(n)]
             else:
                 np.divide(own, total, out=cdf)

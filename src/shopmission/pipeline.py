@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -13,8 +12,8 @@ import numpy as np
 from . import features as feat
 from .features import FeatureMatrix, QuantileSpec
 from .kmeans import ClusterModel, assign, kmeans_fit
-from .txmodel import Dataset, ValidationError
-from .validity import between_variance_ratio, davies_bouldin
+from .txmodel import Dataset, ValidationError, write_csv
+from .validity import fit_summary
 
 STAGE2_SEED_OFFSET = 7919
 DEFAULT_DOMINANCE_THRESHOLD = 0.30
@@ -26,10 +25,9 @@ class PipelineError(Exception):
 
 def write_assignment_csv(path, ids, labels):
     """``entity_id,cluster`` rows in ``ids`` order (sorted by id)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["entity_id", "cluster"])
-        writer.writerows(zip(ids, np.asarray(labels).tolist()))
+    write_csv(
+        path, ["entity_id", "cluster"], zip(ids, np.asarray(labels).tolist())
+    )
 
 
 @dataclass
@@ -51,22 +49,17 @@ class SegmentationReport:
         write_assignment_csv(
             out_dir / f"{prefix}_assignments.csv", self.ids, self.labels
         )
-        with open(
-            out_dir / f"{prefix}_shares.csv", "w", newline="", encoding="utf-8"
-        ) as f:
-            writer = csv.writer(f)
-            writer.writerow(["cluster", "label", "share"])
-            for c, share in enumerate(self.shares.tolist()):
-                writer.writerow([c, self.cluster_labels[c], repr(share)])
-        with open(
-            out_dir / f"{prefix}_centers.csv", "w", newline="", encoding="utf-8"
-        ) as f:
-            writer = csv.writer(f)
-            writer.writerow(["cluster", "label"] + list(self.feature_schema))
-            for c, row in enumerate(self.centers.tolist()):
-                writer.writerow(
-                    [c, self.cluster_labels[c]] + [repr(v) for v in row]
-                )
+        names = self.cluster_labels
+        centers = self.centers.tolist()
+        write_csv(
+            out_dir / f"{prefix}_shares.csv", ["cluster", "label", "share"],
+            zip(range(len(names)), names, self.shares.tolist()),
+        )
+        write_csv(
+            out_dir / f"{prefix}_centers.csv",
+            ["cluster", "label"] + list(self.feature_schema),
+            ([c, names[c]] + row for c, row in enumerate(centers)),
+        )
         with open(
             out_dir / f"{prefix}_metrics.json", "w", encoding="utf-8"
         ) as f:
@@ -91,17 +84,6 @@ def label_clusters(
 def _report_from_fit(
     matrix, model, labels, ratio_features: bool, dominance_threshold
 ) -> SegmentationReport:
-    metrics = {
-        "k": model.k,
-        "inertia": model.inertia,
-        "seed": model.seed,
-        "converged": model.converged,
-    }
-    if model.k >= 2:
-        metrics["between_variance_ratio"] = between_variance_ratio(
-            matrix, labels
-        )
-        metrics["davies_bouldin"] = davies_bouldin(matrix, labels)
     if ratio_features:
         names = label_clusters(
             model.centers, matrix.schema, dominance_threshold
@@ -114,7 +96,7 @@ def _report_from_fit(
         centers=model.centers,
         feature_schema=list(matrix.schema),
         cluster_labels=names,
-        metrics=metrics,
+        metrics=fit_summary(matrix, model, labels),
     )
 
 
@@ -125,6 +107,22 @@ def _zscore(matrix: FeatureMatrix) -> FeatureMatrix:
         ids=matrix.ids,
         X=(matrix.X - matrix.X.mean(axis=0)) / std,
         schema=matrix.schema,
+    )
+
+
+def rfm_matrix(dataset: Dataset, standardize: bool = True):
+    """(raw RFM vectors, the matrix that RFM k-means fits): the fitted one is
+    z-scored per column unless ``standardize`` is false."""
+    matrix = feat.rfm_features(dataset)
+    return matrix, _zscore(matrix) if standardize else matrix
+
+
+def stage1_matrix(dataset: Dataset, value_weight: float = 1.0):
+    """(q95 spec, basket matrix) of the SM stage 1: category ratios plus the
+    q95-clipped value coordinate."""
+    q = feat.compute_q95(dataset)
+    return q, feat.basket_sm_features(
+        dataset, dataset.category_ids, q, value_weight
     )
 
 
@@ -169,11 +167,10 @@ def run_rfm(
 ) -> SegmentationReport:
     """RFM segmentation: k-means on (recency, frequency, monetary) vectors,
     or expert threshold binning."""
-    matrix = feat.rfm_features(dataset)
     if mode == "kmeans":
         if k is None:
             raise PipelineError("kmeans mode requires k")
-        fit_matrix = _zscore(matrix) if standardize else matrix
+        matrix, fit_matrix = rfm_matrix(dataset, standardize)
         model, labels = kmeans_fit(fit_matrix, k, seed=seed, **fit_kwargs)
         report = _report_from_fit(
             fit_matrix, model, labels, False, DEFAULT_DOMINANCE_THRESHOLD
@@ -186,7 +183,7 @@ def run_rfm(
     if mode == "expert":
         if bounds is None:
             raise PipelineError("expert mode requires a bounds file")
-        return _run_rfm_expert(matrix, bounds)
+        return _run_rfm_expert(feat.rfm_features(dataset), bounds)
     raise PipelineError(f"unknown RFM mode {mode!r}")
 
 
@@ -287,10 +284,7 @@ def run_sm(
     basket archetypes. Returns (SmPipelineModel, basket report, customer
     report).
     """
-    q = feat.compute_q95(dataset)
-    basket_matrix = feat.basket_sm_features(
-        dataset, dataset.category_ids, q, value_weight
-    )
+    q, basket_matrix = stage1_matrix(dataset, value_weight)
     basket_model, basket_labels = kmeans_fit(
         basket_matrix, k_b, seed=seed, **fit_kwargs
     )

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .txmodel import write_csv
+
 
 class SyngenError(Exception):
     pass
@@ -361,27 +363,14 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     with open(out_dir / "receipts.csv", "w", newline="", encoding="utf-8") as f:
         f.write("".join(lines))
 
-    with open(out_dir / "categories.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["category_id", "label"])
-        writer.writerows([cid, f"Category {cid}"] for cid in category_ids)
-
-    with open(
-        out_dir / "ground_truth_baskets.csv", "w", newline="", encoding="utf-8"
-    ) as f:
-        writer = csv.writer(f)
-        writer.writerow(["basket_id", "archetype"])
-        writer.writerows(sorted(basket_archetype.items()))
-
-    with open(
-        out_dir / "ground_truth_customers.csv", "w", newline="", encoding="utf-8"
-    ) as f:
-        writer = csv.writer(f)
-        writer.writerow(["customer_id", "mission", "persona"])
-        writer.writerows(
-            (cid, mission, truth.customer_persona[cid])
-            for cid, mission in sorted(truth.customer_mission.items())
-        )
+    write_csv(out_dir / "categories.csv", ["category_id", "label"],
+              ([cid, f"Category {cid}"] for cid in category_ids))
+    write_csv(out_dir / "ground_truth_baskets.csv", ["basket_id", "archetype"],
+              sorted(basket_archetype.items()))
+    write_csv(out_dir / "ground_truth_customers.csv",
+              ["customer_id", "mission", "persona"],
+              ((cid, mission, truth.customer_persona[cid])
+               for cid, mission in sorted(truth.customer_mission.items())))
 
     return truth
 

@@ -189,6 +189,16 @@ def _parse_timestamp(text: str, line_no: int, seen: dict) -> datetime:
     return ts
 
 
+def write_csv(path, header, rows):
+    """Write a UTF-8 CSV file: ``header``, then ``rows``, each line ending in
+    "\\r\\n". A float cell, numpy's included, prints as the shortest decimal
+    that reads back as the same double."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_categories(path) -> dict:
     """Read the category table: a ``category_id,label`` header, then one
     row of two non-empty fields per category. Line numbers in messages are

@@ -6,15 +6,16 @@ and crosstab take entity id -> label mappings, as read from files.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .features import FeatureMatrix
 from .kmeans import kmeans_fit
+from .txmodel import write_csv
 
 
 class ValidityError(Exception):
@@ -80,46 +81,46 @@ def davies_bouldin(matrix: FeatureMatrix, labels) -> float:
     return float(db / k)
 
 
-@dataclass
-class KSweepRow:
-    k: int
-    inertia: float
-    between_variance_ratio: float
-    davies_bouldin: float
-    converged: bool
+def fit_summary(matrix: FeatureMatrix, model, labels) -> dict:
+    """What a segmentation's ``*_metrics.json`` and a ``select_k`` sweep row
+    hold of one fit: k, inertia, seed, whether it converged and, for
+    k >= 2, the between-variance ratio and Davies-Bouldin index."""
+    summary = {
+        "k": model.k,
+        "inertia": model.inertia,
+        "seed": model.seed,
+        "converged": model.converged,
+    }
+    if model.k >= 2:
+        summary["between_variance_ratio"] = between_variance_ratio(
+            matrix, labels
+        )
+        summary["davies_bouldin"] = davies_bouldin(matrix, labels)
+    return summary
+
+
+SWEEP_COLUMNS = ["k", "inertia", "between_variance_ratio", "davies_bouldin"]
 
 
 @dataclass
 class KSweepResult:
-    rows: list  # list of KSweepRow, ascending k
+    rows: list  # fit_summary of each fit, ascending k
     recommended_k: int | None
     policy: str
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["k", "inertia", "between_variance_ratio", "davies_bouldin"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.k,
-                        repr(row.inertia),
-                        repr(row.between_variance_ratio),
-                        repr(row.davies_bouldin),
-                    ]
-                )
+        rows = ([row[c] for c in SWEEP_COLUMNS] for row in self.rows)
+        write_csv(path, SWEEP_COLUMNS, rows)
 
 
 def _elbow_k(rows) -> int:
     """k whose variance-ratio point is farthest below the chord of the curve."""
     if len(rows) == 1:
-        return rows[0].k
-    ks = np.array([r.k for r in rows], dtype=float)
-    vs = np.array([r.between_variance_ratio for r in rows])
+        return rows[0]["k"]
+    ks = np.array([r["k"] for r in rows], dtype=float)
+    vs = np.array([r["between_variance_ratio"] for r in rows])
     chord = vs[0] + (vs[-1] - vs[0]) * (ks - ks[0]) / (ks[-1] - ks[0])
-    return rows[int(np.argmax(vs - chord))].k
+    return rows[int(np.argmax(vs - chord))]["k"]
 
 
 def select_k(
@@ -129,7 +130,7 @@ def select_k(
     policy: str = "db_min",
     **fit_kwargs,
 ) -> KSweepResult:
-    """Sweep k over a range, computing the selection metrics per fit.
+    """Sweep k over a range, summarizing each fit with ``fit_summary``.
 
     The recommendation is advisory (the sweep table is always emitted so a
     human can overrule it); ``policy`` is one of db_min, variance_elbow,
@@ -144,17 +145,9 @@ def select_k(
     rows = []
     for k in range(k_min, k_max + 1):
         model, labels = kmeans_fit(matrix, k, seed=seed + k, **fit_kwargs)
-        rows.append(
-            KSweepRow(
-                k=k,
-                inertia=model.inertia,
-                between_variance_ratio=between_variance_ratio(matrix, labels),
-                davies_bouldin=davies_bouldin(matrix, labels),
-                converged=model.converged,
-            )
-        )
+        rows.append(fit_summary(matrix, model, labels))
     if policy == "db_min":
-        recommended = min(rows, key=lambda r: (r.davies_bouldin, r.k)).k
+        recommended = min(rows, key=itemgetter("davies_bouldin", "k"))["k"]
     elif policy == "variance_elbow":
         recommended = _elbow_k(rows)
     elif policy == "report_only":
@@ -205,11 +198,9 @@ class CrosstabMatrix:
     values: np.ndarray  # row-normalized shares
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow([""] + [str(c) for c in self.col_labels])
-            for label, row in zip(self.row_labels, self.values.tolist()):
-                writer.writerow([str(label)] + [repr(v) for v in row])
+        rows = zip(self.row_labels, self.values.tolist())
+        header = [""] + [str(c) for c in self.col_labels]
+        write_csv(path, header, ([str(label)] + row for label, row in rows))
 
     def to_json_payload(self) -> str:
         return json.dumps(

@@ -5,14 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_lines
+from conftest import WINDOW, mutated_lines
 import shopmission
 from shopmission import cli
 from shopmission.cli import InputError, load_config, main
+from shopmission.features import FeatureMatrix, rfm_features
+from shopmission.pipeline import _zscore, run_pps
+from shopmission.txmodel import ingest_receipts
+from shopmission.validity import between_variance_ratio, select_k
 
 WINDOW_ARGS = [
     "--window-start", "2025-01-01",
@@ -149,6 +154,50 @@ def test_select_k_command(data_dir, tmp_path):
             float(cell)
 
 
+@pytest.mark.parametrize("standardize", ["on", "off"])
+def test_rfm_sweep_uses_the_rfm_feature_space(data_dir, tmp_path, standardize):
+    # select-k --target rfm sweeps the matrix rfm fits: z-scored RFM
+    # features unless standardize_rfm is off.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"standardize_rfm = {standardize}\n")
+    out = tmp_path / "sweep"
+    assert main([
+        "--config", str(cfg), "select-k", *dataset_args(data_dir),
+        "--target", "rfm", "--k-min", "2", "--k-max", "6", "--seed", "3",
+        "--out", str(out),
+    ]) == 0
+    matrix = rfm_features(ingest_receipts(
+        data_dir / "receipts.csv", data_dir / "categories.csv", WINDOW
+    ))
+    if standardize == "on":
+        matrix = _zscore(matrix)
+    sweep = select_k(matrix, (2, 6), seed=3)
+    sweep.to_csv(tmp_path / "want.csv")
+    assert (out / "k_sweep.csv").read_bytes() == (
+        tmp_path / "want.csv"
+    ).read_bytes()
+    rec = json.loads((out / "k_recommendation.json").read_text())
+    assert rec["recommended_k"] == sweep.recommended_k
+
+
+def test_sweep_rows_are_the_metrics_of_the_same_fit(data_dir, tmp_path):
+    # A sweep fits k at seed + k; pps --k 4 --seed 9 makes the same fit as
+    # the k=4 row of a sweep at seed 5.
+    sweep, pps = tmp_path / "sweep", tmp_path / "pps"
+    assert main([
+        "select-k", *dataset_args(data_dir), "--target", "pps",
+        "--k-min", "3", "--k-max", "5", "--seed", "5", "--out", str(sweep),
+    ]) == 0
+    assert main([
+        "pps", *dataset_args(data_dir), "--k", "4", "--seed", "9",
+        "--out", str(pps),
+    ]) == 0
+    metrics = json.loads((pps / "pps_metrics.json").read_text())
+    with open(sweep / "k_sweep.csv", newline="") as f:
+        row = [r for r in csv.DictReader(f) if r["k"] == "4"][0]
+    assert {key: str(metrics[key]) for key in row} == row
+
+
 @pytest.mark.parametrize("command", [
     ["sm", "--k-b", "6", "--k-sm", "9"],
     ["select-k", "--target", "basket", "--k-max", "4"],
@@ -235,6 +284,48 @@ def test_unconverged_fits_warn_on_stderr(data_dir, tmp_path, capsys):
     assert model["customer_model"]["converged"] is False
     metrics = json.loads((out / "sm_baskets_metrics.json").read_text())
     assert metrics["converged"] is False
+
+
+def test_program_warnings_are_one_line_each(data_dir, tmp_path):
+    # One basket archetype leaves every customer on the same vector, so
+    # run_sm warns that it reduces k_sm. The runner prints that as one
+    # ``warning:`` line, without Python's file:line prefix, category and
+    # source line, whatever -W asks.
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shopmission.cli", "sm",
+         *dataset_args(data_dir), "--k-b", "1", "--k-sm", "3",
+         "--out", str(tmp_path / "sm")],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        "warning: stage 2 has only 1 distinct customer vectors; "
+        "reducing k_sm from 3 to 1"
+    ]
+    assert "UserWarning" not in result.stderr
+    assert "warnings.warn" not in result.stderr
+
+
+def test_validity_warning_goes_through_the_runner(
+    data_dir, tmp_path, capsys, monkeypatch
+):
+    # between_variance_ratio warns when the total sum of squares is zero;
+    # a step that meets it prints one ``warning:`` line like any other.
+    flat = FeatureMatrix(ids=["a", "b"], X=np.zeros((2, 1)), schema=["x"])
+
+    def flat_pps(*args, **kwargs):
+        assert between_variance_ratio(flat, [0, 1]) == 0.0
+        return run_pps(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pps", flat_pps)
+    assert main([
+        "pps", *dataset_args(data_dir), "--k", "3",
+        "--out", str(tmp_path / "pps"),
+    ]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: total sum of squares is zero; between-variance ratio "
+        "undefined, returning 0.0"
+    ]
 
 
 def test_rfm_expert_mode_via_cli(data_dir, tmp_path):

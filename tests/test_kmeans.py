@@ -182,15 +182,29 @@ def test_distinct_rows_are_counted_only_when_the_seeding_needs_them():
     assert "n_distinct" not in vars(matrix)
     # 0 and 1e-200 are distinct rows at a squared distance that underflows
     # to 0, so the seeding total reaches 0 before the third pick. The count
-    # proves three distinct rows and the uniform draw picks the center;
-    # Lloyd cannot split those two rows either. A fourth center exceeds
-    # the count.
+    # proves three distinct rows, so the fit stops there: no squared
+    # distance separates those two rows. A fourth center exceeds the count.
     matrix = matrix_from([[0.0], [1e-200], [5.0], [5.0]])
-    with pytest.raises(KMeansError, match="did not settle"):
+    with pytest.raises(KMeansError, match="underflow"):
         kmeans_fit(matrix, k=3, seed=0)
     assert vars(matrix)["n_distinct"] == 3
     with pytest.raises(KMeansError, match=r"k=4 exceeds .* \(3\)"):
         kmeans_fit(matrix, k=4, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_no_squared_distance_separates_are_named(seed):
+    # Seeding and Lloyd both see 0 and 1e-200 as one point, so a third
+    # center would stay empty whatever the seed; the error names that
+    # cause. Two centers separate the rows that a distance can.
+    matrix = matrix_from([[0.0], [1e-200], [5.0], [5.0]])
+    with pytest.raises(
+        KMeansError, match="distinct rows are at squared distances that "
+        "underflow to 0, so no squared distance separates them",
+    ):
+        kmeans_fit(matrix, k=3, seed=seed)
+    model, labels = kmeans_fit(matrix, k=2, seed=seed)
+    assert sorted(labels.tolist()) == [0, 0, 1, 1]
 
 
 ENTROPY_INTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(
@@ -778,6 +792,6 @@ def test_select_k_sweep_pinned_on_syngen_baskets(tmp_path, monkeypatch):
     sweep = validity.select_k(matrix, (2, 12), seed=42)
     assert matrix.X.shape == (1153, 9)
     assert fits == PINNED_SWEEP
-    assert [row.inertia for row in sweep.rows] == [
+    assert [row["inertia"] for row in sweep.rows] == [
         float.fromhex(PINNED_SWEEP[k][0]) for k in range(2, 13)
     ]
