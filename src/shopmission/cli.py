@@ -8,7 +8,6 @@ run manifest recording inputs, config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -21,6 +20,7 @@ from .features import FeatureError
 from .kmeans import KMeansError
 from . import features as feat
 from .pipeline import (
+    ASSIGNMENT_COLUMNS,
     DEFAULT_DOMINANCE_THRESHOLD,
     PipelineError,
     SmPipelineModel,
@@ -34,14 +34,14 @@ from .pipeline import (
     write_assignment_csv,
 )
 from .txmodel import (
-    AnalysisWindow, TxError, ValidationError, ingest_receipts, write_csv,
+    AnalysisWindow, TxError, ValidationError, ingest_receipts, read_pairs,
+    write_csv, write_text,
 )
 from .validity import ValidityError, crosstab, purity, select_k
 
 
 class InputError(Exception):
-    """A malformed config file, assignment file, window date or syngen
-    option."""
+    """A malformed config file, window date or syngen option."""
 
 
 # Missing or unreadable files fail with OSError; every other data error is
@@ -175,8 +175,8 @@ def write_manifest(out_dir, args, config):
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    write_text(out_dir / "manifest.json", text)
 
 
 def _parse_date(text, flag) -> date:
@@ -213,45 +213,6 @@ def _warn_unconverged(fit, converged):
         warnings.warn(
             f"{fit} k-means fit stopped at max_iter before converging"
         )
-
-
-def _read_assignment_csv(path) -> dict:
-    """entity_id -> cluster label (a string) from an assignment file: an
-    ``entity_id,cluster`` header, then one row of two non-empty fields per
-    entity. Line numbers in messages are physical lines of the file."""
-    assignment = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, strict=True)
-        try:
-            header = next(reader, None)
-            if header != ["entity_id", "cluster"]:
-                raise InputError(
-                    f"{path}: expected header entity_id,cluster, got {header}"
-                )
-            for row in reader:
-                if not row:
-                    continue  # blank line
-                where = f"{path}: line {reader.line_num}"
-                if len(row) != 2:
-                    raise InputError(f"{where}: need 2 fields, got {len(row)}")
-                eid, cluster = row
-                if not eid or not cluster:
-                    raise InputError(f"{where}: empty entity id or cluster")
-                if eid in assignment:
-                    raise InputError(f"{where}: duplicate entity id {eid!r}")
-                assignment[eid] = cluster
-        except csv.Error as exc:
-            raise InputError(
-                f"{path}: line {reader.line_num}: malformed CSV: {exc}"
-            ) from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
-    return assignment
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
 
 
 # Each command's step gets the parsed args, the config and the dataset (None
@@ -351,7 +312,7 @@ def cmd_sm(args, config, dataset):
     def write(out):
         basket_report.write(out, "sm_baskets")
         customer_report.write(out, "sm_customers")
-        _write_text(out / "sm_model.json", model.to_json())
+        write_text(out / "sm_model.json", model.to_json())
 
     return write
 
@@ -376,7 +337,7 @@ def cmd_select_k(args, config, dataset):
 
     def write(out):
         sweep.to_csv(out / "k_sweep.csv")
-        _write_text(
+        write_text(
             out / "k_recommendation.json",
             json.dumps(
                 {"recommended_k": sweep.recommended_k, "policy": sweep.policy}
@@ -388,7 +349,7 @@ def cmd_select_k(args, config, dataset):
 
 
 def cmd_compare(args, config, dataset):
-    assignments = [_read_assignment_csv(p) for p in args.assignments]
+    assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments]
     names = [Path(p).stem for p in args.assignments]
     n = len(assignments)
     matrix = [
@@ -418,13 +379,13 @@ def cmd_score(args, config, dataset, model):
 
 
 def cmd_report(args, config, dataset):
-    assignment_i = _read_assignment_csv(args.assignments[0])
-    assignment_ii = _read_assignment_csv(args.assignments[1])
-    table = crosstab(assignment_i, assignment_ii)
+    table = crosstab(
+        *(read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments)
+    )
 
     def write(out):
         table.to_csv(out / "crosstab.csv")
-        _write_text(out / "crosstab.json", table.to_json_payload())
+        write_text(out / "crosstab.json", table.to_json_payload())
 
     return write
 

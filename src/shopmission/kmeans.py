@@ -166,11 +166,14 @@ class ClusterModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
         centers = np.array(doc["centers"], dtype=float)
-        if centers.shape != (doc["k"], len(doc["feature_schema"])):
+        k, n_features = doc["k"], len(doc["feature_schema"])
+        if type(k) is not int or centers.shape != (k, n_features):
             raise KMeansError(
-                f"centers of shape {centers.shape} do not match k={doc['k']} "
-                f"and {len(doc['feature_schema'])} features"
+                f"centers of shape {centers.shape} do not match k={k!r} "
+                f"and {n_features} features"
             )
+        if not np.all(np.isfinite(centers)):
+            raise KMeansError("model centers contain non-finite values")
         return cls(
             k=doc["k"],
             centers=centers,
@@ -194,17 +197,16 @@ def _squared_distances(X, centers, buf):
     return d2
 
 
-def _plusplus_init(X, k, rng, buf, check_distinct=None):
+def _plusplus_init(X, k, rng, buf, check_distinct):
     """k-means++ seeding; ``buf`` is (n, d) scratch. Returns the centers and
     the first assignment Lloyd starts from, ``(labels, own, lower)`` as
     ``_nearest(X, centers, buf)`` gives it.
 
     When every row's distance to its nearest center is 0 before the k-th
     pick, the rows may all coincide with the centers, or their distances
-    underflow. If given, ``check_distinct()`` raises in the first case
-    (fewer distinct rows than k); when it passes, the distances underflow,
-    no center can separate those rows and the seeding raises. Without it
-    the pick is a uniform draw.
+    underflow. ``check_distinct()`` raises in the first case (fewer
+    distinct rows than k); when it passes, the distances underflow, no
+    center can separate those rows and the seeding raises.
 
     Each draw searches the cdf of ``own / total`` exactly as
     ``rng.choice(n, p=own / total)`` builds and searches it, on the same
@@ -226,19 +228,16 @@ def _plusplus_init(X, k, rng, buf, check_distinct=None):
         if j:
             total = own.sum()
             if total <= 0:
-                if check_distinct is not None:
-                    check_distinct()
-                    raise KMeansError(
-                        f"cannot seed k={k} centers: some distinct rows are "
-                        "at squared distances that underflow to 0, so no "
-                        "squared distance separates them"
-                    )
-                centers[j] = X[rng.integers(n)]
-            else:
-                np.divide(own, total, out=cdf)
-                np.cumsum(cdf, out=cdf)
-                cdf /= cdf[-1]
-                centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
+                check_distinct()
+                raise KMeansError(
+                    f"cannot seed k={k} centers: some distinct rows are at "
+                    "squared distances that underflow to 0, so no squared "
+                    "distance separates them"
+                )
+            np.divide(own, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
         np.subtract(X, centers[j], out=buf)
         np.einsum("nd,nd->n", buf, buf, out=d2)
         np.less(d2, own, out=closer)

@@ -12,9 +12,10 @@ import numpy as np
 from . import features as feat
 from .features import FeatureMatrix, QuantileSpec
 from .kmeans import ClusterModel, assign, kmeans_fit
-from .txmodel import Dataset, ValidationError, write_csv
+from .txmodel import Dataset, ValidationError, write_csv, write_text
 from .validity import fit_summary
 
+ASSIGNMENT_COLUMNS = ["entity_id", "cluster"]
 STAGE2_SEED_OFFSET = 7919
 DEFAULT_DOMINANCE_THRESHOLD = 0.30
 
@@ -25,9 +26,7 @@ class PipelineError(Exception):
 
 def write_assignment_csv(path, ids, labels):
     """``entity_id,cluster`` rows in ``ids`` order (sorted by id)."""
-    write_csv(
-        path, ["entity_id", "cluster"], zip(ids, np.asarray(labels).tolist())
-    )
+    write_csv(path, ASSIGNMENT_COLUMNS, zip(ids, np.asarray(labels).tolist()))
 
 
 @dataclass
@@ -60,10 +59,8 @@ class SegmentationReport:
             ["cluster", "label"] + list(self.feature_schema),
             ([c, names[c]] + row for c, row in enumerate(centers)),
         )
-        with open(
-            out_dir / f"{prefix}_metrics.json", "w", encoding="utf-8"
-        ) as f:
-            json.dump(self.metrics, f, indent=2)
+        text = json.dumps(self.metrics, indent=2)
+        write_text(out_dir / f"{prefix}_metrics.json", text)
 
 
 def label_clusters(
@@ -254,18 +251,36 @@ class SmPipelineModel:
         """Parse a model file's text (str, or bytes in UTF-8)."""
         try:
             doc = json.loads(text)
+            category_ids = doc["category_ids"]
+            if not (
+                isinstance(category_ids, list)
+                and all(isinstance(c, str) for c in category_ids)
+                and len(set(category_ids)) == len(category_ids)
+            ):
+                raise ValueError(
+                    "category_ids must be a list of distinct strings"
+                )
             return cls(
-                q95=QuantileSpec(q95=doc["q95"]),
+                q95=QuantileSpec(q95=_finite_number(doc, "q95")),
                 basket_model=ClusterModel.from_dict(doc["basket_model"]),
                 customer_model=ClusterModel.from_dict(doc["customer_model"]),
-                category_ids=doc["category_ids"],
-                value_weight=doc["value_weight"],
+                category_ids=category_ids,
+                value_weight=_finite_number(doc, "value_weight"),
                 dataset_fingerprint=doc["dataset_fingerprint"],
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise PipelineError(
                 f"not a valid SM model: {type(exc).__name__}: {exc}"
             ) from None
+
+
+def _finite_number(doc, key) -> float:
+    """``doc[key]``, a JSON number (not a boolean) from 0 up, as a finite
+    float; ``float`` raises OverflowError on an int beyond its range."""
+    value = doc[key]
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def run_sm(

@@ -9,7 +9,6 @@ distribution. Deterministic given the seed.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -18,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .txmodel import write_csv
+from .txmodel import (
+    CATEGORY_COLUMNS, RECEIPT_COLUMNS, ParseError, open_csv, read_pairs,
+    write_csv, write_text,
+)
+
+TRUTH_BASKET_COLUMNS = ["basket_id", "archetype"]
+TRUTH_CUSTOMER_COLUMNS = ["customer_id", "mission", "persona"]
 
 
 class SyngenError(Exception):
@@ -313,8 +318,7 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     basket_archetype = truth.basket_archetype
     # No field of a generated row needs CSV quoting; rows end in "\r\n" as
     # csv.writer's do. Quantity is always 1, promo flag is 1 in 10 lines.
-    lines = ["basket_id,customer_id,timestamp,product_id,category_id,"
-             "unit_price,quantity,promo_flag\r\n"]
+    lines = [",".join(RECEIPT_COLUMNS) + "\r\n"]
     append = lines.append
     line_ends = (",1,0\r\n", ",1,1\r\n")
 
@@ -360,15 +364,12 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
                     f"{line_ends[u < 0.1]}"
                 )
 
-    with open(out_dir / "receipts.csv", "w", newline="", encoding="utf-8") as f:
-        f.write("".join(lines))
-
-    write_csv(out_dir / "categories.csv", ["category_id", "label"],
+    write_text(out_dir / "receipts.csv", "".join(lines))
+    write_csv(out_dir / "categories.csv", CATEGORY_COLUMNS,
               ([cid, f"Category {cid}"] for cid in category_ids))
-    write_csv(out_dir / "ground_truth_baskets.csv", ["basket_id", "archetype"],
+    write_csv(out_dir / "ground_truth_baskets.csv", TRUTH_BASKET_COLUMNS,
               sorted(basket_archetype.items()))
-    write_csv(out_dir / "ground_truth_customers.csv",
-              ["customer_id", "mission", "persona"],
+    write_csv(out_dir / "ground_truth_customers.csv", TRUTH_CUSTOMER_COLUMNS,
               ((cid, mission, truth.customer_persona[cid])
                for cid, mission in sorted(truth.customer_mission.items())))
 
@@ -376,17 +377,21 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
 
 
 def load_truth(out_dir) -> GroundTruth:
+    """The ground truth that ``generate`` wrote to ``out_dir``."""
     out_dir = Path(out_dir)
-    truth = GroundTruth({}, {}, {})
-    with open(
-        out_dir / "ground_truth_baskets.csv", newline="", encoding="utf-8"
-    ) as f:
-        for row in csv.DictReader(f):
-            truth.basket_archetype[row["basket_id"]] = row["archetype"]
-    with open(
-        out_dir / "ground_truth_customers.csv", newline="", encoding="utf-8"
-    ) as f:
-        for row in csv.DictReader(f):
-            truth.customer_mission[row["customer_id"]] = row["mission"]
-            truth.customer_persona[row["customer_id"]] = row["persona"]
+    truth = GroundTruth(
+        read_pairs(out_dir / "ground_truth_baskets.csv", TRUTH_BASKET_COLUMNS),
+        {}, {},
+    )
+    with open_csv(
+        out_dir / "ground_truth_customers.csv", TRUTH_CUSTOMER_COLUMNS
+    ) as reader:
+        for row in reader:
+            if len(row) != 3:
+                raise ParseError(
+                    f"need 3 fields, got {len(row)}", reader.line_num
+                )
+            customer_id, mission, persona = row
+            truth.customer_mission[customer_id] = mission
+            truth.customer_persona[customer_id] = persona
     return truth

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
@@ -199,44 +200,71 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def read_categories(path) -> dict:
-    """Read the category table: a ``category_id,label`` header, then one
-    row of two non-empty fields per category. Line numbers in messages are
-    physical lines of the file."""
-    categories = {}
+def write_text(path, text):
+    """Write ``text`` to ``path`` in UTF-8, line ends as they are."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(text)
+
+
+@contextmanager
+def open_csv(path, header):
+    """Yield a strict ``csv.reader`` over the rows of the UTF-8 file
+    ``path`` after its first row, which must equal ``header``. Bad quoting
+    and bytes that are not UTF-8 are ``ParseError``s, and every ``TxError``
+    raised while the file is open, the body's included, names ``path``."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, strict=True)
         try:
-            header = next(reader, None)
-            if header != CATEGORY_COLUMNS:
+            first = next(reader, None)
+            if first != header:
                 raise ParseError(
-                    f"category table header must be {CATEGORY_COLUMNS}, got {header}"
+                    f"expected header {','.join(header)}, got {first}"
                 )
-            for row in reader:
-                if not row:
-                    continue  # blank line
-                line_no = reader.line_num
-                if len(row) != 2:
-                    raise ParseError(
-                        f"category row needs 2 fields, got {len(row)}", line_no
-                    )
-                cid, label = row
-                if not cid or not label:
-                    raise ParseError("empty category id or label", line_no)
-                if cid in categories:
-                    raise ValidationError(
-                        f"line {line_no}: duplicate category id {cid!r}"
-                    )
-                categories[cid] = Category(id=cid, label=label)
+            yield reader
         except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
-        except UnicodeDecodeError as exc:
             raise ParseError(
-                f"category table is not valid UTF-8: {exc}"
+                f"{path}: line {reader.line_num}: malformed CSV: {exc}"
             ) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
+        except TxError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+
+def read_pairs(path, header) -> dict:
+    """Key -> value of a ``header`` CSV file of one row of two non-empty
+    fields per key, blank lines skipped. Messages name the fields by their
+    header names, "_" read as a space, and the row by its physical line."""
+    key_name, value_name = (name.replace("_", " ") for name in header)
+    pairs = {}
+    with open_csv(path, header) as reader:
+        for row in reader:
+            if not row:
+                continue  # blank line
+            line_no = reader.line_num
+            if len(row) != 2:
+                raise ParseError(f"need 2 fields, got {len(row)}", line_no)
+            key, value = row
+            if not key or not value:
+                raise ParseError(f"empty {key_name} or {value_name}", line_no)
+            if key in pairs:
+                raise ValidationError(
+                    f"line {line_no}: duplicate {key_name} {key!r}"
+                )
+            pairs[key] = value
+    return pairs
+
+
+def read_categories(path) -> dict:
+    """The category table: at least two ``category_id,label`` pairs."""
+    categories = {
+        cid: Category(id=cid, label=label)
+        for cid, label in read_pairs(path, CATEGORY_COLUMNS).items()
+    }
     if len(categories) < 2:
         raise ValidationError(
-            f"need at least 2 categories, got {len(categories)}"
+            f"{path}: need at least 2 categories, got {len(categories)}"
         )
     return categories
 
@@ -275,91 +303,81 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     get_cat, get_basket = cat_index.get, basket_index.get
     add_cell, add_cents = row_cell.append, row_cents.append
 
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, strict=True)
-        try:
-            header = next(reader, None)
-            if header != RECEIPT_COLUMNS:
-                raise ParseError(
-                    f"receipts header must be {RECEIPT_COLUMNS}, got {header}"
-                )
-            for row in reader:
-                if not row:
-                    continue  # blank line
-                line_no = reader.line_num
-                if len(row) != n_fields or "" in row:
-                    if len(row) > n_fields:
-                        raise ParseError(
-                            f"expected {n_fields} fields, got {len(row)}",
-                            line_no,
-                        )
-                    raise ParseError("missing column value", line_no)
-                bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
-                same_basket = (
-                    bid == last_bid and cid == last_cid and ts_text == last_ts
-                )
-                if not same_basket:
-                    ts = get_ts(ts_text)
-                    if ts is None:
-                        ts = timestamps[ts_text] = _parse_timestamp(
-                            ts_text, line_no, timestamps
-                        )
-                price = get_price(price_text)
-                if price is None:
-                    price = prices[price_text] = _parse_price(
-                        price_text, line_no, bid
-                    )
-                qty = get_qty(qty_text)
-                if qty is None:
-                    qty = quantities[qty_text] = _parse_quantity(
-                        qty_text, line_no, bid
-                    )
-                if promo not in ("0", "1"):
+    with open_csv(path, RECEIPT_COLUMNS) as reader:
+        for row in reader:
+            if not row:
+                continue  # blank line
+            line_no = reader.line_num
+            if len(row) != n_fields or "" in row:
+                if len(row) > n_fields:
                     raise ParseError(
-                        f"promo_flag must be 0 or 1, got {promo!r}", line_no
+                        f"expected {n_fields} fields, got {len(row)}",
+                        line_no,
                     )
-                c = get_cat(cat)
-                if c is None:
-                    unknown_category_rows.append((line_no, cat))
-                    continue
+                raise ParseError("missing column value", line_no)
+            bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
+            same_basket = (
+                bid == last_bid and cid == last_cid and ts_text == last_ts
+            )
+            if not same_basket:
+                ts = get_ts(ts_text)
+                if ts is None:
+                    ts = timestamps[ts_text] = _parse_timestamp(
+                        ts_text, line_no, timestamps
+                    )
+            price = get_price(price_text)
+            if price is None:
+                price = prices[price_text] = _parse_price(
+                    price_text, line_no, bid
+                )
+            qty = get_qty(qty_text)
+            if qty is None:
+                qty = quantities[qty_text] = _parse_quantity(
+                    qty_text, line_no, bid
+                )
+            if promo not in ("0", "1"):
+                raise ParseError(
+                    f"promo_flag must be 0 or 1, got {promo!r}", line_no
+                )
+            c = get_cat(cat)
+            if c is None:
+                unknown_category_rows.append((line_no, cat))
+                continue
 
-                if not same_basket:
-                    b = get_basket(bid)
-                    if b is None:
-                        b = basket_index[bid] = len(basket_ts)
-                        basket_customer.append(
-                            customer_index.setdefault(cid, len(customer_index))
-                        )
-                        basket_ts.append(ts)
-                    elif customer_index.get(cid) != basket_customer[b]:
-                        first = list(customer_index)[basket_customer[b]]
-                        raise ValidationError(
-                            f"line {line_no}: basket {bid!r} has conflicting "
-                            f"customer ids {first!r} and {cid!r}"
-                        )
-                    elif basket_ts[b] is not ts and (
-                        basket_ts[b].isoformat() != ts.isoformat()
-                    ):
-                        raise ValidationError(
-                            f"line {line_no}: basket {bid!r} has conflicting "
-                            f"timestamps {basket_ts[b].isoformat()!r} and "
-                            f"{ts.isoformat()!r}"
-                        )
-                    first_cell = b * n_cats
-                    last_bid, last_cid, last_ts = bid, cid, ts_text
-                add_cell(first_cell + c)
-                add_cents(price * qty)
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"receipts file is not valid UTF-8: {exc}") from None
+            if not same_basket:
+                b = get_basket(bid)
+                if b is None:
+                    b = basket_index[bid] = len(basket_ts)
+                    basket_customer.append(
+                        customer_index.setdefault(cid, len(customer_index))
+                    )
+                    basket_ts.append(ts)
+                elif customer_index.get(cid) != basket_customer[b]:
+                    first = list(customer_index)[basket_customer[b]]
+                    raise ValidationError(
+                        f"line {line_no}: basket {bid!r} has conflicting "
+                        f"customer ids {first!r} and {cid!r}"
+                    )
+                elif basket_ts[b] is not ts and (
+                    basket_ts[b].isoformat() != ts.isoformat()
+                ):
+                    raise ValidationError(
+                        f"line {line_no}: basket {bid!r} has conflicting "
+                        f"timestamps {basket_ts[b].isoformat()!r} and "
+                        f"{ts.isoformat()!r}"
+                    )
+                first_cell = b * n_cats
+                last_bid, last_cid, last_ts = bid, cid, ts_text
+            add_cell(first_cell + c)
+            add_cents(price * qty)
 
     if unknown_category_rows:
         shown = ", ".join(
             f"line {ln} ({cid!r})" for ln, cid in unknown_category_rows[:10]
         )
         raise ValidationError(
-            f"{len(unknown_category_rows)} rows reference unknown categories: {shown}"
+            f"{path}: {len(unknown_category_rows)} rows reference unknown "
+            f"categories: {shown}"
         )
 
     # Sums in float64 are exact below 2**53, and a line value or sum that

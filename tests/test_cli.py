@@ -359,6 +359,81 @@ def test_score_command_round_trip(data_dir, tmp_path):
     assert scored.splitlines()[1:] == trained.splitlines()[1:]
 
 
+@pytest.fixture(scope="module")
+def trained_model(data_dir, tmp_path_factory):
+    """The parsed ``sm_model.json`` of an sm run on ``data_dir``."""
+    out = tmp_path_factory.mktemp("sm_model")
+    assert main([
+        "sm", *dataset_args(data_dir),
+        "--k-b", "6", "--k-sm", "9", "--out", str(out),
+    ]) == 0
+    return json.loads((out / "sm_model.json").read_text())
+
+
+def _set(*keys_and_value):
+    """An edit of a model document: set the item at ``keys`` to ``value``."""
+    *keys, last, value = keys_and_value
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+def _duplicate_first_category(doc):
+    # The basket model's schema and centers grow with the id list, so only
+    # the duplicate itself is wrong.
+    first = doc["category_ids"][0]
+    doc["category_ids"].append(first)
+    basket_model = doc["basket_model"]
+    basket_model["feature_schema"].insert(-1, f"cat:{first}")
+    for row in basket_model["centers"]:
+        row.insert(-1, 0.0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("value_weight", "abc"),
+     "value_weight must be a finite number >= 0, got 'abc'"),
+    (_set("value_weight", -1.0),
+     "value_weight must be a finite number >= 0, got -1.0"),
+    (_set("value_weight", True),
+     "value_weight must be a finite number >= 0, got True"),
+    (_set("value_weight", float("inf")),
+     "value_weight must be a finite number >= 0, got inf"),
+    (_set("q95", float("inf")), "q95 must be a finite number >= 0, got inf"),
+    (_set("customer_model", "centers", 0, 0, float("nan")),
+     "model centers contain non-finite values"),
+    (_set("basket_model", "centers", 1, 2, float("-inf")),
+     "model centers contain non-finite values"),
+    (_set("basket_model", "k", 6.0),
+     "centers of shape (6, 9) do not match k=6.0 and 9 features"),
+    (_set("category_ids", 0, ["K00"]),
+     "category_ids must be a list of distinct strings"),
+    (_duplicate_first_category,
+     "category_ids must be a list of distinct strings"),
+], ids=[
+    "weight-text", "weight-negative", "weight-bool", "weight-inf", "q95-inf",
+    "customer-center-nan", "basket-center-inf", "basket-k-float",
+    "category-id-list",
+    "category-id-repeated",
+])
+def test_score_rejects_a_broken_model(
+    data_dir, tmp_path, capsys, trained_model, edit, message
+):
+    doc = json.loads(json.dumps(trained_model))
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main([
+        "score", *dataset_args(data_dir),
+        "--model", str(model), "--out", str(tmp_path / "out"),
+    ])
+    assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_command_emits_crosstab(data_dir, tmp_path):
     truth_csv = tmp_path / "truth.csv"
     write_truth_assignments(data_dir, truth_csv)
@@ -656,7 +731,25 @@ def test_ingest_rejects_category_row_without_label(data_dir, tmp_path, capsys):
     args[args.index("--categories") + 1] = str(categories)
     assert main(["ingest", *args]) == 1
     err = capsys.readouterr().err
-    assert err == "error: line 10: category row needs 2 fields, got 1\n"
+    assert err == f"error: {categories}: line 10: need 2 fields, got 1\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "sm"])
+def test_malformed_category_table_error_names_the_file(
+    data_dir, tmp_path, capsys, command
+):
+    categories = tmp_path / "categories.csv"
+    categories.write_text('category_id,label\nK00,"Category K00\n')
+    args = dataset_args(data_dir)
+    args[args.index("--categories") + 1] = str(categories)
+    argv = [command, *args]
+    if command == "sm":
+        argv += ["--k-b", "6", "--k-sm", "9", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {categories}: line 2: malformed CSV: unexpected end of data\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 FUZZ_RECEIPTS = [

@@ -349,11 +349,7 @@ def _oracle_plusplus_init(X, k, rng):
     for j in range(1, k):
         d2 = np.einsum("nd,nd->n", X - centers[j - 1], X - centers[j - 1])
         np.minimum(closest, d2, out=closest)
-        total = closest.sum()
-        if total <= 0:
-            centers[j] = X[rng.integers(n)]
-            continue
-        centers[j] = X[rng.choice(n, p=closest / total)]
+        centers[j] = X[rng.choice(n, p=closest / closest.sum())]
     return centers
 
 
@@ -442,8 +438,16 @@ def _oracle_lloyd(X, centers, max_iter, tol, repair=_oracle_repair_empty,
 
 
 def engine_init(X, k, rng):
-    """The seeding's centers and the first assignment it hands to Lloyd."""
-    return kmeans._plusplus_init(X, k, rng, np.empty(X.shape))
+    """The seeding's centers and the first assignment it hands to Lloyd,
+    with ``kmeans_fit``'s distinct-row check."""
+    def check_distinct():
+        n_distinct = np.unique(X, axis=0).shape[0]
+        if k > n_distinct:
+            raise KMeansError(
+                f"k={k} exceeds number of distinct rows ({n_distinct})"
+            )
+
+    return kmeans._plusplus_init(X, k, rng, np.empty(X.shape), check_distinct)
 
 
 def engine_lloyd(X, init, max_iter, tol, assignment=None):
@@ -605,14 +609,18 @@ def test_final_repair_cycle_raises():
 
 def test_plusplus_init_matches_choice_on_duplicate_rows():
     # Rows repeat four values, so every row equal to a chosen center has a
-    # ``closest`` entry of exactly 0, which neither draw may pick. With k
-    # above four the total reaches 0 and the uniform branch draws instead.
-    # Both must leave the generator in the same state.
+    # ``closest`` entry of exactly 0, which neither draw may pick. Both must
+    # leave the generator in the same state. With k above four the total
+    # reaches 0 before the k-th pick and the distinct-row check raises.
     rng = np.random.default_rng(5)
     X = rng.normal(size=(4, 3))[rng.integers(4, size=60)]
     for k in range(2, 7):
         for seed in range(40):
             want_rng, got_rng = (np.random.default_rng(seed) for _ in "ab")
+            if k > 4:
+                with pytest.raises(KMeansError, match=r"distinct rows \(4\)"):
+                    engine_init(X, k, got_rng)
+                continue
             want = _oracle_plusplus_init(X, k, want_rng)
             assert engine_init(X, k, got_rng)[0].tobytes() == want.tobytes()
             assert got_rng.random() == want_rng.random()
@@ -631,8 +639,8 @@ def test_seeding_hands_lloyd_the_nearest_assignment(n, d, kind, extra_k,
                                                     data_seed, seed):
     # The assignment the seeding tracks must be the one a full distance pass
     # gives, bit for bit: ties on the integer grid and duplicate rows go to
-    # the lowest index, k = 1 has no runner-up, and all-equal rows (or k
-    # above the distinct-row count) take the uniform ``total <= 0`` draw.
+    # the lowest index, and k = 1 has no runner-up. A k above the
+    # distinct-row count raises once the seeding total reaches 0.
     rng = np.random.default_rng(data_seed)
     if kind == "normal":
         X = rng.normal(size=(n, d))
@@ -643,7 +651,12 @@ def test_seeding_hands_lloyd_the_nearest_assignment(n, d, kind, extra_k,
         X = X[rng.integers(len(X), size=n)]
     else:
         X = np.full((n, d), rng.normal())
-    k = max(1, np.unique(X, axis=0).shape[0] + extra_k)
+    n_distinct = np.unique(X, axis=0).shape[0]
+    k = max(1, n_distinct + extra_k)
+    if k > n_distinct:
+        with pytest.raises(KMeansError, match="exceeds number of distinct"):
+            engine_init(X, k, np.random.default_rng(seed))
+        return
     centers, (labels, own, lower) = engine_init(
         X, k, np.random.default_rng(seed)
     )

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import WINDOW
 from shopmission import __version__, features as feat
-from shopmission.cli import _read_assignment_csv, main
-from shopmission.pipeline import SmPipelineModel, score
-from shopmission.txmodel import ingest_receipts, read_categories
+from shopmission.cli import main
+from shopmission.pipeline import ASSIGNMENT_COLUMNS, SmPipelineModel, score
+from shopmission.txmodel import ingest_receipts, read_categories, read_pairs
 
 MANIFEST_KEYS = {"command", "args", "inputs", "seed", "tool_version"}
 # The keys of each command's manifest "args", as derived from its options.
@@ -111,7 +111,7 @@ class OutputChecker:
         ]
 
     def assignments(self, path):
-        assignment = _read_assignment_csv(path)
+        assignment = read_pairs(path, ASSIGNMENT_COLUMNS)
         assert list(assignment) == self.ids[path.name]
         assert all(label.isdigit() for label in assignment.values())
 
@@ -135,7 +135,9 @@ class OutputChecker:
     def sm_model(self, path):
         model = SmPipelineModel.from_json(path.read_bytes())
         labels = score(model, self.dataset)
-        want = _read_assignment_csv(path.parent / "sm_customers_assignments.csv")
+        want = read_pairs(
+            path.parent / "sm_customers_assignments.csv", ASSIGNMENT_COLUMNS
+        )
         assert [str(c) for c in labels.tolist()] == list(want.values())
 
     def k_sweep(self, path):

@@ -26,13 +26,22 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def is_text_mode_open(node):
+def open_mode(node):
+    """The mode of an ``open(...)`` call ("r" when not given), else None;
+    a mode that is not a constant reads as "?"."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "open"):
-        return False
+        return None
     modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
     mode = node.args[1] if len(node.args) > 1 else (modes or [None])[0]
-    return not (isinstance(mode, ast.Constant) and "b" in mode.value)
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) else "?"
+
+
+def is_text_mode_open(node):
+    mode = open_mode(node)
+    return mode is not None and "b" not in mode
 
 
 def test_every_text_mode_open_names_its_encoding():
@@ -48,39 +57,84 @@ def test_every_text_mode_open_names_its_encoding():
     assert not found, f"open() without encoding= in the package: {found}"
 
 
-CSV_WRITERS = {"writer", "DictWriter"}
+def uses_outside(functions, uses):
+    """``path:line`` of each node that ``uses(tree)`` yields outside the
+    top-level functions of txmodel.py named in ``functions``, and whether
+    every one of those functions has such a node."""
+    allowed, found = set(), []
+    for path, tree in package_trees():
+        if path.name == "txmodel.py":
+            inside = {
+                fn.name: {id(node) for node in uses(fn)}
+                for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name in functions
+            }
+            allowed = set().union(*inside.values())
+            every = set(functions) == {f for f, ids in inside.items() if ids}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in uses(tree) if id(node) not in allowed
+        ]
+    return found, every
 
 
-def csv_writer_uses(tree):
-    """Nodes that reach a ``csv`` writer: ``csv.writer`` or
-    ``csv.DictWriter`` attributes, and ``from csv import`` of either."""
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in CSV_WRITERS
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "csv"):
-            yield node
-        elif isinstance(node, ast.ImportFrom) and node.module == "csv" and any(
-            alias.name in CSV_WRITERS for alias in node.names
-        ):
-            yield node
+def test_files_are_written_only_by_write_csv_and_write_text():
+    # One place decides the encoding and line ends of every output file.
+    def write_opens(tree):
+        for node in ast.walk(tree):
+            mode = open_mode(node)
+            if mode is not None and set(mode) & set("wax+?"):
+                yield node
+
+    found, every = uses_outside({"write_csv", "write_text"}, write_opens)
+    assert every, "write_csv or write_text no longer opens a file to write"
+    assert not found, f"write-mode open() outside txmodel's writers: {found}"
+
+
+def csv_uses(names):
+    """A function yielding the nodes of a tree that reach one of the ``csv``
+    module's ``names``: ``csv.<name>`` attributes, and ``from csv import``
+    of one."""
+    def uses(tree):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "csv"):
+                yield node
+            elif (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                  and any(alias.name in names for alias in node.names)):
+                yield node
+
+    return uses
 
 
 def test_csv_files_are_written_only_by_write_csv():
     # One writer keeps every output CSV in one format: header row, "\r\n"
     # line ends, floats as shortest round-trip decimals.
-    allowed = set()
-    found = []
-    for path, tree in package_trees():
-        if path.name == "txmodel.py":
-            allowed = {
-                id(node)
-                for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and fn.name == "write_csv"
-                for node in csv_writer_uses(fn)
-            }
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in csv_writer_uses(tree) if id(node) not in allowed
-        ]
-    assert allowed, "txmodel.write_csv no longer calls csv.writer"
+    found, every = uses_outside(
+        {"write_csv"}, csv_uses({"writer", "DictWriter"})
+    )
+    assert every, "txmodel.write_csv no longer calls csv.writer"
     assert not found, f"csv writers outside txmodel.write_csv: {found}"
+
+
+def test_csv_files_are_read_only_by_open_csv():
+    # One reader checks every input CSV alike: a strict parser, the header,
+    # and errors that name the file and its line.
+    found, every = uses_outside(
+        {"open_csv"}, csv_uses({"reader", "DictReader"})
+    )
+    assert every, "txmodel.open_csv no longer calls csv.reader"
+    assert not found, f"csv readers outside txmodel.open_csv: {found}"
+
+
+def test_only_txmodel_imports_csv():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in package_trees() if path.name != "txmodel.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name == "csv" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+    ]
+    assert not found, f"csv imported outside txmodel: {found}"

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -18,7 +19,7 @@ from shopmission.syngen import (
     generate,
     load_truth,
 )
-from shopmission.txmodel import ingest_receipts
+from shopmission.txmodel import ParseError, ingest_receipts
 
 
 def single_archetype_config(seed=0, concentration=float("inf")):
@@ -122,7 +123,28 @@ def test_emitted_data_passes_ingestion(small_planted):
     out, _, truth, dataset = small_planted
     assert dataset.dropped_outside_window == 0
     assert dataset.n_baskets == len(truth.basket_archetype)
-    assert load_truth(out).basket_archetype == truth.basket_archetype
+    assert load_truth(out) == truth
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("ground_truth_baskets.csv", "basket_id,mission\r\nb1,x\r\n",
+     "expected header basket_id,archetype, got ['basket_id', 'mission']"),
+    ("ground_truth_customers.csv", "customer_id,mission\r\nc1,x\r\n",
+     "expected header customer_id,mission,persona, got "
+     "['customer_id', 'mission']"),
+    ("ground_truth_baskets.csv", 'basket_id,archetype\r\nb1,"x',
+     "line 2: malformed CSV: unexpected end of data"),
+    ("ground_truth_customers.csv", 'customer_id,mission,persona\r\nc1,m,"x',
+     "line 2: malformed CSV: unexpected end of data"),
+    ("ground_truth_customers.csv", "customer_id,mission,persona\r\nc1,m\r\n",
+     "line 2: need 3 fields, got 2"),
+])
+def test_load_truth_rejects_a_malformed_file(tmp_path, name, text, message):
+    generate(default_config(n_customers=5, seed=1), tmp_path)
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_truth(tmp_path)
 
 
 def test_archetype_separation(small_planted):

@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date
 
 import numpy as np
@@ -298,7 +299,7 @@ def test_earlier_check_wins_on_a_row_bad_in_two_fields(
 ):
     with pytest.raises(error) as exc:
         ingest(tmp_path, cats, [GOOD_ROW, row])
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{tmp_path / 'receipts.csv'}: {message}"
 
 
 def test_basket_split_by_another_basket_rows(tmp_path, cats):
@@ -323,7 +324,7 @@ def test_basket_split_by_another_basket_rows(tmp_path, cats):
     ]:
         with pytest.raises(ValidationError) as exc:
             ingest(tmp_path, cats, rows + [bad])
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{tmp_path / 'receipts.csv'}: {message}"
 
 
 def test_blank_lines_skipped(tmp_path, cats):
@@ -356,8 +357,8 @@ def test_unterminated_quote_is_a_parse_error(tmp_path, cats):
 @pytest.mark.parametrize(
     "body, message",
     [
-        ("K00,a\nK01\n", "line 3: category row needs 2 fields, got 1"),
-        ("K00,a\nK01,b,extra\n", "line 3: category row needs 2 fields, got 3"),
+        ("K00,a\nK01\n", "line 3: need 2 fields, got 1"),
+        ("K00,a\nK01,b,extra\n", "line 3: need 2 fields, got 3"),
         ("K00,a\n,b\n", "line 3: empty category id or label"),
         ("K00,a\nK01,\n", "line 3: empty category id or label"),
         ("K00,a\n\nK01,b\nK00,c\n", "line 5: duplicate category id 'K00'"),
@@ -368,7 +369,9 @@ def test_unterminated_quote_is_a_parse_error(tmp_path, cats):
 def test_bad_category_rows_rejected(tmp_path, body, message):
     path = tmp_path / "categories.csv"
     path.write_text("category_id,label\n" + body)
-    with pytest.raises((ParseError, ValidationError), match=message):
+    with pytest.raises(
+        (ParseError, ValidationError), match=re.escape(f"{path}: ") + message
+    ):
         read_categories(path)
 
 
