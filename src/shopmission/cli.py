@@ -372,9 +372,9 @@ def _read_model(args):
 
 
 def cmd_score(args, config, dataset, model):
-    labels = score(model, dataset)
+    ids, labels = dataset.customer_ids, score(model, dataset)
     return lambda out: write_assignment_csv(
-        out / "scored_assignments.csv", dataset.customer_ids, labels
+        out / "scored_assignments.csv", ids, labels
     )
 
 
@@ -405,6 +405,7 @@ def run(args, config) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
         write = args.step(args, config, dataset, **side_inputs)
+    del dataset, side_inputs  # before the manifest's hashing loads OpenSSL
     if "out" in args:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

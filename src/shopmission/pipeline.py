@@ -323,6 +323,14 @@ def run_sm(
         customer_matrix, k_sm, seed=seed + STAGE2_SEED_OFFSET, **fit_kwargs
     )
 
+    basket_report = _report_from_fit(
+        basket_matrix, basket_model, basket_labels, True, dominance_threshold
+    )
+    customer_report = _report_from_fit(
+        customer_matrix, customer_model, customer_labels, True,
+        dominance_threshold,
+    )
+    del basket_matrix, customer_matrix  # before the fingerprint loads OpenSSL
     sm_model = SmPipelineModel(
         q95=q,
         basket_model=basket_model,
@@ -330,13 +338,6 @@ def run_sm(
         category_ids=list(dataset.category_ids),
         value_weight=value_weight,
         dataset_fingerprint=dataset.fingerprint(),
-    )
-    basket_report = _report_from_fit(
-        basket_matrix, basket_model, basket_labels, True, dominance_threshold
-    )
-    customer_report = _report_from_fit(
-        customer_matrix, customer_model, customer_labels, True,
-        dominance_threshold,
     )
     return sm_model, basket_report, customer_report
 

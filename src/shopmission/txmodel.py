@@ -289,11 +289,10 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     customer_index = {}  # customer_id -> customer index, in first-seen order
     # Per basket: its customer's first-seen index and its timestamp.
     basket_customer, basket_ts = array("q"), []
-    # Per row: basket * n_cats + category, and the line value in cents as
-    # a double, since price times quantity can pass the int64 range. Both
-    # factors are exact doubles, so their product rounds once, to the
-    # double nearest the exact integer product.
-    row_cell, row_cents = array("q"), array("d")
+    # Cents spent per basket x category cell (basket * n_cats + category),
+    # as doubles, since price times quantity can pass the int64 range. Each
+    # line value rounds once, to the double nearest the exact product.
+    spend, zero_row = array("d"), array("d", bytes(8 * n_cats))
     unknown_category_rows = []
     # A row with the basket id, customer id and timestamp text of the
     # previous accepted row continues its basket: its timestamp is parsed
@@ -301,7 +300,6 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     last_bid = last_cid = last_ts = None
     get_ts, get_price, get_qty = timestamps.get, prices.get, quantities.get
     get_cat, get_basket = cat_index.get, basket_index.get
-    add_cell, add_cents = row_cell.append, row_cents.append
 
     with open_csv(path, RECEIPT_COLUMNS) as reader:
         for row in reader:
@@ -352,6 +350,7 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                         customer_index.setdefault(cid, len(customer_index))
                     )
                     basket_ts.append(ts)
+                    spend.extend(zero_row)
                 elif customer_index.get(cid) != basket_customer[b]:
                     first = list(customer_index)[basket_customer[b]]
                     raise ValidationError(
@@ -368,8 +367,7 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                     )
                 first_cell = b * n_cats
                 last_bid, last_cid, last_ts = bid, cid, ts_text
-            add_cell(first_cell + c)
-            add_cents(price * qty)
+            spend[first_cell + c] += price * qty
 
     if unknown_category_rows:
         shown = ", ".join(
@@ -380,22 +378,15 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
             f"categories: {shown}"
         )
 
-    # Sums in float64 are exact below 2**53, and a line value or sum that
-    # reaches 2**53 still rounds to >= 2**53, which the total check rejects.
-    spend = np.bincount(
-        np.frombuffer(row_cell, dtype=np.int64),
-        weights=np.frombuffer(row_cents, dtype=float),
-        minlength=len(basket_ts) * n_cats,
-    ).reshape(-1, n_cats)
-    del row_cell, row_cents
-
     kept = sorted(
         bid for bid, b in basket_index.items() if window.contains(basket_ts[b])
     )
     rows = np.fromiter(
         map(basket_index.__getitem__, kept), dtype=np.intp, count=len(kept)
     )
-    spend = spend[rows]
+    # A line value or sum that reaches 2**53 still rounds to >= 2**53,
+    # which the total check rejects.
+    spend = np.frombuffer(spend, dtype=float).reshape(-1, n_cats)[rows]
     basket_values = spend.sum(axis=1)
     empty = np.flatnonzero(basket_values <= 0)
     if empty.size:

@@ -35,7 +35,9 @@ def between_variance_ratio(matrix: FeatureMatrix, labels) -> float:
     """1 - within-cluster SS / total SS, both about group / global means."""
     X = matrix.X
     labels = _check_labels(matrix, labels)
-    total_ss = float(((X - X.mean(axis=0)) ** 2).sum())
+    dev = X - X.mean(axis=0)
+    total_ss = float(np.square(dev, out=dev).sum())
+    del dev
     if total_ss == 0.0:
         warnings.warn(
             "total sum of squares is zero; between-variance ratio undefined, "
@@ -45,7 +47,8 @@ def between_variance_ratio(matrix: FeatureMatrix, labels) -> float:
     within_ss = 0.0
     for j in np.flatnonzero(np.bincount(labels)):
         pts = X[labels == j]
-        within_ss += float(((pts - pts.mean(axis=0)) ** 2).sum())
+        pts -= pts.mean(axis=0)
+        within_ss += float(np.square(pts, out=pts).sum())
     return 1.0 - within_ss / total_ss
 
 
@@ -57,13 +60,12 @@ def davies_bouldin(matrix: FeatureMatrix, labels) -> float:
     k = len(clusters)
     if k < 2:
         raise ValidityError(f"Davies-Bouldin needs k >= 2, got {k}")
-    centers = np.array([X[labels == j].mean(axis=0) for j in clusters])
-    dispersion = np.array(
-        [
-            np.sqrt(((X[labels == j] - centers[i]) ** 2).sum(axis=1)).mean()
-            for i, j in enumerate(clusters)
-        ]
-    )
+    centers, dispersion = np.empty((k, X.shape[1])), np.empty(k)
+    for i, j in enumerate(clusters):
+        pts = X[labels == j]
+        centers[i] = pts.mean(axis=0)
+        pts -= centers[i]
+        dispersion[i] = np.sqrt(np.square(pts, out=pts).sum(axis=1)).mean()
     db = 0.0
     for i in range(k):
         worst = 0.0
@@ -136,6 +138,8 @@ def select_k(
     human can overrule it); ``policy`` is one of db_min, variance_elbow,
     report_only.
     """
+    if seed < 0:
+        raise ValidityError(f"seed must be >= 0, got {seed}")
     k_min, k_max = k_range
     if not 2 <= k_min <= k_max < len(matrix.ids):
         raise ValidityError(

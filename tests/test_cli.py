@@ -231,6 +231,60 @@ def test_importing_the_cli_leaves_openssl_unloaded():
     assert result.stdout == "False\n"
 
 
+OPENSSL_ORDER_SCRIPT = """\
+import sys, weakref
+from shopmission import cli, validity
+
+def loaded():
+    return "_hashlib" in sys.modules
+
+def spy(module, name, record):
+    fn = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        record()
+        return fn(*args, **kwargs)
+    setattr(module, name, wrapper)
+
+def ingest(*args):
+    dataset = ingest_receipts(*args)
+    datasets.append(weakref.ref(dataset))
+    return dataset
+
+datasets, metrics, manifest = [], [], []
+ingest_receipts, cli.ingest_receipts = cli.ingest_receipts, ingest
+for name in ("between_variance_ratio", "davies_bouldin"):
+    spy(validity, name, lambda: metrics.append(loaded()))
+spy(cli, "write_manifest", lambda: manifest.append(
+    (loaded(), [ref() is not None for ref in datasets])))
+code = cli.main(sys.argv[1:])
+print(code, any(metrics), len(metrics), manifest, loaded())
+"""
+
+
+@pytest.mark.parametrize("command, expected", [
+    # OpenSSL comes with the fingerprint, after both fits' metrics.
+    (["sm", "--k-b", "6", "--k-sm", "9"], "0 False 4 [(True, [False])] True"),
+    # Only the manifest loads it, once the dataset is freed.
+    (["select-k", "--target", "basket", "--k-max", "4"],
+     "0 False 6 [(False, [False])] True"),
+    (["score", "--model", "MODEL"], "0 False 0 [(False, [False])] True"),
+], ids=["sm", "select-k", "score"])
+def test_openssl_loads_after_the_big_arrays_are_freed(
+    data_dir, trained_model, tmp_path, command, expected
+):
+    # hashlib maps a few MB of OpenSSL; loaded while the feature matrices or
+    # the dataset are alive, it adds to the run's peak RSS.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(trained_model), encoding="utf-8")
+    command = [str(model) if arg == "MODEL" else arg for arg in command]
+    result = subprocess.run(
+        [sys.executable, "-c", OPENSSL_ORDER_SCRIPT, *command,
+         *dataset_args(data_dir), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=subprocess_env(), check=True,
+    )
+    assert result.stdout == expected + "\n"
+
+
 def test_outputs_do_not_depend_on_the_locale(data_dir, tmp_path):
     # A category id outside ASCII reaches the headers and cluster labels of
     # the output files; under the C locale with UTF-8 mode off, Python's
@@ -664,6 +718,13 @@ def test_bad_window_is_one_line_error(data_dir, tmp_path, capsys, window, messag
         (["syngen", "--baskets-max", str(10**20)], "bad baskets range"),
         (["select-k", "--target", "basket", "--k-min", "5", "--k-max", "3"],
          "k range [5, 3] must be non-empty"),
+        # The sweep fits k with seed + k; the given seed is what is checked.
+        (["select-k", "--k-max", "4", "--seed", "-2"],
+         "seed must be >= 0, got -2"),
+        (["select-k", "--target", "pps", "--k-max", "4", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["select-k", "--k-max", "4", "--seed", "-3"],
+         "seed must be >= 0, got -3"),
     ],
 )
 def test_bad_seed_and_range_are_one_line_errors(

@@ -138,3 +138,29 @@ def test_only_txmodel_imports_csv():
         or isinstance(node, ast.ImportFrom) and node.module == "csv"
     ]
     assert not found, f"csv imported outside txmodel: {found}"
+
+
+def module_level_nodes(tree):
+    """The nodes that run when the module is imported: all but those inside
+    function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_hashlib_when_imported():
+    # hashlib maps a few MB of OpenSSL; a run loads it only once its big
+    # arrays are freed, in the function that hashes.
+    names = {"hashlib", "_hashlib"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in package_trees()
+        for node in module_level_nodes(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name in names for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module in names
+    ]
+    assert not found, f"hashlib imported at module level: {found}"
