@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import groupby
+from itertools import groupby, starmap
 from pathlib import Path
 
 import numpy as np
@@ -385,12 +385,10 @@ def load_truth(out_dir) -> GroundTruth:
     )
     with open_csv(
         out_dir / "ground_truth_customers.csv", TRUTH_CUSTOMER_COLUMNS
-    ) as reader:
-        for row in reader:
+    ) as (lines, record):
+        for line_no, row in starmap(record, lines):
             if len(row) != 3:
-                raise ParseError(
-                    f"need 3 fields, got {len(row)}", reader.line_num
-                )
+                raise ParseError(f"need 3 fields, got {len(row)}", line_no)
             customer_id, mission, persona = row
             truth.customer_mission[customer_id] = mission
             truth.customer_persona[customer_id] = persona

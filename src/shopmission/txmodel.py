@@ -13,6 +13,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
+from itertools import chain, starmap
+from operator import itemgetter
 
 import numpy as np
 
@@ -110,8 +112,9 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """Stable content hash, independent of ingestion order: the sha256
-        of one ``basket_id,customer_id,timestamp,cents`` line per basket,
-        then one line per category id."""
+        of one ``basket_id,customer_id,timestamp`` line per basket, one line
+        per category id, then ``spend_cents`` as little-endian int64, row
+        by row."""
         # Imported here: OpenSSL maps a few MB, needed only once the
         # dataset is hashed.
         import hashlib
@@ -122,21 +125,21 @@ class Dataset:
         distinct = {id(ts): ts for ts in self.timestamps}
         iso = {key: ts.isoformat() for key, ts in distinct.items()}
         customer = self.customer_ids.__getitem__
-        cents = self.basket_cents
         h = hashlib.sha256()
         # A few thousand lines at a time, not the whole text at once.
         for start in range(0, self.n_baskets, _FINGERPRINT_CHUNK):
             stop = start + _FINGERPRINT_CHUNK
             h.update("".join(
-                f"{bid},{cid},{iso[id(ts)]},{c}\n"
-                for bid, cid, ts, c in zip(
+                f"{bid},{cid},{iso[id(ts)]}\n"
+                for bid, cid, ts in zip(
                     self.basket_ids[start:stop],
                     map(customer, self.basket_customer[start:stop].tolist()),
                     self.timestamps[start:stop],
-                    cents[start:stop].tolist(),
                 )
             ).encode())
         h.update("".join(f"{cid}\n" for cid in self.category_ids).encode())
+        # The matrix's own buffer: no copy unless it is not C-ordered <i8.
+        h.update(np.ascontiguousarray(self.spend_cents, dtype="<i8"))
         return h.hexdigest()
 
 
@@ -208,23 +211,47 @@ def write_text(path, text):
 
 @contextmanager
 def open_csv(path, header):
-    """Yield a strict ``csv.reader`` over the rows of the UTF-8 file
-    ``path`` after its first row, which must equal ``header``. Bad quoting
-    and bytes that are not UTF-8 are ``ParseError``s, and every ``TxError``
-    raised while the file is open, the body's included, names ``path``."""
+    """Open the UTF-8 CSV file ``path``, whose first record must equal
+    ``header``, and yield ``(lines, record)``.
+
+    ``lines`` yields ``(line_no, line)`` for each physical line after the
+    header, line end kept; the header's lines count in ``line_no``.
+    ``record(line_no, line)`` returns the number of the last line of the
+    record that starts at that line, and its fields (``[]`` for a blank
+    line). A line with no quote that is no longer than the csv module's
+    field size limit is split on commas, which is how ``csv`` reads it; any
+    other line goes through a strict ``csv.reader``, which reads on from
+    ``lines`` through quoted line breaks. So ``starmap(record, lines)``
+    gives every record. Bad quoting and bytes that are not UTF-8 are
+    ``ParseError``s, and every ``TxError`` raised while the file is open,
+    the body's included, names ``path``."""
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, strict=True)
-        try:
-            first = next(reader, None)
-            if first != header:
+        lines = enumerate(f, 1)
+
+        def record(line_no, line):
+            if '"' not in line and len(line) <= limit:
+                text = line.rstrip("\r\n")
+                return line_no, text.split(",") if text else []
+            reader = csv.reader(
+                chain((line,), map(itemgetter(1), lines)), strict=True
+            )
+            try:
+                row = next(reader)
+            except csv.Error as exc:
                 raise ParseError(
-                    f"expected header {','.join(header)}, got {first}"
+                    f"malformed CSV: {exc}", line_no + reader.line_num - 1
+                ) from None
+            return line_no + reader.line_num - 1, row
+
+        try:
+            first = next(lines, None)
+            row = record(*first)[1] if first else None
+            if row != header:
+                raise ParseError(
+                    f"expected header {','.join(header)}, got {row}"
                 )
-            yield reader
-        except csv.Error as exc:
-            raise ParseError(
-                f"{path}: line {reader.line_num}: malformed CSV: {exc}"
-            ) from None
+            yield lines, record
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
         except TxError as exc:
@@ -238,11 +265,10 @@ def read_pairs(path, header) -> dict:
     header names, "_" read as a space, and the row by its physical line."""
     key_name, value_name = (name.replace("_", " ") for name in header)
     pairs = {}
-    with open_csv(path, header) as reader:
-        for row in reader:
+    with open_csv(path, header) as (lines, record):
+        for line_no, row in starmap(record, lines):
             if not row:
                 continue  # blank line
-            line_no = reader.line_num
             if len(row) != 2:
                 raise ParseError(f"need 2 fields, got {len(row)}", line_no)
             key, value = row
@@ -281,10 +307,15 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     categories = read_categories(category_table)
     cat_index = {c: i for i, c in enumerate(sorted(categories))}
     n_cats, n_fields = len(cat_index), len(RECEIPT_COLUMNS)
+    # ``open_csv``'s record() splits a line on commas when it has no quote
+    # and is no longer than this; so does the loop below.
+    limit = csv.field_size_limit()
 
-    # Each distinct timestamp, price and quantity string is parsed once;
-    # a bad one raises at its first row.
-    timestamps, prices, quantities = {}, {}, {}
+    # Each distinct timestamp text is parsed once, and so is each distinct
+    # line tail "unit_price,quantity,promo_flag<line end>": ``values`` maps
+    # a tail whose three fields are valid to its line value in cents. A bad
+    # one is never stored, so it raises at its first row.
+    timestamps, values = {}, {}
     basket_index = {}  # basket_id -> basket index, in first-seen order
     customer_index = {}  # customer_id -> customer index, in first-seen order
     # Per basket: its customer's first-seen index and its timestamp.
@@ -293,27 +324,49 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     # as doubles, since price times quantity can pass the int64 range. Each
     # line value rounds once, to the double nearest the exact product.
     spend, zero_row = array("d"), array("d", bytes(8 * n_cats))
-    unknown_category_rows = []
+    n_unknown, unknown_shown = 0, []  # rows in unknown categories
     # A row with the basket id, customer id and timestamp text of the
     # previous accepted row continues its basket: its timestamp is parsed
     # and its basket passed the conflict checks, so it skips both lookups.
     last_bid = last_cid = last_ts = None
-    get_ts, get_price, get_qty = timestamps.get, prices.get, quantities.get
+    get_ts, get_value = timestamps.get, values.get
     get_cat, get_basket = cat_index.get, basket_index.get
 
-    with open_csv(path, RECEIPT_COLUMNS) as reader:
-        for row in reader:
-            if not row:
-                continue  # blank line
-            line_no = reader.line_num
-            if len(row) != n_fields or "" in row:
-                if len(row) > n_fields:
-                    raise ParseError(
-                        f"expected {n_fields} fields, got {len(row)}",
-                        line_no,
+    with open_csv(path, RECEIPT_COLUMNS) as (lines, record):
+        for line_no, line in lines:
+            parts = line.split(",", 5)
+            plain = '"' not in line and len(line) <= limit
+            # Only a stored tail has two commas and no empty field, so a
+            # hit on a plain line means eight fields whose last three are
+            # valid.
+            value = get_value(parts[-1])
+            if value is None or "" in parts or not plain:
+                # Every check, in order, on the fields of the record.
+                line_no, row = record(line_no, line)
+                if not row:
+                    continue  # blank line
+                if len(row) != n_fields or "" in row:
+                    if len(row) > n_fields:
+                        raise ParseError(
+                            f"expected {n_fields} fields, got {len(row)}",
+                            line_no,
+                        )
+                    raise ParseError("missing column value", line_no)
+                bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
+                if ts_text not in timestamps:
+                    timestamps[ts_text] = _parse_timestamp(
+                        ts_text, line_no, timestamps
                     )
-                raise ParseError("missing column value", line_no)
-            bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
+                price = _parse_price(price_text, line_no, bid)
+                value = price * _parse_quantity(qty_text, line_no, bid)
+                if promo not in ("0", "1"):
+                    raise ParseError(
+                        f"promo_flag must be 0 or 1, got {promo!r}", line_no
+                    )
+                if plain:
+                    values[parts[-1]] = value
+            else:
+                bid, cid, ts_text, _, cat, _ = parts
             same_basket = (
                 bid == last_bid and cid == last_cid and ts_text == last_ts
             )
@@ -323,23 +376,11 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                     ts = timestamps[ts_text] = _parse_timestamp(
                         ts_text, line_no, timestamps
                     )
-            price = get_price(price_text)
-            if price is None:
-                price = prices[price_text] = _parse_price(
-                    price_text, line_no, bid
-                )
-            qty = get_qty(qty_text)
-            if qty is None:
-                qty = quantities[qty_text] = _parse_quantity(
-                    qty_text, line_no, bid
-                )
-            if promo not in ("0", "1"):
-                raise ParseError(
-                    f"promo_flag must be 0 or 1, got {promo!r}", line_no
-                )
             c = get_cat(cat)
             if c is None:
-                unknown_category_rows.append((line_no, cat))
+                n_unknown += 1
+                if len(unknown_shown) < 10:
+                    unknown_shown.append(f"line {line_no} ({cat!r})")
                 continue
 
             if not same_basket:
@@ -367,19 +408,20 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                     )
                 first_cell = b * n_cats
                 last_bid, last_cid, last_ts = bid, cid, ts_text
-            spend[first_cell + c] += price * qty
+            spend[first_cell + c] += value
 
-    if unknown_category_rows:
-        shown = ", ".join(
-            f"line {ln} ({cid!r})" for ln, cid in unknown_category_rows[:10]
-        )
+    if n_unknown:
         raise ValidationError(
-            f"{path}: {len(unknown_category_rows)} rows reference unknown "
-            f"categories: {shown}"
+            f"{path}: {n_unknown} rows reference unknown categories: "
+            f"{', '.join(unknown_shown)}"
         )
 
+    # Baskets share one datetime per timestamp text, so the window test
+    # runs once per distinct object (by identity: one instant in two UTC
+    # offsets can fall on two dates).
+    inside = {id(ts) for ts in timestamps.values() if window.contains(ts)}
     kept = sorted(
-        bid for bid, b in basket_index.items() if window.contains(basket_ts[b])
+        bid for bid, b in basket_index.items() if id(basket_ts[b]) in inside
     )
     rows = np.fromiter(
         map(basket_index.__getitem__, kept), dtype=np.intp, count=len(kept)
@@ -412,7 +454,9 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
         basket_ids=kept,
         customer_ids=[seen_ids[i] for i in by_id],
         basket_customer=rank[first_seen],
-        timestamps=[basket_ts[b] for b in rows.tolist()],
+        # One index at a time: rows.tolist() would hold an int per basket
+        # at ingest's memory high-water.
+        timestamps=list(map(basket_ts.__getitem__, memoryview(rows))),
         spend_cents=spend.astype(np.int64),
         dropped_outside_window=len(basket_ts) - len(kept),
     )

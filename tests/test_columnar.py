@@ -10,6 +10,7 @@ bit; fuzzed receipt files must give a Dataset or a TxError, nothing else.
 import csv
 import hashlib
 import random
+import struct
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
@@ -19,16 +20,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import WINDOW, mutated_lines, write_categories, write_receipts
+from conftest import (
+    CATEGORY_IDS,
+    WINDOW,
+    mutated_receipts,
+    receipt_rows,
+    write_categories,
+    write_receipts,
+)
 from shopmission import features as feat
 from shopmission.syngen import default_config, generate
-from shopmission.txmodel import (
-    RECEIPT_COLUMNS,
-    Dataset,
-    TxError,
-    ingest_receipts,
-    read_categories,
-)
+from shopmission.txmodel import Dataset, TxError, ingest_receipts, read_categories
 
 # --- Oracle: the per-line object graph and its feature loops. ---
 
@@ -84,13 +86,21 @@ def oracle_histories(baskets):
 
 
 def oracle_fingerprint(baskets, category_ids):
+    ordered = sorted(baskets, key=lambda x: x.basket_id)
     h = hashlib.sha256()
-    for b in sorted(baskets, key=lambda x: x.basket_id):
+    for b in ordered:
         h.update(
-            f"{b.basket_id},{b.customer_id},{b.timestamp.isoformat()},{b.value_cents}\n".encode()
+            f"{b.basket_id},{b.customer_id},{b.timestamp.isoformat()}\n".encode()
         )
     for cid in category_ids:
         h.update(f"{cid}\n".encode())
+    # Each basket's cents per category, in category_ids order, as
+    # little-endian int64.
+    for b in ordered:
+        cents = dict.fromkeys(category_ids, 0)
+        for line in b.lines:
+            cents[line.category_id] += line.value_cents
+        h.update(struct.pack(f"<{len(cents)}q", *cents.values()))
     return h.hexdigest()
 
 
@@ -220,37 +230,6 @@ def test_syngen_2k_matches_oracle(syngen_2k):
 
 # --- Hypothesis: small valid receipt files, shuffled and mutated. ---
 
-CATEGORY_IDS = ["K00", "K01", "K02"]
-NAIVE_DAYS = ["2024-12-31", "2025-01-01", "2025-02-14T09:30:00", "2025-03-31", "2025-04-01"]
-# One instant in two offsets is two timestamps; local dates decide the window.
-AWARE_DAYS = [
-    "2025-02-14T10:00:00+01:00", "2025-02-14T09:00:00+00:00",
-    "2025-01-01T00:30:00+01:00", "2024-12-31T23:30:00+00:00",
-    "2025-03-31T23:59:00-05:00",
-]
-
-
-@st.composite
-def receipt_rows(draw):
-    """Valid rows: every basket has one customer, one timestamp and a
-    positive value; some fall outside the window."""
-    days = draw(st.sampled_from([NAIVE_DAYS, AWARE_DAYS]))
-    rows = []
-    for b in range(draw(st.integers(1, 12))):
-        customer = f"c{draw(st.integers(0, 4))}"
-        day = draw(st.sampled_from(days))
-        n_lines = draw(st.integers(1, 4))
-        for line in range(n_lines):
-            cents = draw(st.integers(1 if line == 0 else 0, 99_999))
-            qty = draw(st.integers(1, 5))
-            cat = draw(st.sampled_from(CATEGORY_IDS))
-            promo = draw(st.sampled_from("01"))
-            rows.append(
-                f"b{b:02d},{customer},{day},p{line},{cat},"
-                f"{cents // 100}.{cents % 100:02d},{qty},{promo}"
-            )
-    return rows
-
 
 def features_of(dataset):
     q = feat.QuantileSpec(10.0)
@@ -275,11 +254,6 @@ def test_features_invariant_to_row_order(tmp_path, rows, seed):
     b = ingest_receipts(tmp_path / "b.csv", tmp_path / "categories.csv", WINDOW)
     assert features_of(a) == features_of(b)
     assert_matches_oracle(a, tmp_path / "a.csv", tmp_path / "categories.csv", q95=10.0)
-
-
-@st.composite
-def mutated_receipts(draw):
-    return draw(mutated_lines([",".join(RECEIPT_COLUMNS)] + draw(receipt_rows())))
 
 
 @settings(max_examples=300, deadline=None,

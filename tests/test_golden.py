@@ -93,7 +93,7 @@ GOLDEN = {
     },
     "ingest": {
         "<stdout>":
-            "eb306fc1bdee2be2052abb5cd67d8c5f93643828b9af596f4942dc254ec843a5",
+            "e44e00430a8006355295e068a41b9092ff45b5231023aedcc7f331fdef0b28ce",
     },
     "pps": {
         "<stdout>":
@@ -199,7 +199,7 @@ GOLDEN = {
         "sm_customers_shares.csv":
             "347c934c8b71c257c70babbd9e5136ae8724f4d5ac5d21f685b693b673a993c4",
         "sm_model.json":
-            "7ff204cb78c19c4ff6dca02a4866990fa62ff0a5bbaf7cf662a638d58a0e03f3",
+            "73a941227299de439125d62622bdf55850077fa32e340d047ad6e403026033db",
     },
     "syngen": {
         "<stdout>":

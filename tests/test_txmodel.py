@@ -1,11 +1,20 @@
 import random
 import re
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import WINDOW, write_categories, write_receipts
+from conftest import (
+    CATEGORY_IDS,
+    WINDOW,
+    receipt_rows,
+    write_categories,
+    write_receipts,
+)
 from shopmission.txmodel import (
     RECEIPT_COLUMNS,
     AnalysisWindow,
@@ -75,6 +84,17 @@ def test_unknown_category_lists_offending_rows(tmp_path, cats):
             "b1,c1,2025-02-01,p1,K00,1.00,1,0",
             "b2,c1,2025-02-02,p1,K99,1.00,1,0",
         ])
+
+
+def test_unknown_category_message_counts_all_and_shows_ten(tmp_path, cats):
+    rows = [f"b{i},c1,2025-02-01,p1,K9{i % 2},1.00,1,0" for i in range(12)]
+    with pytest.raises(ValidationError) as exc:
+        ingest(tmp_path, cats, ["b0,c1,2025-02-01,p1,K00,1.00,1,0"] + rows)
+    shown = ", ".join(f"line {i + 3} ('K9{i % 2}')" for i in range(10))
+    assert str(exc.value) == (
+        f"{tmp_path / 'receipts.csv'}: 12 rows reference unknown "
+        f"categories: {shown}"
+    )
 
 
 def test_zero_value_basket_rejected(tmp_path, cats):
@@ -348,6 +368,44 @@ def test_malformed_csv_is_a_parse_error(tmp_path, cats):
         ingest(tmp_path, cats, ['b1,c1,2025-02-01,p1,K00,1.00,1,"' + "x" * 200_000 + '"'])
 
 
+def test_unquoted_field_over_the_limit_is_a_parse_error(tmp_path, cats):
+    # Unquoted lines are split on commas without the csv module, but a line
+    # longer than its field size limit still goes through it.
+    with pytest.raises(ParseError) as exc:
+        ingest(tmp_path, cats, [
+            GOOD_ROW,
+            "b1,c1,2025-02-01,p" + "x" * 131_072 + ",K00,1.00,1,0",
+        ])
+    assert str(exc.value) == (
+        f"{tmp_path / 'receipts.csv'}: line 3: malformed CSV: "
+        "field larger than field limit (131072)"
+    )
+
+
+def test_quoted_field_with_comma_and_line_break(tmp_path, cats):
+    # The quoted product id spans lines 2 and 3; the record reads like its
+    # unquoted twin, and later lines keep their physical numbers.
+    quoted = ['b1,c1,2025-02-01,"p,\n1",K00,1.00,1,0']
+    twin = ["b1,c1,2025-02-01,p1,K00,1.00,1,0"]
+    second = "b2,c1,2025-02-02,p1,K01,2.00,1,0"
+    a = ingest(tmp_path, cats, quoted + [second])
+    b = ingest(tmp_path, cats, twin + [second])
+    assert a.basket_ids == b.basket_ids == ["b1", "b2"]
+    assert a.spend_cents.tolist() == b.spend_cents.tolist()
+    assert a.fingerprint() == b.fingerprint()
+    path = tmp_path / "receipts.csv"
+    for rows, message in [
+        (quoted + ["b2,c1,2025-02-02,p1,K01,2.00,x,0"],
+         "line 4: bad quantity 'x'"),
+        # A bad record that spans lines is reported at its last line.
+        (['b1,c1,2025-02-01,"p,\n1",K00,abc,1,0'],
+         "line 3: bad money value 'abc'"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            ingest(tmp_path, cats, rows)
+        assert str(exc.value) == f"{path}: {message}"
+
+
 def test_unterminated_quote_is_a_parse_error(tmp_path, cats):
     # A quote opened in the last field must not swallow the rest of the file.
     with pytest.raises(ParseError, match="line 2: malformed CSV: unexpected end"):
@@ -406,5 +464,31 @@ def test_fingerprint_of_a_fixed_syngen_dataset(small_planted):
     # Pins the digest, so a faster fingerprint cannot change what it hashes.
     _, _, _, dataset = small_planted
     assert dataset.fingerprint() == (
-        "2e236dd227bbaf6462f73ac39aebfcae412489189b209e14e26a0558e30d80bf"
+        "5b8ca3df83838a75be9f413e11afa343d6513e92b4be76b5a98742222e75f521"
     )
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=receipt_rows(), data=st.data())
+def test_fingerprint_changes_with_any_one_cell(tmp_path, rows, data):
+    # The fingerprint covers each basket's split across categories, not
+    # only its total.
+    write_categories(tmp_path / "categories.csv", CATEGORY_IDS)
+    write_receipts(tmp_path / "receipts.csv", rows)
+    ds = ingest_receipts(
+        tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
+    )
+    assume(ds.n_baskets)  # some baskets fall outside the window
+    cell = data.draw(st.tuples(
+        st.integers(0, ds.n_baskets - 1), st.integers(0, len(CATEGORY_IDS) - 1)
+    ))
+    delta = data.draw(st.integers(-(2**40), 2**40).filter(bool))
+    changed = ds.spend_cents.copy()
+    changed[cell] += delta
+    assert replace(ds, spend_cents=changed).fingerprint() != ds.fingerprint()
+    # Moved to another category of the same basket, the total stays.
+    step = data.draw(st.integers(1, len(CATEGORY_IDS) - 1))
+    other = (cell[0], (cell[1] + step) % len(CATEGORY_IDS))
+    changed[other] -= delta
+    assert replace(ds, spend_cents=changed).fingerprint() != ds.fingerprint()
