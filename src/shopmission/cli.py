@@ -21,13 +21,13 @@ from .kmeans import KMeansError
 from . import features as feat
 from .pipeline import (
     ASSIGNMENT_COLUMNS,
-    DEFAULT_DOMINANCE_THRESHOLD,
     PipelineError,
     SmPipelineModel,
     load_expert_bounds,
     rfm_matrix,
     run_pps,
     run_rfm,
+    run_rfm_expert,
     run_sm,
     score,
     stage1_matrix,
@@ -119,6 +119,8 @@ def load_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise InputError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in config:
+            raise InputError(f"{path}:{line_no}: duplicate key {key!r}")
         try:
             config[key] = CONFIG_KEYS[key](value.strip("\"'"))
         except _OutOfRange as exc:
@@ -200,12 +202,14 @@ def _load_dataset(args):
     return dataset
 
 
-def _fit_kwargs(config):
-    kwargs = {}
-    for key in ("tol", "n_init", "max_iter"):
-        if key in config:
-            kwargs[key] = config[key]
-    return kwargs
+FIT_KEYS = ("tol", "n_init", "max_iter")
+
+
+def _settings(config, *keys):
+    """Those of ``keys`` that the config file sets, with their values, as
+    keyword arguments: a key it leaves out keeps the default of the function
+    it feeds."""
+    return {key: config[key] for key in keys if key in config}
 
 
 def _warn_unconverged(fit, converged):
@@ -256,39 +260,31 @@ def cmd_ingest(args, config, dataset):
 
 
 def cmd_rfm(args, config, dataset):
-    bounds = None
-    if args.mode == "kmeans" and args.bounds_file:
-        raise PipelineError("kmeans mode takes no --bounds-file")
-    if args.mode == "expert":
+    if args.mode == "kmeans":
+        if args.bounds_file:
+            raise PipelineError("kmeans mode takes no --bounds-file")
+        if args.k is None:
+            raise PipelineError("kmeans mode requires k")
+        report = run_rfm(
+            dataset, args.k, args.seed,
+            **_settings(config, "standardize_rfm", *FIT_KEYS),
+        )
+        _warn_unconverged("rfm", report.metrics["converged"])
+    else:
         if args.k is not None:
             raise PipelineError(
                 "expert mode takes no --k: the bounds file sets the segments"
             )
         if not args.bounds_file:
             raise PipelineError("expert mode requires --bounds-file")
-        bounds = load_expert_bounds(args.bounds_file)
-    report = run_rfm(
-        dataset,
-        k=args.k,
-        seed=args.seed,
-        mode=args.mode,
-        bounds=bounds,
-        standardize=config.get("standardize_rfm", True),
-        **_fit_kwargs(config),
-    )
-    _warn_unconverged("rfm", report.metrics.get("converged", True))
+        report = run_rfm_expert(dataset, load_expert_bounds(args.bounds_file))
     return lambda out: report.write(out, "rfm")
 
 
 def cmd_pps(args, config, dataset):
     report = run_pps(
-        dataset,
-        k=args.k,
-        seed=args.seed,
-        dominance_threshold=config.get(
-            "dominance_threshold", DEFAULT_DOMINANCE_THRESHOLD
-        ),
-        **_fit_kwargs(config),
+        dataset, args.k, args.seed,
+        **_settings(config, "dominance_threshold", *FIT_KEYS),
     )
     _warn_unconverged("pps", report.metrics["converged"])
     return lambda out: report.write(out, "pps")
@@ -296,15 +292,8 @@ def cmd_pps(args, config, dataset):
 
 def cmd_sm(args, config, dataset):
     model, basket_report, customer_report = run_sm(
-        dataset,
-        k_b=args.k_b,
-        k_sm=args.k_sm,
-        seed=args.seed,
-        value_weight=config.get("value_weight", 1.0),
-        dominance_threshold=config.get(
-            "dominance_threshold", DEFAULT_DOMINANCE_THRESHOLD
-        ),
-        **_fit_kwargs(config),
+        dataset, args.k_b, args.k_sm, args.seed,
+        **_settings(config, "value_weight", "dominance_threshold", *FIT_KEYS),
     )
     _warn_unconverged("stage-1 basket", model.basket_model.converged)
     _warn_unconverged("stage-2 customer", model.customer_model.converged)
@@ -322,15 +311,12 @@ def cmd_select_k(args, config, dataset):
     if args.target == "pps":
         matrix = feat.pps_features(dataset)
     elif args.target == "basket":
-        matrix = stage1_matrix(dataset, config.get("value_weight", 1.0))[1]
+        matrix = stage1_matrix(dataset, **_settings(config, "value_weight"))[1]
     else:  # rfm
-        matrix = rfm_matrix(dataset, config.get("standardize_rfm", True))[1]
+        matrix = rfm_matrix(dataset, **_settings(config, "standardize_rfm"))[1]
     sweep = select_k(
-        matrix,
-        (args.k_min, args.k_max),
-        seed=args.seed,
-        policy=args.policy,
-        **_fit_kwargs(config),
+        matrix, (args.k_min, args.k_max), args.seed, args.policy,
+        **_settings(config, *FIT_KEYS),
     )
     for row in sweep.rows:
         _warn_unconverged(f"k={row['k']}", row["converged"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -18,6 +19,8 @@ from .validity import fit_summary
 ASSIGNMENT_COLUMNS = ["entity_id", "cluster"]
 STAGE2_SEED_OFFSET = 7919
 DEFAULT_DOMINANCE_THRESHOLD = 0.30
+# Expert RFM allocates, labels and writes every cell of its bin grid.
+MAX_EXPERT_SEGMENTS = 10_000
 
 
 class PipelineError(Exception):
@@ -68,31 +71,25 @@ def label_clusters(
 ) -> list:
     """Name each cluster after its dominant feature, or "General" if none
     exceeds the dominance threshold."""
-    labels = []
-    for row in centers:
-        top = int(np.argmax(row))
-        if row[top] > threshold:
-            labels.append(f"Specialized -- {feature_names[top]}")
-        else:
-            labels.append("General")
-    return labels
+    top = np.argmax(centers, axis=1)
+    return [
+        f"Specialized -- {feature_names[t]}" if row[t] > threshold
+        else "General"
+        for row, t in zip(centers, top)
+    ]
 
 
 def _report_from_fit(
-    matrix, model, labels, ratio_features: bool, dominance_threshold
+    matrix, model, labels, dominance_threshold
 ) -> SegmentationReport:
-    if ratio_features:
-        names = label_clusters(
-            model.centers, matrix.schema, dominance_threshold
-        )
-    else:
-        names = [f"C{c + 1:02d}" for c in range(model.k)]
     return SegmentationReport(
         ids=matrix.ids,
         labels=labels,
         centers=model.centers,
         feature_schema=list(matrix.schema),
-        cluster_labels=names,
+        cluster_labels=label_clusters(
+            model.centers, matrix.schema, dominance_threshold
+        ),
         metrics=fit_summary(matrix, model, labels),
     )
 
@@ -107,11 +104,11 @@ def _zscore(matrix: FeatureMatrix) -> FeatureMatrix:
     )
 
 
-def rfm_matrix(dataset: Dataset, standardize: bool = True):
+def rfm_matrix(dataset: Dataset, standardize_rfm: bool = True):
     """(raw RFM vectors, the matrix that RFM k-means fits): the fitted one is
-    z-scored per column unless ``standardize`` is false."""
+    z-scored per column unless ``standardize_rfm`` is false."""
     matrix = feat.rfm_features(dataset)
-    return matrix, _zscore(matrix) if standardize else matrix
+    return matrix, _zscore(matrix) if standardize_rfm else matrix
 
 
 def stage1_matrix(dataset: Dataset, value_weight: float = 1.0):
@@ -150,65 +147,61 @@ def load_expert_bounds(path) -> dict:
             raise PipelineError(
                 f"bin edges for {dim} are not strictly increasing: {edges}"
             )
+    segments = math.prod(len(edges) + 1 for edges in bounds.values())
+    if segments > MAX_EXPERT_SEGMENTS:
+        raise PipelineError(
+            f"{path}: the bin edges make {segments} RFM segments, more than "
+            f"{MAX_EXPERT_SEGMENTS}"
+        )
     return bounds
 
 
 def run_rfm(
     dataset: Dataset,
-    k: int | None = None,
+    k: int,
     seed: int = 0,
-    mode: str = "kmeans",
-    bounds: dict | None = None,
-    standardize: bool = True,
+    standardize_rfm: bool = True,
     **fit_kwargs,
 ) -> SegmentationReport:
-    """RFM segmentation: k-means on (recency, frequency, monetary) vectors,
-    or expert threshold binning."""
-    if mode == "kmeans":
-        if k is None:
-            raise PipelineError("kmeans mode requires k")
-        matrix, fit_matrix = rfm_matrix(dataset, standardize)
-        model, labels = kmeans_fit(fit_matrix, k, seed=seed, **fit_kwargs)
-        report = _report_from_fit(
-            fit_matrix, model, labels, False, DEFAULT_DOMINANCE_THRESHOLD
-        )
-        # Report centers in raw feature units for interpretability.
-        report.centers = np.array(
+    """RFM segmentation: k-means on the ``rfm_matrix`` vectors. Clusters are
+    named C01, C02, ... and their centers are in raw feature units."""
+    matrix, fit_matrix = rfm_matrix(dataset, standardize_rfm)
+    model, labels = kmeans_fit(fit_matrix, k, seed=seed, **fit_kwargs)
+    return SegmentationReport(
+        ids=matrix.ids,
+        labels=labels,
+        centers=np.array(
             [matrix.X[labels == c].mean(axis=0) for c in range(k)]
-        )
-        return report
-    if mode == "expert":
-        if bounds is None:
-            raise PipelineError("expert mode requires a bounds file")
-        return _run_rfm_expert(feat.rfm_features(dataset), bounds)
-    raise PipelineError(f"unknown RFM mode {mode!r}")
-
-
-def _run_rfm_expert(matrix: FeatureMatrix, bounds: dict) -> SegmentationReport:
-    edges = [np.asarray(bounds.get(d, []), dtype=float) for d in matrix.schema]
-    n_bins = [len(e) + 1 for e in edges]
-    bins = np.stack(
-        [np.digitize(matrix.X[:, i], edges[i]) for i in range(3)], axis=1
+        ),
+        feature_schema=list(matrix.schema),
+        cluster_labels=[f"C{c + 1:02d}" for c in range(k)],
+        metrics=fit_summary(fit_matrix, model, labels),
     )
-    segment = bins[:, 0] * n_bins[1] * n_bins[2] + bins[:, 1] * n_bins[2] + bins[:, 2]
-    n_segments = n_bins[0] * n_bins[1] * n_bins[2]
-    centers = np.zeros((n_segments, 3))
-    for c in range(n_segments):
-        mask = segment == c
-        if mask.any():
-            centers[c] = matrix.X[mask].mean(axis=0)
-    labels = []
-    for c in range(n_segments):
-        r, rem = divmod(c, n_bins[1] * n_bins[2])
-        fq, m = divmod(rem, n_bins[2])
-        labels.append(f"rec{r}|frq{fq}|mon{m}")
+
+
+def run_rfm_expert(dataset: Dataset, bounds: dict) -> SegmentationReport:
+    """Expert RFM segmentation: one segment per cell of the bins that the
+    ``load_expert_bounds`` edges cut each dimension into (one bin where a
+    dimension has no edges). An empty segment's center is all zeros."""
+    matrix = feat.rfm_features(dataset)
+    edges = [bounds.get(dim, []) for dim in matrix.schema]
+    shape = [len(e) + 1 for e in edges]
+    segment = np.ravel_multi_index(
+        [np.digitize(x, e) for x, e in zip(matrix.X.T, edges)], shape
+    )
+    centers = np.zeros((math.prod(shape), len(shape)))
+    for c in np.flatnonzero(np.bincount(segment)):
+        centers[c] = matrix.X[segment == c].mean(axis=0)
     return SegmentationReport(
         ids=matrix.ids,
         labels=segment,
         centers=centers,
         feature_schema=list(matrix.schema),
-        cluster_labels=labels,
-        metrics={"k": n_segments, "mode": "expert"},
+        cluster_labels=[
+            f"rec{r}|frq{f}|mon{m}"
+            for r, f, m in itertools.product(*map(range, shape))
+        ],
+        metrics={"k": len(centers), "mode": "expert"},
     )
 
 
@@ -222,7 +215,7 @@ def run_pps(
     """PPS segmentation: k-means on per-customer category spend ratios."""
     matrix = feat.pps_features(dataset)
     model, labels = kmeans_fit(matrix, k, seed=seed, **fit_kwargs)
-    return _report_from_fit(matrix, model, labels, True, dominance_threshold)
+    return _report_from_fit(matrix, model, labels, dominance_threshold)
 
 
 @dataclass
@@ -324,11 +317,10 @@ def run_sm(
     )
 
     basket_report = _report_from_fit(
-        basket_matrix, basket_model, basket_labels, True, dominance_threshold
+        basket_matrix, basket_model, basket_labels, dominance_threshold
     )
     customer_report = _report_from_fit(
-        customer_matrix, customer_model, customer_labels, True,
-        dominance_threshold,
+        customer_matrix, customer_model, customer_labels, dominance_threshold
     )
     del basket_matrix, customer_matrix  # before the fingerprint loads OpenSSL
     sm_model = SmPipelineModel(

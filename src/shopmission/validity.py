@@ -66,21 +66,17 @@ def davies_bouldin(matrix: FeatureMatrix, labels) -> float:
         centers[i] = pts.mean(axis=0)
         pts -= centers[i]
         dispersion[i] = np.sqrt(np.square(pts, out=pts).sum(axis=1)).mean()
-    db = 0.0
-    for i in range(k):
-        worst = 0.0
-        for j in range(k):
-            if i == j:
-                continue
-            d = float(np.sqrt(((centers[i] - centers[j]) ** 2).sum()))
-            if d == 0.0:
-                raise ValidityError(
-                    f"clusters {clusters[i]} and {clusters[j]} have "
-                    "coincident centers"
-                )
-            worst = max(worst, (dispersion[i] + dispersion[j]) / d)
-        db += worst
-    return float(db / k)
+    gap = np.sqrt(((centers[:, None] - centers) ** 2).sum(axis=2))
+    np.fill_diagonal(gap, np.inf)
+    if not gap.all():
+        i, j = np.argwhere(gap == 0)[0]
+        raise ValidityError(
+            f"clusters {clusters[i]} and {clusters[j]} have coincident centers"
+        )
+    worst = ((dispersion[:, None] + dispersion) / gap).max(axis=1)
+    # Summed left to right: np.sum adds pairwise, which can change the last
+    # bit of the index that select-k's db_min compares.
+    return float(np.cumsum(worst)[-1] / k)
 
 
 def fit_summary(matrix: FeatureMatrix, model, labels) -> dict:

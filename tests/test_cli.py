@@ -582,6 +582,17 @@ def test_config_values_are_checked_when_read(
     assert not (tmp_path / "out").exists()
 
 
+def test_config_rejects_a_repeated_key(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1\nn_init = 2\n# again\ntol = 2\n")
+    code = main([
+        "--config", str(cfg), "pps", *dataset_args(data_dir), "--k", "3",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert_one_error_line(code, capsys, f"{cfg}:4: duplicate key 'tol'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_value_weight_is_non_negative(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("value_weight = 0\ndominance_threshold = -0.5\n")
@@ -635,6 +646,12 @@ MALFORMED_INPUTS = [
      "run.cfg:1: bad value 'nan' for dominance_threshold"),
     ("run.cfg", b"value_weight = -1\n", ["sm", "--k-b", "6", "--k-sm", "9"],
      "run.cfg:1: bad value '-1' for value_weight"),
+    # 73 x 137 x 1 cells, one more than MAX_EXPERT_SEGMENTS.
+    ("bounds.json",
+     json.dumps({"recency_days": list(range(72)),
+                 "frequency": list(range(136))}).encode(),
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "bounds.json: the bin edges make 10001 RFM segments, more than 10000"),
 ]
 MALFORMED_ASSIGNMENTS = [
     (ASSIGNMENTS_HEADER + "x,1\nx,2\ny\n", "line 3: duplicate entity id 'x'"),
@@ -733,6 +750,24 @@ def test_bad_seed_and_range_are_one_line_errors(
     if argv[0] != "syngen":
         argv = argv[:1] + dataset_args(data_dir) + argv[1:]
     code = main(argv + ["--out", str(tmp_path / "out")])
+    assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ([], "kmeans mode requires k"),
+        (["--mode", "expert"], "expert mode requires --bounds-file"),
+    ],
+)
+def test_rfm_mode_without_its_option_is_one_line_error(
+    data_dir, tmp_path, capsys, options, message
+):
+    code = main([
+        "rfm", *dataset_args(data_dir), *options,
+        "--out", str(tmp_path / "out"),
+    ])
     assert_one_error_line(code, capsys, message)
     assert not (tmp_path / "out").exists()
 

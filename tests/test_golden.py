@@ -18,6 +18,17 @@ SYNGEN = ["--seed", "3", "--customers", "40", "--baskets-min", "4",
 WINDOW = ["--window-start", "2025-01-01", "--window-end", "2025-03-31"]
 BOUNDS = {"recency_days": [20.0, 45.0], "frequency": [5.0],
           "monetary": [150.0, 400.0]}
+# Every config key set away from its default. Leaving any one key out
+# changes the output of at least one "*_tuned" run: tol that of sm and pps,
+# max_iter that of rfm and select-k, n_init that of all four.
+TUNED = """\
+tol = 0.3
+n_init = 3
+max_iter = 2
+dominance_threshold = 0.5
+value_weight = 2.5
+standardize_rfm = off
+"""
 
 
 def commands(data, out):
@@ -43,6 +54,15 @@ def commands(data, out):
         ("select_k_rfm", ["select-k", *dataset, "--target", "rfm", *sk]),
         ("select_k_rfm_raw", ["--config", str(out / "raw.cfg"), "select-k",
                               *dataset, "--target", "rfm", *sk]),
+        ("sm_tuned", ["--config", str(out / "tuned.cfg"), "sm", *dataset,
+                      "--k-b", "4", "--k-sm", "3", "--seed", "7"]),
+        ("rfm_tuned", ["--config", str(out / "tuned.cfg"), "rfm", *dataset,
+                       "--k", "3", "--seed", "2"]),
+        ("pps_tuned", ["--config", str(out / "tuned.cfg"), "pps", *dataset,
+                       "--k", "3", "--seed", "5"]),
+        ("select_k_basket_tuned", ["--config", str(out / "tuned.cfg"),
+                                   "select-k", *dataset, "--target", "basket",
+                                   *sk]),
         ("compare", ["compare", *assignments, "--assignments",
                      str(out / "rfm" / "rfm_assignments.csv")]),
         ("report", ["report", *assignments]),
@@ -62,6 +82,7 @@ def run_all(tmp_path) -> dict:
     out.mkdir()
     (out / "bounds.json").write_text(json.dumps(BOUNDS), encoding="utf-8")
     (out / "raw.cfg").write_text("standardize_rfm = off\n", encoding="utf-8")
+    (out / "tuned.cfg").write_text(TUNED, encoding="utf-8")
     runs = [("syngen", ["syngen", *SYNGEN, "--out", str(data)])]
     runs += [
         (name, argv if name == "ingest" else argv + ["--out", str(out / name)])
@@ -107,6 +128,18 @@ GOLDEN = {
         "pps_shares.csv":
             "9cf960d66601f2207003b19556374eebdc4233240444bb40ad0635f2429be740",
     },
+    "pps_tuned": {
+        "<stdout>":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "pps_assignments.csv":
+            "17561c4f68cd3e75e36bed3c10ce6b1b3ddbbf63ffcd288b2812c04ae09f0ca5",
+        "pps_centers.csv":
+            "d61733182418aa7ab6eb0183af0a1415bb1cd05f9b8779e9f78bc425a6b89b69",
+        "pps_metrics.json":
+            "904ea119ca9c9ff02f6b2edc3e9546e7fc4e610191dd4c5c1bfa9312c44dd888",
+        "pps_shares.csv":
+            "75be1f97c61f0ea27be48f0c122ed5161bbfde92604be4ccfc02a82c968737e8",
+    },
     "report": {
         "<stdout>":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -139,6 +172,18 @@ GOLDEN = {
         "rfm_shares.csv":
             "dcb345950496db20a831923ed7d5b8473f926f297389d3db393838a59188e558",
     },
+    "rfm_tuned": {
+        "<stdout>":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "rfm_assignments.csv":
+            "25eb9bb9384f87b2c59a522f18a739bb79610259adbd25bbc034b66023f1f812",
+        "rfm_centers.csv":
+            "0b4aca7a01dce27d0442498403bf773d4ec527c5d4ffd83fc59e32178c0a61a1",
+        "rfm_metrics.json":
+            "b5989126bdeb2776e2fb93f9c165306dd5538fc86127ebddbd4206d6cd56d366",
+        "rfm_shares.csv":
+            "4c1fa6349900266166f99d58e4c0fd042a875bd65997580d84c16ca42a228c45",
+    },
     "score": {
         "<stdout>":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -152,6 +197,14 @@ GOLDEN = {
             "d5231e9daca4027f4cff9bef818b286f7c16e0e3152504aecf8b790752a6bca5",
         "k_sweep.csv":
             "a341516da9dc3bce5b77e145fe45b5bf040022bb8a49c84a1ada18b138afc86c",
+    },
+    "select_k_basket_tuned": {
+        "<stdout>":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k_recommendation.json":
+            "d5231e9daca4027f4cff9bef818b286f7c16e0e3152504aecf8b790752a6bca5",
+        "k_sweep.csv":
+            "0a270dd6a50c3029773030903fdaf2e38489444ed42f7291d3391a2aaa1ffcf2",
     },
     "select_k_pps": {
         "<stdout>":
@@ -200,6 +253,28 @@ GOLDEN = {
             "347c934c8b71c257c70babbd9e5136ae8724f4d5ac5d21f685b693b673a993c4",
         "sm_model.json":
             "73a941227299de439125d62622bdf55850077fa32e340d047ad6e403026033db",
+    },
+    "sm_tuned": {
+        "<stdout>":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "sm_baskets_assignments.csv":
+            "72a0073f7f8c9dc621f62fc328a7aa8baa1a508c54bffda29b22f21695adc2e2",
+        "sm_baskets_centers.csv":
+            "b6ec49be59f1a45c365202267422032286b9bb0f8d2a72c68872bc6385a8b695",
+        "sm_baskets_metrics.json":
+            "cad3bb4dcbda436d0fb901aad468f817e9c970fcfca510e7c07cd33ff010c070",
+        "sm_baskets_shares.csv":
+            "1bf45d2655a59c167a2edf34cc144cca0401a603f1f6bbe945a621bfd363f9f2",
+        "sm_customers_assignments.csv":
+            "00aa0ac3e6c861d8da06ece70d739b1474508243de3f1ed4c3a2d5956effeda3",
+        "sm_customers_centers.csv":
+            "70069e575d8bd358c0d484746c71403ee1116c48fe681af0cb131f782a7fc3bc",
+        "sm_customers_metrics.json":
+            "62700149fb27dde72a62fc67d75eee1eafb28b84d5a024b4d3155fa091938f8b",
+        "sm_customers_shares.csv":
+            "237a96b45cd47a6db69af21cd41a746959385db2021c0a3142356ed700a78df5",
+        "sm_model.json":
+            "1bb0a220b426b0a054d6f607f8edafc71f668edb816b7fcac7ef5f85175eb4c2",
     },
     "syngen": {
         "<stdout>":

@@ -15,6 +15,7 @@ from conftest import (
     write_categories,
     write_receipts,
 )
+from shopmission.features import rfm_features
 from shopmission.pipeline import (
     PipelineError,
     SmPipelineModel,
@@ -22,6 +23,7 @@ from shopmission.pipeline import (
     load_expert_bounds,
     run_pps,
     run_rfm,
+    run_rfm_expert,
     run_sm,
     score,
 )
@@ -46,7 +48,7 @@ def test_rfm_expert_bounds_split_at_threshold(tmp_path, make_dataset):
     ds = make_dataset(rows, CATS)
     bounds_file = tmp_path / "bounds.json"
     bounds_file.write_text(json.dumps({"recency_days": [30]}))
-    report = run_rfm(ds, mode="expert", bounds=load_expert_bounds(bounds_file))
+    report = run_rfm_expert(ds, load_expert_bounds(bounds_file))
     labels = as_assignment(report.ids, report.labels)
     assert labels["recent"] != labels["stale"]
     assert report.shares.sum() == pytest.approx(1.0)
@@ -57,6 +59,61 @@ def test_expert_bounds_non_monotone_rejected(tmp_path):
     bounds_file.write_text(json.dumps({"frequency": [0.5, 0.2]}))
     with pytest.raises(PipelineError, match="increasing"):
         load_expert_bounds(bounds_file)
+
+
+def test_expert_bounds_cap_the_segment_count(tmp_path):
+    bounds_file = tmp_path / "bounds.json"
+    edges = {"recency_days": list(range(99)), "frequency": list(range(99))}
+    bounds_file.write_text(json.dumps(edges))
+    assert len(load_expert_bounds(bounds_file)["frequency"]) == 99
+    edges["monetary"] = [0]
+    bounds_file.write_text(json.dumps(edges))
+    with pytest.raises(PipelineError, match="make 20000 RFM segments"):
+        load_expert_bounds(bounds_file)
+
+
+def loop_rfm_expert(matrix, bounds):
+    """Reference: expert RFM segments, centers and names, one cell at a
+    time, with the segment index built digit by digit."""
+    edges = [np.asarray(bounds.get(d, []), dtype=float) for d in matrix.schema]
+    n_bins = [len(e) + 1 for e in edges]
+    bins = np.stack(
+        [np.digitize(matrix.X[:, i], edges[i]) for i in range(3)], axis=1
+    )
+    segment = (bins[:, 0] * n_bins[1] + bins[:, 1]) * n_bins[2] + bins[:, 2]
+    n_segments = n_bins[0] * n_bins[1] * n_bins[2]
+    centers = np.zeros((n_segments, 3))
+    names = []
+    for c in range(n_segments):
+        mask = segment == c
+        if mask.any():
+            centers[c] = matrix.X[mask].mean(axis=0)
+        r, rest = divmod(c, n_bins[1] * n_bins[2])
+        names.append(f"rec{r}|frq{rest // n_bins[2]}|mon{rest % n_bins[2]}")
+    return segment, centers, names
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rfm_expert_matches_the_cell_loop(small_planted, data):
+    dataset = small_planted[3]
+    matrix = rfm_features(dataset)
+    bounds = {}
+    for i, dim in enumerate(matrix.schema):
+        # Edges at data values too, where np.digitize must break ties.
+        column = sorted(set(matrix.X[:, i].tolist()))
+        edge = st.sampled_from(column) | st.floats(
+            column[0] - 1, column[-1] + 1
+        )
+        edges = data.draw(st.lists(edge, max_size=5, unique=True))
+        if edges or data.draw(st.booleans()):
+            bounds[dim] = sorted(edges)
+    report = run_rfm_expert(dataset, bounds)
+    segment, centers, names = loop_rfm_expert(matrix, bounds)
+    assert report.labels.tolist() == segment.tolist()
+    assert report.centers.tobytes() == centers.tobytes()
+    assert report.cluster_labels == names
+    assert report.metrics == {"k": len(names), "mode": "expert"}
 
 
 def test_rfm_single_customer_single_cluster(make_dataset):
@@ -70,12 +127,6 @@ def test_rfm_kmeans_recovers_planted_personas(small_planted):
     report = run_rfm(dataset, k=3, seed=7)
     found = as_assignment(report.ids, report.labels)
     assert purity(found, truth.customer_persona) >= 0.9
-
-
-def test_rfm_requires_k_in_kmeans_mode(make_dataset):
-    ds = make_dataset(basket_rows("b1", "c", {"K00": 3.0}), CATS)
-    with pytest.raises(PipelineError, match="requires k"):
-        run_rfm(ds, mode="kmeans")
 
 
 def test_pps_degenerate_one_hot_triggers_repair(make_dataset):

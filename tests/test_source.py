@@ -1,7 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from shopmission import kmeans, pipeline
+from shopmission.cli import CONFIG_KEYS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shopmission"
 
@@ -164,3 +168,46 @@ def test_no_module_imports_hashlib_when_imported():
         or isinstance(node, ast.ImportFrom) and node.module in names
     ]
     assert not found, f"hashlib imported at module level: {found}"
+
+
+# The library functions that each config key feeds, as a keyword argument.
+CONFIG_FEEDS = {
+    "tol": [kmeans.kmeans_fit],
+    "n_init": [kmeans.kmeans_fit],
+    "max_iter": [kmeans.kmeans_fit],
+    "dominance_threshold": [pipeline.run_pps, pipeline.run_sm],
+    "value_weight": [pipeline.run_sm, pipeline.stage1_matrix],
+    "standardize_rfm": [pipeline.run_rfm, pipeline.rfm_matrix],
+}
+
+
+def test_every_config_key_has_one_default_in_the_library():
+    # A key the config file leaves out takes the default of the function it
+    # feeds; the functions that one key feeds agree on it.
+    assert sorted(CONFIG_FEEDS) == sorted(CONFIG_KEYS)
+    for key, functions in CONFIG_FEEDS.items():
+        defaults = set()
+        for fn in functions:
+            param = inspect.signature(fn).parameters.get(key)
+            assert param is not None and param.kind in (
+                param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY
+            ), f"{fn.__name__} takes no keyword {key}"
+            assert param.default is not param.empty, (
+                f"{fn.__name__}'s {key} has no default"
+            )
+            defaults.add(param.default)
+        assert len(defaults) == 1, f"{key} has defaults {defaults}"
+
+
+def test_cli_reads_no_config_default():
+    # cli.py passes on only the keys a config file sets, so it never names
+    # a default of its own.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "config"
+    ]
+    assert not found, f"config.get( calls in the CLI: {found}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shopmission.features import FeatureMatrix
 from shopmission.validity import (
@@ -141,6 +143,81 @@ def test_db_coincident_centers_named():
     labels = [0, 0, 1, 1]
     with pytest.raises(ValidityError, match="coincident"):
         davies_bouldin(matrix, labels)
+
+
+def loop_davies_bouldin(matrix, labels):
+    """Reference: the Davies-Bouldin index with one Python loop over every
+    ordered pair of clusters, summing each row's worst ratio in turn."""
+    X = matrix.X
+    labels = np.asarray(labels)
+    clusters = np.flatnonzero(np.bincount(labels))
+    k = len(clusters)
+    centers, dispersion = np.empty((k, X.shape[1])), np.empty(k)
+    for i, j in enumerate(clusters):
+        pts = X[labels == j]
+        centers[i] = pts.mean(axis=0)
+        pts -= centers[i]
+        dispersion[i] = np.sqrt(np.square(pts, out=pts).sum(axis=1)).mean()
+    db = 0.0
+    for i in range(k):
+        worst = 0.0
+        for j in range(k):
+            if i == j:
+                continue
+            d = float(np.sqrt(((centers[i] - centers[j]) ** 2).sum()))
+            if d == 0.0:
+                raise ValidityError(
+                    f"clusters {clusters[i]} and {clusters[j]} have "
+                    "coincident centers"
+                )
+            worst = max(worst, (dispersion[i] + dispersion[j]) / d)
+        db += worst
+    return float(db / k)
+
+
+@st.composite
+def clustered_rows(draw):
+    """(matrix, labels): k in 2..15 clusters, some label values unused, over
+    1..20 columns of real numbers or of a small integer grid, where centers
+    can coincide."""
+    k = draw(st.integers(2, 15))
+    d = draw(st.integers(1, 20))
+    n = draw(st.integers(k, k + 30))
+    values = draw(st.sampled_from([
+        st.floats(-1e3, 1e3, allow_subnormal=False),
+        st.integers(-1, 1).map(float),
+    ]))
+    X = draw(st.lists(
+        st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n
+    ))
+    step = draw(st.integers(1, 3))
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = [c * step for c in [*range(k), *rest]]
+    return matrix_from(X), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=clustered_rows())
+def test_db_is_bit_equal_to_the_pairwise_loop(case):
+    matrix, labels = case
+    try:
+        want = loop_davies_bouldin(matrix, labels)
+    except ValidityError as exc:
+        with pytest.raises(ValidityError) as got:
+            davies_bouldin(matrix, labels)
+        assert str(got.value) == str(exc)
+    else:
+        assert davies_bouldin(matrix, labels) == want
+
+
+def test_db_coincident_centers_name_the_first_pair():
+    # Clusters 0 and 2, then 1 and 3, share a center; 0 and 2 come first.
+    X = [[0.0], [5.0], [1.0], [-1.0], [4.0], [6.0]]
+    labels = [0, 1, 2, 2, 3, 3]
+    with pytest.raises(
+        ValidityError, match="^clusters 0 and 2 have coincident centers$"
+    ):
+        davies_bouldin(matrix_from(X), labels)
 
 
 @pytest.mark.parametrize("metric", [between_variance_ratio, davies_bouldin])
