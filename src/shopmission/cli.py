@@ -15,10 +15,7 @@ import warnings
 from datetime import date
 from pathlib import Path
 
-from . import __version__
-from .features import FeatureError
-from .kmeans import KMeansError
-from . import features as feat
+from . import ShopmissionError, __version__, features as feat
 from .pipeline import (
     ASSIGNMENT_COLUMNS,
     PipelineError,
@@ -34,28 +31,15 @@ from .pipeline import (
     write_assignment_csv,
 )
 from .txmodel import (
-    AnalysisWindow, TxError, ValidationError, ingest_receipts, read_pairs,
+    AnalysisWindow, ValidationError, ingest_receipts, naming, read_pairs,
     write_csv, write_text,
 )
-from .validity import ValidityError, crosstab, purity, select_k
+from .validity import crosstab, purity, select_k
 
 
-class InputError(Exception):
-    """A malformed config file, window date or syngen option."""
+class InputError(ShopmissionError):
+    """A malformed config file or window date."""
 
-
-# Missing or unreadable files fail with OSError; every other data error is
-# one of the named classes. Other exceptions are bugs and keep their
-# traceback.
-DATA_ERRORS = (
-    InputError,
-    TxError,
-    FeatureError,
-    KMeansError,
-    ValidityError,
-    PipelineError,
-    OSError,
-)
 
 def _finite_float(text, minimum=-math.inf):
     """``float(text)``; NaN, +-inf and values below ``minimum`` are bad."""
@@ -105,11 +89,8 @@ CONFIG_KEYS = {
 def load_config(path) -> dict:
     """Flat ``key = value`` config file; # starts a comment."""
     config = {}
-    with open(path, encoding="utf-8") as f:
-        try:
-            lines = list(f)
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+    with naming(path), open(path, encoding="utf-8") as f:
+        lines = list(f)
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -195,10 +176,11 @@ def _load_dataset(args):
     )
     dataset = ingest_receipts(args.receipts, args.categories, window)
     if not dataset.n_baskets:
-        raise ValidationError(
-            f"no basket inside the window {window.start}..{window.end} "
-            f"({dataset.dropped_outside_window} dropped outside it)"
-        )
+        with naming(args.receipts):
+            raise ValidationError(
+                f"no basket inside the window {window.start}..{window.end} "
+                f"({dataset.dropped_outside_window} dropped outside it)"
+            )
     return dataset
 
 
@@ -228,17 +210,14 @@ def _warn_unconverged(fit, converged):
 
 def cmd_syngen(args, config, dataset):
     # Imported here so that no other command loads the generator.
-    from .syngen import SyngenError, default_config, generate
+    from .syngen import default_config, generate
 
-    try:
-        cfg = default_config(
-            n_customers=args.customers,
-            seed=args.seed,
-            n_categories=args.n_categories,
-            baskets_range=(args.baskets_min, args.baskets_max),
-        )
-    except SyngenError as exc:
-        raise InputError(str(exc)) from None
+    cfg = default_config(
+        n_customers=args.customers,
+        seed=args.seed,
+        n_categories=args.n_categories,
+        baskets_range=(args.baskets_min, args.baskets_max),
+    )
 
     def write(out):
         generate(cfg, out)
@@ -354,7 +333,8 @@ def cmd_compare(args, config, dataset):
 
 def _read_model(args):
     # Read before the dataset, so that a bad model is reported first.
-    return {"model": SmPipelineModel.from_json(Path(args.model).read_bytes())}
+    with naming(args.model), open(args.model, "rb") as f:
+        return {"model": SmPipelineModel.from_json(f.read())}
 
 
 def cmd_score(args, config, dataset, model):
@@ -505,10 +485,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report" and len(args.assignments) != 2:
         parser.error("report needs exactly two --assignments")
+    # Missing or unreadable files fail with OSError and bad input with a
+    # ShopmissionError; any other exception is a bug and keeps its traceback.
     try:
         config = load_config(args.config) if args.config else {}
         return run(args, config)
-    except DATA_ERRORS as exc:
+    except (ShopmissionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

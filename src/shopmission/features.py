@@ -14,13 +14,14 @@ from itertools import pairwise
 
 import numpy as np
 
+from . import ShopmissionError
 from .txmodel import Dataset
 
 MIN_BASKETS_FOR_Q95 = 20
 RFM_SCHEMA = ["recency_days", "frequency", "monetary"]
 
 
-class FeatureError(Exception):
+class FeatureError(ShopmissionError):
     pass
 
 

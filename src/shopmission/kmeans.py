@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ShopmissionError
 from .features import FeatureMatrix
 
 
@@ -45,7 +46,7 @@ from .features import FeatureMatrix
 MAX_FINAL_REPAIRS = 100
 
 
-class KMeansError(Exception):
+class KMeansError(ShopmissionError):
     pass
 
 

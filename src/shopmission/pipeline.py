@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features as feat
+from . import ShopmissionError, features as feat
 from .features import FeatureMatrix, QuantileSpec
 from .kmeans import ClusterModel, assign, kmeans_fit
-from .txmodel import Dataset, ValidationError, write_csv, write_text
+from .txmodel import Dataset, ValidationError, naming, write_csv, write_text
 from .validity import fit_summary
 
 ASSIGNMENT_COLUMNS = ["entity_id", "cluster"]
@@ -23,7 +23,7 @@ DEFAULT_DOMINANCE_THRESHOLD = 0.30
 MAX_EXPERT_SEGMENTS = 10_000
 
 
-class PipelineError(Exception):
+class PipelineError(ShopmissionError):
     pass
 
 
@@ -123,36 +123,37 @@ def stage1_matrix(dataset: Dataset, value_weight: float = 1.0):
 def load_expert_bounds(path) -> dict:
     """Expert RFM bin edges: a JSON object of lists of finite numbers,
     {"recency_days": [...], ...}, strictly increasing per dimension."""
-    with open(path, "rb") as f:
+    with naming(path), open(path, "rb") as f:
         try:
             # Numbers become floats, as binning uses them; huge ints -> inf.
             bounds = json.load(f, parse_int=float)
         except ValueError as exc:  # bad JSON or invalid UTF-8
-            raise PipelineError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(bounds, dict):
-        raise PipelineError(f"{path}: expected a JSON object of edge lists")
-    for dim, edges in bounds.items():
-        if dim not in feat.RFM_SCHEMA:
+            raise PipelineError(f"not valid JSON: {exc}") from None
+        if not isinstance(bounds, dict):
+            raise PipelineError("expected a JSON object of edge lists")
+        for dim, edges in bounds.items():
+            if dim not in feat.RFM_SCHEMA:
+                raise PipelineError(
+                    f"unknown RFM dimension {dim!r}, expected one of "
+                    f"{feat.RFM_SCHEMA}"
+                )
+            if not isinstance(edges, list) or not all(
+                isinstance(e, float) and math.isfinite(e) for e in edges
+            ):
+                raise PipelineError(
+                    f"bin edges for {dim!r} must be a list of finite "
+                    f"numbers, got {edges!r}"
+                )
+            if any(b <= a for a, b in zip(edges, edges[1:])):
+                raise PipelineError(
+                    f"bin edges for {dim} are not strictly increasing: {edges}"
+                )
+        segments = math.prod(len(edges) + 1 for edges in bounds.values())
+        if segments > MAX_EXPERT_SEGMENTS:
             raise PipelineError(
-                f"unknown RFM dimension {dim!r}, expected one of {feat.RFM_SCHEMA}"
+                f"the bin edges make {segments} RFM segments, more than "
+                f"{MAX_EXPERT_SEGMENTS}"
             )
-        if not isinstance(edges, list) or not all(
-            isinstance(e, float) and math.isfinite(e) for e in edges
-        ):
-            raise PipelineError(
-                f"bin edges for {dim!r} must be a list of finite numbers, "
-                f"got {edges!r}"
-            )
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise PipelineError(
-                f"bin edges for {dim} are not strictly increasing: {edges}"
-            )
-    segments = math.prod(len(edges) + 1 for edges in bounds.values())
-    if segments > MAX_EXPERT_SEGMENTS:
-        raise PipelineError(
-            f"{path}: the bin edges make {segments} RFM segments, more than "
-            f"{MAX_EXPERT_SEGMENTS}"
-        )
     return bounds
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ShopmissionError
 from .txmodel import (
     CATEGORY_COLUMNS, RECEIPT_COLUMNS, ParseError, open_csv, read_pairs,
     write_csv, write_text,
@@ -26,7 +27,7 @@ TRUTH_BASKET_COLUMNS = ["basket_id", "archetype"]
 TRUTH_CUSTOMER_COLUMNS = ["customer_id", "mission", "persona"]
 
 
-class SyngenError(Exception):
+class SyngenError(ShopmissionError):
     pass
 
 

@@ -18,6 +18,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import ShopmissionError
+
 RECEIPT_COLUMNS = [
     "basket_id",
     "customer_id",
@@ -39,16 +41,12 @@ _CENT = Decimal("0.01")
 _FINGERPRINT_CHUNK = 4096
 
 
-class TxError(Exception):
+class TxError(ShopmissionError):
     """Base error for transaction ingestion and validation."""
 
 
 class ParseError(TxError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    pass
 
 
 class ValidationError(TxError):
@@ -158,7 +156,7 @@ def _parse_price(text: str, line_no: int, basket_id: str) -> int:
         )
     if value < 0:
         raise ValidationError(
-            f"line {line_no}: negative unit_price in basket {basket_id!r}"
+            f"negative unit_price in basket {basket_id!r}", line_no
         )
     return int(rounded * 100)
 
@@ -171,8 +169,8 @@ def _parse_quantity(text: str, line_no: int, basket_id: str) -> float:
         raise ParseError(f"bad quantity {text!r}", line_no) from None
     if not 1 <= qty < MAX_CENTS:
         raise ValidationError(
-            f"line {line_no}: quantity must be >= 1 and below 2**53 "
-            f"in basket {basket_id!r}"
+            f"quantity must be >= 1 and below 2**53 in basket {basket_id!r}",
+            line_no,
         )
     return float(qty)
 
@@ -187,8 +185,8 @@ def _parse_timestamp(text: str, line_no: int, seen: dict) -> datetime:
     first = next(iter(seen.values()), ts)
     if (first.tzinfo is None) != (ts.tzinfo is None):
         raise ValidationError(
-            f"line {line_no}: timestamp {text!r} mixes timezone-aware "
-            "and naive timestamps in one file"
+            f"timestamp {text!r} mixes timezone-aware and naive timestamps "
+            "in one file", line_no
         )
     return ts
 
@@ -209,6 +207,30 @@ def write_text(path, text):
         f.write(text)
 
 
+# A class, not a @contextmanager generator like open_csv: the generator form
+# raised the sm-2k benchmark's peak RSS by about 0.15 MB (CHANGES.md).
+class naming:
+    """``with naming(path):`` names the file ``path`` in each package error
+    raised inside that names no file yet; bytes that are not UTF-8 raise
+    such a ``ParseError``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        error = exc
+        if isinstance(exc, UnicodeDecodeError):
+            error = ParseError(f"not valid UTF-8: {exc}")
+        if isinstance(error, ShopmissionError) and error.path is None:
+            error.path = self.path
+            error.args = (f"{self.path}: {error}",)
+        if error is not exc:
+            raise error from None
+
+
 @contextmanager
 def open_csv(path, header):
     """Open the UTF-8 CSV file ``path``, whose first record must equal
@@ -223,10 +245,10 @@ def open_csv(path, header):
     other line goes through a strict ``csv.reader``, which reads on from
     ``lines`` through quoted line breaks. So ``starmap(record, lines)``
     gives every record. Bad quoting and bytes that are not UTF-8 are
-    ``ParseError``s, and every ``TxError`` raised while the file is open,
+    ``ParseError``s, and every package error raised while the file is open,
     the body's included, names ``path``."""
     limit = csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8") as f:
+    with naming(path), open(path, newline="", encoding="utf-8") as f:
         lines = enumerate(f, 1)
 
         def record(line_no, line):
@@ -244,19 +266,11 @@ def open_csv(path, header):
                 ) from None
             return line_no + reader.line_num - 1, row
 
-        try:
-            first = next(lines, None)
-            row = record(*first)[1] if first else None
-            if row != header:
-                raise ParseError(
-                    f"expected header {','.join(header)}, got {row}"
-                )
-            yield lines, record
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
-        except TxError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
+        first = next(lines, None)
+        row = record(*first)[1] if first else None
+        if row != header:
+            raise ParseError(f"expected header {','.join(header)}, got {row}")
+        yield lines, record
 
 
 def read_pairs(path, header) -> dict:
@@ -275,9 +289,7 @@ def read_pairs(path, header) -> dict:
             if not key or not value:
                 raise ParseError(f"empty {key_name} or {value_name}", line_no)
             if key in pairs:
-                raise ValidationError(
-                    f"line {line_no}: duplicate {key_name} {key!r}"
-                )
+                raise ValidationError(f"duplicate {key_name} {key!r}", line_no)
             pairs[key] = value
     return pairs
 
@@ -289,9 +301,10 @@ def read_categories(path) -> dict:
         for cid, label in read_pairs(path, CATEGORY_COLUMNS).items()
     }
     if len(categories) < 2:
-        raise ValidationError(
-            f"{path}: need at least 2 categories, got {len(categories)}"
-        )
+        with naming(path):
+            raise ValidationError(
+                f"need at least 2 categories, got {len(categories)}"
+            )
     return categories
 
 
@@ -395,26 +408,20 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                 elif customer_index.get(cid) != basket_customer[b]:
                     first = list(customer_index)[basket_customer[b]]
                     raise ValidationError(
-                        f"line {line_no}: basket {bid!r} has conflicting "
-                        f"customer ids {first!r} and {cid!r}"
+                        f"basket {bid!r} has conflicting customer ids "
+                        f"{first!r} and {cid!r}", line_no
                     )
                 elif basket_ts[b] is not ts and (
                     basket_ts[b].isoformat() != ts.isoformat()
                 ):
                     raise ValidationError(
-                        f"line {line_no}: basket {bid!r} has conflicting "
-                        f"timestamps {basket_ts[b].isoformat()!r} and "
-                        f"{ts.isoformat()!r}"
+                        f"basket {bid!r} has conflicting timestamps "
+                        f"{basket_ts[b].isoformat()!r} and "
+                        f"{ts.isoformat()!r}", line_no
                     )
                 first_cell = b * n_cats
                 last_bid, last_cid, last_ts = bid, cid, ts_text
             spend[first_cell + c] += value
-
-    if n_unknown:
-        raise ValidationError(
-            f"{path}: {n_unknown} rows reference unknown categories: "
-            f"{', '.join(unknown_shown)}"
-        )
 
     # Baskets share one datetime per timestamp text, so the window test
     # runs once per distinct object (by identity: one instant in two UTC
@@ -431,15 +438,21 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     spend = np.frombuffer(spend, dtype=float).reshape(-1, n_cats)[rows]
     basket_values = spend.sum(axis=1)
     empty = np.flatnonzero(basket_values <= 0)
-    if empty.size:
-        raise ValidationError(
-            f"basket {kept[empty[0]]!r} has non-positive total value"
-        )
-    if basket_values.sum() >= MAX_CENTS:
-        raise ValidationError(
-            f"total value reaches 2**53 cents ({MAX_CENTS}); "
-            "cents sums would no longer be exact"
-        )
+    with naming(path):
+        if n_unknown:
+            raise ValidationError(
+                f"{n_unknown} rows reference unknown categories: "
+                f"{', '.join(unknown_shown)}"
+            )
+        if empty.size:
+            raise ValidationError(
+                f"basket {kept[empty[0]]!r} has non-positive total value"
+            )
+        if basket_values.sum() >= MAX_CENTS:
+            raise ValidationError(
+                f"total value reaches 2**53 cents ({MAX_CENTS}); "
+                "cents sums would no longer be exact"
+            )
 
     # Customers of kept baskets, by first-seen index, then ranked by id.
     first_seen = np.frombuffer(basket_customer, dtype=np.int64)[rows]

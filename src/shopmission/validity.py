@@ -13,12 +13,13 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import ShopmissionError
 from .features import FeatureMatrix
 from .kmeans import kmeans_fit
 from .txmodel import write_csv
 
 
-class ValidityError(Exception):
+class ValidityError(ShopmissionError):
     pass
 
 

@@ -603,9 +603,14 @@ def test_config_value_weight_is_non_negative(tmp_path):
 
 
 ASSIGNMENTS_HEADER = "entity_id,cluster\n"
+RECEIPTS_HEADER = (
+    "basket_id,customer_id,timestamp,product_id,category_id,unit_price,"
+    "quantity,promo_flag\n"
+)
 
 # (file name, bytes, command tail after the dataset arguments, message).
-# Each command reads one malformed side input; "{}" stands for its path.
+# Each command reads one malformed side input, or receipts.csv in place of
+# the dataset's; "{}" stands for its path.
 MALFORMED_INPUTS = [
     ("run.cfg", b"n_init = 0\n", ["pps", "--k", "3"],
      "n_init must be >= 1, got 0"),
@@ -652,7 +657,25 @@ MALFORMED_INPUTS = [
                  "frequency": list(range(136))}).encode(),
      ["rfm", "--mode", "expert", "--bounds-file", "{}"],
      "bounds.json: the bin edges make 10001 RFM segments, more than 10000"),
+    # Checks on the receipts that pass every row but fail the dataset.
+    ("receipts.csv",
+     (RECEIPTS_HEADER + "b1,c1,2025-02-01,p1,K00,0.00,3,0\n").encode(),
+     ["pps", "--k", "2"], "basket 'b1' has non-positive total value"),
+    ("receipts.csv",
+     (RECEIPTS_HEADER + f"b1,c1,2025-02-01,p1,K00,0.02,{2**52},0\n").encode(),
+     ["pps", "--k", "2"], "total value reaches 2**53 cents"),
+    ("receipts.csv",
+     (RECEIPTS_HEADER + "b1,c1,2024-12-31,p1,K00,1.00,1,0\n").encode(),
+     ["pps", "--k", "2"],
+     "no basket inside the window 2025-01-01..2025-03-31 "
+     "(1 dropped outside it)"),
 ]
+# The rows whose fault is in the options, not in the file's content; every
+# other row's error line names the file first.
+OPTION_FAULTS = {
+    "kmeans mode takes no --bounds-file",
+    "expert mode takes no --k",
+}
 MALFORMED_ASSIGNMENTS = [
     (ASSIGNMENTS_HEADER + "x,1\nx,2\ny\n", "line 3: duplicate entity id 'x'"),
     (ASSIGNMENTS_HEADER + "x,1\ny\n", "line 3: need 2 fields, got 1"),
@@ -672,6 +695,7 @@ def assert_one_error_line(code, capsys, message):
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+    return err
 
 
 @pytest.mark.parametrize("name, content, command, message", MALFORMED_INPUTS)
@@ -684,8 +708,12 @@ def test_malformed_side_input_is_one_line_error(
     argv[1:1] = dataset_args(data_dir)
     if name == "run.cfg":
         argv[:0] = ["--config", str(path)]
+    if name == "receipts.csv":
+        argv[argv.index("--receipts") + 1] = str(path)
     argv += ["--out", str(tmp_path / "out")]
-    assert_one_error_line(main(argv), capsys, message)
+    err = assert_one_error_line(main(argv), capsys, message)
+    named = err.startswith(f"error: {path}")
+    assert named == (message not in OPTION_FAULTS), err
     assert not (tmp_path / "out").exists()
 
 
@@ -884,6 +912,20 @@ def test_no_basket_inside_the_window_is_one_line_error(
         "(1 dropped outside it)",
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_z_suffix_and_basic_format_dates_are_read(tmp_path, capsys):
+    # The readers are datetime.fromisoformat and date.fromisoformat, which
+    # read both forms from Python 3.11 on, the oldest version supported.
+    (tmp_path / "receipts.csv").write_bytes(csv_bytes(
+        [FUZZ_RECEIPTS[0], "b1,c1,2025-02-01T08:00:00Z,p1,K00,2.50,1,0"]
+    ))
+    (tmp_path / "categories.csv").write_bytes(csv_bytes(FUZZ_CATEGORIES))
+    args = dataset_args(tmp_path)
+    args[args.index("--window-start") + 1] = "20250101"
+    assert main(["ingest", *args]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n_baskets"] == 1 and summary["total_value"] == 2.5
 
 
 @settings(max_examples=150, deadline=None,

@@ -146,11 +146,11 @@ def reference_ingest(path, category_table, window):
     empty = np.flatnonzero(basket_values <= 0)
     if empty.size:
         raise ValidationError(
-            f"basket {kept[empty[0]]!r} has non-positive total value"
+            f"{path}: basket {kept[empty[0]]!r} has non-positive total value"
         )
     if basket_values.sum() >= MAX_CENTS:
         raise ValidationError(
-            f"total value reaches 2**53 cents ({MAX_CENTS}); "
+            f"{path}: total value reaches 2**53 cents ({MAX_CENTS}); "
             "cents sums would no longer be exact"
         )
     first_seen = np.frombuffer(basket_customer, dtype=np.int64)[rows]

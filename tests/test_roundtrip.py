@@ -34,10 +34,9 @@ MANIFEST_ARGS_KEYS = {
     "compare": {"assignments"},
     "report": {"assignments"},
 }
-METRICS_KEYS = {
-    "k", "inertia", "seed", "converged", "between_variance_ratio",
-    "davies_bouldin",
-}
+FIT_KEYS = {"k", "inertia", "seed", "converged"}
+# Metrics of a fit of k >= 2 clusters only.
+VALIDITY_KEYS = {"between_variance_ratio", "davies_bouldin"}
 
 
 def csv_rows(path):
@@ -126,10 +125,13 @@ class OutputChecker:
 
     def metrics(self, path):
         metrics = json.loads(path.read_text())
-        assert set(metrics) == METRICS_KEYS
+        if metrics.get("mode") == "expert":  # RFM bins: no fit to describe
+            assert set(metrics) == {"k", "mode"}
+            return
+        validity = VALIDITY_KEYS if metrics["k"] >= 2 else set()
+        assert set(metrics) == FIT_KEYS | validity
         assert all(
-            isinstance(metrics[key], float)
-            for key in ("inertia", "between_variance_ratio", "davies_bouldin")
+            isinstance(metrics[key], float) for key in {"inertia"} | validity
         )
 
     def sm_model(self, path):
@@ -149,7 +151,10 @@ class OutputChecker:
     def k_recommendation(self, path):
         doc = json.loads(path.read_text())
         assert set(doc) == {"recommended_k", "policy"}
-        assert isinstance(doc["recommended_k"], int)
+        if doc["policy"] == "report_only":
+            assert doc["recommended_k"] is None
+        else:
+            assert isinstance(doc["recommended_k"], int)
 
     def square(self, path):
         rows = check_table(path, [""])

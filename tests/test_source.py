@@ -1,10 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
-from shopmission import kmeans, pipeline
+from shopmission import ShopmissionError, kmeans, pipeline
 from shopmission.cli import CONFIG_KEYS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shopmission"
@@ -211,3 +212,59 @@ def test_cli_reads_no_config_default():
         and node.func.value.id == "config"
     ]
     assert not found, f"config.get( calls in the CLI: {found}"
+
+
+def package_exception_classes():
+    """Every exception class defined at the top level of a package module."""
+    for path, _ in package_trees():
+        name = f"shopmission.{path.stem}".removesuffix(".__init__")
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+def test_every_package_exception_is_a_shopmission_error():
+    # The CLI catches ShopmissionError, so a new module error reaches the
+    # user as one error: line, not a traceback. _OutOfRange is a ValueError
+    # that load_config turns into an InputError.
+    classes = set(package_exception_classes())
+    assert ShopmissionError in classes
+    found = {cls.__name__ for cls in classes
+             if not issubclass(cls, ShopmissionError)}
+    assert found == {"_OutOfRange"}, found
+
+
+def handler_names(node):
+    """The class names that an ``except`` clause lists (none for a bare
+    ``except``)."""
+    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return [
+        t.attr if isinstance(t, ast.Attribute) else t.id
+        for t in types if t is not None
+    ]
+
+
+def test_cli_catches_the_base_class_only():
+    # A handler naming a subclass would be a second list of error classes to
+    # keep up to date; main catches the base class and OSError, and nothing
+    # else in the CLI names a package error.
+    subclasses = {
+        cls.__name__ for cls in package_exception_classes()
+        if issubclass(cls, ShopmissionError) and cls is not ShopmissionError
+    }
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and set(handler_names(node)) & subclasses
+    ]
+    assert not found, f"except clauses in cli.py name a subclass: {found}"
+    main = next(
+        n for n in tree.body
+        if isinstance(n, ast.FunctionDef) and n.name == "main"
+    )
+    [handler] = [n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    assert handler_names(handler) == ["ShopmissionError", "OSError"]
