@@ -124,12 +124,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-# Options that the manifest records outside "args" (the output directory,
-# the seed and the dataset), and the entries the top-level parser adds.
-NOT_ARGS = {
-    "out", "seed", "receipts", "categories", "window_start", "window_end",
-    "command", "config", "step", "read",
-}
 # File-valued options; each file's sha256 goes into the manifest's "inputs".
 INPUT_OPTIONS = (
     "receipts", "categories", "bounds_file", "model", "assignments",
@@ -138,10 +132,10 @@ INPUT_OPTIONS = (
 
 def write_manifest(out_dir, args, config):
     """Write ``manifest.json`` from the parsed args of a run. ``args`` holds
-    every option of the subcommand except those in ``NOT_ARGS``, plus the
+    the options that the subcommand itself declares (``args.own``), plus the
     analysis window of a dataset command and, if it also takes a seed, the
     config."""
-    options = {k: v for k, v in vars(args).items() if k not in NOT_ARGS}
+    options = {name: getattr(args, name) for name in args.own}
     if "receipts" in args:
         options["window"] = [args.window_start, args.window_end]
         if "seed" in args:
@@ -201,14 +195,14 @@ def _warn_unconverged(fit, converged):
         )
 
 
-# Each command's step gets the parsed args, the config and the dataset (None
-# for a command without --receipts), and score's also the model its ``read``
-# hook read. It computes everything, then returns a function that writes the
+# Each command's step gets the parsed args and the config and reads its own
+# inputs. It computes everything, then returns a function that writes the
 # command's files into the --out directory (None for ingest, which has no
-# --out).
+# --out). The dataset lives only in the step's frame, so it is freed before
+# the manifest's hashing loads OpenSSL.
 
 
-def cmd_syngen(args, config, dataset):
+def cmd_syngen(args, config):
     # Imported here so that no other command loads the generator.
     from .syngen import default_config, generate
 
@@ -226,7 +220,8 @@ def cmd_syngen(args, config, dataset):
     return write
 
 
-def cmd_ingest(args, config, dataset):
+def cmd_ingest(args, config):
+    dataset = _load_dataset(args)
     summary = {
         "n_baskets": dataset.n_baskets,
         "n_customers": len(dataset.customer_ids),
@@ -238,7 +233,8 @@ def cmd_ingest(args, config, dataset):
     print(json.dumps(summary, indent=2))
 
 
-def cmd_rfm(args, config, dataset):
+def cmd_rfm(args, config):
+    dataset = _load_dataset(args)
     if args.mode == "kmeans":
         if args.bounds_file:
             raise PipelineError("kmeans mode takes no --bounds-file")
@@ -260,7 +256,8 @@ def cmd_rfm(args, config, dataset):
     return lambda out: report.write(out, "rfm")
 
 
-def cmd_pps(args, config, dataset):
+def cmd_pps(args, config):
+    dataset = _load_dataset(args)
     report = run_pps(
         dataset, args.k, args.seed,
         **_settings(config, "dominance_threshold", *FIT_KEYS),
@@ -269,9 +266,9 @@ def cmd_pps(args, config, dataset):
     return lambda out: report.write(out, "pps")
 
 
-def cmd_sm(args, config, dataset):
+def cmd_sm(args, config):
     model, basket_report, customer_report = run_sm(
-        dataset, args.k_b, args.k_sm, args.seed,
+        _load_dataset(args), args.k_b, args.k_sm, args.seed,
         **_settings(config, "value_weight", "dominance_threshold", *FIT_KEYS),
     )
     _warn_unconverged("stage-1 basket", model.basket_model.converged)
@@ -285,7 +282,8 @@ def cmd_sm(args, config, dataset):
     return write
 
 
-def cmd_select_k(args, config, dataset):
+def cmd_select_k(args, config):
+    dataset = _load_dataset(args)
     # Each target sweeps the matrix that the command it advises fits.
     if args.target == "pps":
         matrix = feat.pps_features(dataset)
@@ -313,7 +311,7 @@ def cmd_select_k(args, config, dataset):
     return write
 
 
-def cmd_compare(args, config, dataset):
+def cmd_compare(args, config):
     assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments]
     names = [Path(p).stem for p in args.assignments]
     n = len(assignments)
@@ -331,20 +329,18 @@ def cmd_compare(args, config, dataset):
     return write
 
 
-def _read_model(args):
+def cmd_score(args, config):
     # Read before the dataset, so that a bad model is reported first.
     with naming(args.model), open(args.model, "rb") as f:
-        return {"model": SmPipelineModel.from_json(f.read())}
-
-
-def cmd_score(args, config, dataset, model):
+        model = SmPipelineModel.from_json(f.read())
+    dataset = _load_dataset(args)
     ids, labels = dataset.customer_ids, score(model, dataset)
     return lambda out: write_assignment_csv(
         out / "scored_assignments.csv", ids, labels
     )
 
 
-def cmd_report(args, config, dataset):
+def cmd_report(args, config):
     table = crosstab(
         *(read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments)
     )
@@ -361,17 +357,13 @@ def _print_warning(message, *_):
 
 
 def run(args, config) -> int:
-    """Run the parsed subcommand: read what its ``read`` hook reads, load the
-    dataset, run its step, and only after the step has succeeded make the
-    --out directory, write the step's files and the manifest into it. Each
-    ``warnings.warn`` of the step prints as one ``warning:`` line."""
-    side_inputs = args.read(args) if args.read else {}
-    dataset = _load_dataset(args) if "receipts" in args else None
+    """Run the parsed subcommand's step, and only after it has succeeded
+    make the --out directory, write the step's files and the manifest into
+    it. Each ``warnings.warn`` of the step prints as one ``warning:`` line."""
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
-        write = args.step(args, config, dataset, **side_inputs)
-    del dataset, side_inputs  # before the manifest's hashing loads OpenSSL
+        write = args.step(args, config)
     if "out" in args:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -385,24 +377,23 @@ def _arg(*flags, **kwargs):
 
 
 def _command(
-    sub, name, help, step, *options,
-    dataset=False, seed=False, out=True, read=None,
+    sub, name, help, step, *options, dataset=False, seed=False, out=True,
 ):
-    """Add subcommand ``name`` with its own ``options`` (from ``_arg``) and
-    the shared dataset, --seed and --out flags it takes."""
+    """Add subcommand ``name`` with its own ``options`` (from ``_arg``), whose
+    names the manifest records as ``own``, and the shared dataset, --seed
+    and --out flags it takes."""
     p = sub.add_parser(name, help=help)
     if dataset:
         for flag in (
             "--receipts", "--categories", "--window-start", "--window-end"
         ):
             p.add_argument(flag, required=True)
-    for flags, kwargs in options:
-        p.add_argument(*flags, **kwargs)
+    own = [p.add_argument(*flags, **kwargs).dest for flags, kwargs in options]
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if out:
         p.add_argument("--out", required=True)
-    p.set_defaults(step=step, read=read)
+    p.set_defaults(step=step, own=own)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(
         sub, "score", "assign new data with a trained SM model", cmd_score,
         _arg("--model", required=True),
-        dataset=True, read=_read_model,
+        dataset=True,
     )
     _command(
         sub, "report", "crosstab heatmap payload from two assignment files",

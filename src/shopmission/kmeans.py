@@ -188,16 +188,6 @@ class ClusterModel:
         )
 
 
-def _squared_distances(X, centers, buf):
-    """(k, n) squared Euclidean distances, one center at a time; ``buf`` is
-    (n, d) scratch."""
-    d2 = np.empty((centers.shape[0], X.shape[0]))
-    for j, c in enumerate(centers):
-        np.subtract(X, c, out=buf)
-        np.einsum("nd,nd->n", buf, buf, out=d2[j])
-    return d2
-
-
 def _plusplus_init(X, k, rng, buf, check_distinct):
     """k-means++ seeding; ``buf`` is (n, d) scratch. Returns the centers and
     the first assignment Lloyd starts from, ``(labels, own, lower)`` as
@@ -253,8 +243,12 @@ def _plusplus_init(X, k, rng, buf, check_distinct):
 
 def _nearest(X, centers, buf):
     """Nearest-center labels (lowest index on ties), their squared
-    distances, and each row's distance to its runner-up center."""
-    d2 = _squared_distances(X, centers, buf)
+    distances, and each row's distance to its runner-up center; ``buf`` is
+    (n, d) scratch."""
+    d2 = np.empty((centers.shape[0], X.shape[0]))
+    for j, c in enumerate(centers):
+        np.subtract(X, c, out=buf)
+        np.einsum("nd,nd->n", buf, buf, out=d2[j])
     labels = np.argmin(d2, axis=0)
     own = d2.min(axis=0)
     d2[labels, np.arange(len(labels))] = np.inf
@@ -351,8 +345,6 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        if iterations:
-            _reassign(X, centers, labels, lower, slack, buf, own)
         counts = np.bincount(labels, minlength=k)
         # A re-seeded center can take every row of a cluster whose center
         # has not moved yet, so repair until no cluster is empty.
@@ -368,10 +360,10 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
         centers = new_centers
         lower -= shift
         iterations += 1
+        _reassign(X, centers, labels, lower, slack, buf, own)
         if shift < tol:
             converged = True
             break
-    _reassign(X, centers, labels, lower, slack, buf, own)
     counts = np.bincount(labels, minlength=k)
     # Final assignment may orphan a center; repair keeps k as requested.
     # With more centers than distinct rows, which only custom inits allow,
@@ -470,5 +462,4 @@ def assign(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:
         )
     if not np.all(np.isfinite(matrix.X)):
         raise KMeansError("feature matrix contains non-finite values")
-    d2 = _squared_distances(matrix.X, model.centers, np.empty(matrix.X.shape))
-    return np.argmin(d2, axis=0)
+    return _nearest(matrix.X, model.centers, np.empty(matrix.X.shape))[0]

@@ -170,9 +170,18 @@ def _check_same_entities(assignment_i: dict, assignment_ii: dict):
         raise ValidityError("assignments are empty")
 
 
+def _label_order(labels) -> list:
+    """The distinct labels, by value when every one is a decimal integer (so
+    cluster 2 comes before 10), else as text."""
+    labels = set(labels)
+    if all(str(label).isdecimal() for label in labels):
+        return sorted(labels, key=lambda label: (int(label), label))
+    return sorted(labels)
+
+
 def _contingency(assignment_i: dict, assignment_ii: dict):
-    rows = sorted(set(assignment_i.values()))
-    cols = sorted(set(assignment_ii.values()))
+    rows = _label_order(assignment_i.values())
+    cols = _label_order(assignment_ii.values())
     row_idx = {c: i for i, c in enumerate(rows)}
     col_idx = {c: i for i, c in enumerate(cols)}
     counts = np.zeros((len(rows), len(cols)))

@@ -333,6 +333,24 @@ def test_relabeling_invariance():
     assert rows1 == pytest.approx(rows2)
 
 
+def test_crosstab_orders_integer_labels_by_value(tmp_path):
+    # Twelve row and eleven column clusters: as text, "10" sorts before "2".
+    a = {f"e{i}": str(i % 12) for i in range(48)}
+    b = {e: str(int(label) % 11) for e, label in a.items()}
+    table = crosstab(a, b)
+    assert table.row_labels == [str(j) for j in range(12)]
+    assert table.col_labels == [str(j) for j in range(11)]
+    assert table.values[10][10] == table.values[11][0] == 1.0
+    table.to_csv(tmp_path / "ct.csv")
+    header = (tmp_path / "ct.csv").read_text().splitlines()[0]
+    assert header == "," + ",".join(str(j) for j in range(11))
+
+
+def test_crosstab_orders_other_labels_as_text():
+    a = {"e0": "C10", "e1": "C2", "e2": "7", "e3": "10"}
+    assert crosstab(a, a).row_labels == ["10", "7", "C10", "C2"]
+
+
 def test_crosstab_exports(tmp_path):
     table = CrosstabMatrix(
         row_labels=[0, 1],
