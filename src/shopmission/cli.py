@@ -311,14 +311,22 @@ def cmd_select_k(args, config):
     return write
 
 
+def _naming_both(*paths):
+    """``naming`` for an error about two assignment files together."""
+    return naming(", ".join(map(str, paths)))
+
+
 def cmd_compare(args, config):
-    assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments]
-    names = [Path(p).stem for p in args.assignments]
+    paths = args.assignments
+    assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in paths]
+    names = [Path(p).stem for p in paths]
+
+    def pair_purity(i, j):
+        with _naming_both(paths[i], paths[j]):
+            return purity(assignments[i], assignments[j])
+
     n = len(assignments)
-    matrix = [
-        [purity(assignments[i], assignments[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    matrix = [[pair_purity(i, j) for j in range(n)] for i in range(n)]
 
     def write(out):
         rows = ([name] + row for name, row in zip(names, matrix))
@@ -341,9 +349,9 @@ def cmd_score(args, config):
 
 
 def cmd_report(args, config):
-    table = crosstab(
-        *(read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments)
-    )
+    assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in args.assignments]
+    with _naming_both(*args.assignments):
+        table = crosstab(*assignments)
 
     def write(out):
         table.to_csv(out / "crosstab.csv")

@@ -15,7 +15,7 @@ from itertools import pairwise
 import numpy as np
 
 from . import ShopmissionError
-from .txmodel import Dataset
+from .txmodel import Dataset, naming
 
 MIN_BASKETS_FOR_Q95 = 20
 RFM_SCHEMA = ["recency_days", "frequency", "monetary"]
@@ -107,10 +107,11 @@ def pps_features(dataset: Dataset) -> FeatureMatrix:
 def compute_q95(dataset: Dataset) -> QuantileSpec:
     """95% sample quantile (linear interpolation) of basket values."""
     if dataset.n_baskets < MIN_BASKETS_FOR_Q95:
-        raise FeatureError(
-            f"need at least {MIN_BASKETS_FOR_Q95} baskets for the 95% "
-            f"quantile, got {dataset.n_baskets}"
-        )
+        with naming(dataset.receipts_file):
+            raise FeatureError(
+                f"need at least {MIN_BASKETS_FOR_Q95} baskets for the 95% "
+                f"quantile, got {dataset.n_baskets}"
+            )
     values = dataset.basket_cents / 100.0
     # np.quantile's "linear" method, step for step: the order statistics
     # around (n - 1) * 0.95 and numpy's two-sided lerp between them.

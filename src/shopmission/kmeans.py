@@ -12,13 +12,20 @@ provably wins by a margin larger than any rounding error, so centers,
 labels, inertia and iteration counts are bit-identical to plain Lloyd
 with lowest-index tie-breaking.
 
-A fit makes ``X.T`` contiguous once, for the ``bincount`` means, and its
-restarts share one (n, d) scratch buffer for every distance row, so an
-iteration writes its own distances in place instead of allocating. The
-k-means++ draws search the cdf that ``rng.choice(n, p=...)`` builds, on the
-same ``rng.random()`` double, so the seeding keeps ``rng.choice``'s draws.
-The seeding computes every row's distance to every center it picks, so it
-also keeps each row's nearest center, that distance and the runner-up
+A fit makes ``XT = X.T`` contiguous once, and its restarts share one
+scratch buffer of that feature-major shape, so an iteration writes its
+differences in place instead of allocating, and each step of a distance
+computation is one numpy call over whole rows of n values, not one small
+call per row. ``_sum_squares`` adds up every squared distance in one
+fixed order: that of numpy's baseline x86-64 ``einsum("nd,nd->n")``
+kernel, which gave the engine's recorded outputs. Like ``_Pcg64Draws``
+below, owning the order keeps the outputs stable across numpy builds,
+whose ``einsum`` may pick another SIMD kernel and add in another order.
+
+The k-means++ draws search the cdf that ``rng.choice(n, p=...)`` builds, on
+the same ``rng.random()`` double, so the seeding keeps ``rng.choice``'s
+draws. The seeding computes every row's distance to every center it picks,
+so it also keeps each row's nearest center, that distance and the runner-up
 distance, and hands Lloyd its first assignment: Lloyd starts without a full
 distance pass of its own.
 
@@ -34,6 +41,7 @@ owning these two draws also pins the seeding against numpy upgrades.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -188,10 +196,47 @@ class ClusterModel:
         )
 
 
-def _plusplus_init(X, k, rng, buf, check_distinct):
-    """k-means++ seeding; ``buf`` is (n, d) scratch. Returns the centers and
+@cache
+def _pair_order(d):
+    """The first feature of each pair of features (f, f + 1), in the order
+    that ``_sum_squares`` adds the pairs onto its two lanes."""
+    full = d - d % 8
+    blocks = (b + i for b in range(0, full, 8) for i in (6, 4, 2, 0))
+    return (*blocks, *range(full, d - 1, 2))
+
+
+def _sum_squares(D, out=None):
+    """``out[i] = sum_f D[f, i] ** 2`` for the feature-major block ``D``
+    (d, m), which it overwrites; returns ``out``, or a row of ``D`` when
+    ``out`` is None.
+
+    The sum is bit-identical to ``np.einsum("nd,nd->n", D.T, D.T)`` as
+    numpy's baseline x86-64 kernel adds it: each square is rounded before
+    it adds (no fused multiply-add), feature f adds into lane ``f % 2`` of
+    two lanes, each full block of eight features adds its four pairs onto
+    the lanes last to first, the remaining pairs add in order, a last odd
+    feature adds to lane 0 alone, and then the two lanes add. Each step is
+    one ufunc call over whole rows.
+    """
+    np.multiply(D, D, out=D)
+    d = D.shape[0]
+    pairs = _pair_order(d)
+    if not pairs:  # d <= 1: the kernel still adds an empty lane of zeros
+        first = D[0] if d else np.zeros(D.shape[1])
+        return np.add(first, 0.0, out=first if out is None else out)
+    lanes = D[pairs[0] : pairs[0] + 2]
+    for f in pairs[1:]:
+        np.add(D[f : f + 2], lanes, out=lanes)
+    if d % 2:
+        np.add(D[d - 1], lanes[0], out=lanes[0])
+    return np.add(lanes[0], lanes[1], out=lanes[0] if out is None else out)
+
+
+def _plusplus_init(XT, k, rng, buf, check_distinct):
+    """k-means++ seeding of the rows of ``X``, given as ``XT = X.T`` made
+    contiguous; ``buf`` is scratch of ``XT``'s size. Returns the centers and
     the first assignment Lloyd starts from, ``(labels, own, lower)`` as
-    ``_nearest(X, centers, buf)`` gives it.
+    ``_nearest(XT, centers, buf)`` gives it.
 
     When every row's distance to its nearest center is 0 before the k-th
     pick, the rows may all coincide with the centers, or their distances
@@ -206,9 +251,10 @@ def _plusplus_init(X, k, rng, buf, check_distinct):
     ``second`` to the runner-up; a strict ``<`` keeps the lowest index on
     ties, as ``argmin`` does.
     """
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
+    d, n = XT.shape
+    D = buf.reshape(d, n)
+    centers = np.empty((k, d))
+    centers[0] = XT[:, rng.integers(n)]
     labels = np.zeros(n, dtype=np.intp)
     own = np.full(n, np.inf)
     second = np.full(n, np.inf)
@@ -228,9 +274,9 @@ def _plusplus_init(X, k, rng, buf, check_distinct):
             np.divide(own, total, out=cdf)
             np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
-            centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
-        np.subtract(X, centers[j], out=buf)
-        np.einsum("nd,nd->n", buf, buf, out=d2)
+            centers[j] = XT[:, cdf.searchsorted(rng.random(), side="right")]
+        np.subtract(XT, centers[j][:, None], out=D)
+        _sum_squares(D, d2)
         np.less(d2, own, out=closer)
         np.copyto(labels, j, where=closer)
         # The runner-up is the old nearest where center j wins, else the
@@ -241,33 +287,52 @@ def _plusplus_init(X, k, rng, buf, check_distinct):
     return centers, (labels, own, np.sqrt(second, out=second))
 
 
-def _nearest(X, centers, buf):
+def _nearest(XT, centers, buf):
     """Nearest-center labels (lowest index on ties), their squared
-    distances, and each row's distance to its runner-up center; ``buf`` is
-    (n, d) scratch."""
-    d2 = np.empty((centers.shape[0], X.shape[0]))
-    for j, c in enumerate(centers):
-        np.subtract(X, c, out=buf)
-        np.einsum("nd,nd->n", buf, buf, out=d2[j])
-    labels = np.argmin(d2, axis=0)
-    own = d2.min(axis=0)
-    d2[labels, np.arange(len(labels))] = np.inf
-    return labels, own, np.sqrt(d2.min(axis=0))
+    distances, and each row's distance to its runner-up center, for the
+    rows of ``X`` given as ``XT = X.T``; ``buf`` is scratch.
+
+    The rows go in chunks whose (d, k, rows) block of differences to every
+    center fits in ``buf``.
+    """
+    d, m = XT.shape
+    k = centers.shape[0]
+    step = buf.size // (d * k) if d else m
+    if not step:  # more centers than buf has rows: one row at a time
+        buf, step = np.empty(d * k), 1
+    CT = np.ascontiguousarray(centers.T)[:, :, None]
+    labels = np.empty(m, dtype=np.intp)
+    own = np.empty(m)
+    lower = np.empty(m)
+    for lo in range(0, m, step):
+        s = min(step, m - lo)
+        rows = slice(lo, lo + s)
+        D = buf.reshape(-1)[: d * k * s].reshape(d, k, s)
+        np.subtract(XT[:, None, rows], CT, out=D)
+        d2 = _sum_squares(D.reshape(d, k * s)).reshape(k, s)
+        np.argmin(d2, axis=0, out=labels[rows])
+        d2.min(axis=0, out=own[rows])
+        d2[labels[rows], np.arange(s)] = np.inf
+        np.sqrt(d2.min(axis=0), out=lower[rows])
+    return labels, own, lower
 
 
-def _reassign(X, centers, labels, lower, slack, buf, own):
+def _reassign(XT, centers, labels, lower, slack, buf, own):
     """Move each row to its nearest center, in place, and write the squared
-    distances to the new labels into ``own``; ``buf`` is (n, d) scratch.
+    distances to the new labels into ``own``; ``XT`` is ``X.T`` made
+    contiguous and ``buf`` is scratch of its size.
 
     A row keeps its label without a distance row when its distance to that
     center, plus ``slack``, is below half the gap to the nearest other
     center or below ``lower``, its bound on the distance to every other
     center. NaN fails the test, so such rows are recomputed.
     """
-    # Labels are always in range; mode="raise" would copy ``buf`` first.
-    np.take(centers, labels, axis=0, out=buf, mode="clip")
-    np.subtract(X, buf, out=buf)
-    np.einsum("nd,nd->n", buf, buf, out=own)
+    D = buf.reshape(XT.shape)
+    # Labels are always in range; mode="raise" would copy ``D`` first.
+    np.take(np.ascontiguousarray(centers.T), labels, axis=1, out=D,
+            mode="clip")
+    np.subtract(XT, D, out=D)
+    _sum_squares(D, own)
     gap = np.sqrt(((centers[:, None] - centers) ** 2).sum(axis=2))
     np.fill_diagonal(gap, np.inf)
     bound = np.take(gap.min(axis=1) / 2, labels)
@@ -277,7 +342,7 @@ def _reassign(X, centers, labels, lower, slack, buf, own):
     stale = np.flatnonzero(~(dist < bound))
     if stale.size:
         labels[stale], own[stale], lower[stale] = _nearest(
-            X[stale], centers, buf[: stale.size]
+            XT.take(stale, axis=1), centers, buf
         )
 
 
@@ -331,7 +396,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
     """Lloyd's iterations from ``centers`` and their nearest-center
     ``assignment``, the ``(labels, own, lower)`` of ``_nearest``, which the
     iterations update in place; ``XT`` is ``X.T`` made contiguous and ``buf``
-    is (n, d) scratch, both shared by the restarts of a fit."""
+    is scratch of its size, both shared by the restarts of a fit."""
     centers = centers.copy()
     k = centers.shape[0]
     # Centers are rows or means of rows, so every distance is at most the
@@ -352,7 +417,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
         while counts.min() == 0:
             passes = _count_repair(passes, k)
             centers, labels = _repair_empty(X, centers, labels, own)
-            labels, own, lower = _nearest(X, centers, buf)
+            labels, own, lower = _nearest(XT, centers, buf)
             counts = np.bincount(labels, minlength=k)
         history.append(float(own.sum()))
         new_centers = _cluster_means(X, XT, labels, counts)
@@ -360,7 +425,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
         centers = new_centers
         lower -= shift
         iterations += 1
-        _reassign(X, centers, labels, lower, slack, buf, own)
+        _reassign(XT, centers, labels, lower, slack, buf, own)
         if shift < tol:
             converged = True
             break
@@ -375,7 +440,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
         centers = _cluster_means(
             X, XT, labels, np.bincount(labels, minlength=k)
         )
-        labels, own, lower = _nearest(X, centers, buf)
+        labels, own, lower = _nearest(XT, centers, buf)
         counts = np.bincount(labels, minlength=k)
     inertia = float(own.sum())
     history.append(inertia)
@@ -429,11 +494,11 @@ def kmeans_fit(
         )
 
     XT = np.ascontiguousarray(X.T)
-    buf = np.empty(X.shape)
+    buf = np.empty_like(XT)
     best = None
     for restart in range(n_init):
         rng = _Pcg64Draws((seed, restart))
-        init, assignment = _plusplus_init(X, k, rng, buf, check_distinct)
+        init, assignment = _plusplus_init(XT, k, rng, buf, check_distinct)
         fit = _lloyd(X, XT, init, assignment, max_iter, tol, buf)
         if best is None or fit[2] < best[2]:
             best = fit
@@ -462,4 +527,4 @@ def assign(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:
         )
     if not np.all(np.isfinite(matrix.X)):
         raise KMeansError("feature matrix contains non-finite values")
-    return _nearest(matrix.X, model.centers, np.empty(matrix.X.shape))[0]
+    return _nearest(matrix.X.T, model.centers, np.empty(matrix.X.shape))[0]

@@ -344,9 +344,11 @@ def score(model: SmPipelineModel, dataset: Dataset) -> np.ndarray:
     """
     unknown = set(dataset.category_ids) - set(model.category_ids)
     if unknown:
-        raise ValidationError(
-            f"dataset has categories unknown to the model: {sorted(unknown)}"
-        )
+        with naming(dataset.categories_file):
+            raise ValidationError(
+                f"dataset has categories unknown to the model: "
+                f"{sorted(unknown)}"
+            )
     # Project onto the training category axis (missing categories -> 0).
     basket_matrix = feat.basket_sm_features(
         dataset, model.category_ids, model.q95, model.value_weight

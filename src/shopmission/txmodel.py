@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from itertools import chain, starmap
@@ -90,6 +90,9 @@ class Dataset:
     timestamps: list  # (n_baskets,) datetime of each basket
     spend_cents: np.ndarray  # (n_baskets, n_categories) int64, category_ids order
     dropped_outside_window: int = 0
+    # The files ingest read, named by errors about the dataset as a whole.
+    receipts_file: object = field(default=None, compare=False)
+    categories_file: object = field(default=None, compare=False)
 
     @property
     def n_baskets(self) -> int:
@@ -212,7 +215,7 @@ def write_text(path, text):
 class naming:
     """``with naming(path):`` names the file ``path`` in each package error
     raised inside that names no file yet; bytes that are not UTF-8 raise
-    such a ``ParseError``."""
+    such a ``ParseError``. ``naming(None)`` names no file."""
 
     def __init__(self, path):
         self.path = path
@@ -224,7 +227,8 @@ class naming:
         error = exc
         if isinstance(exc, UnicodeDecodeError):
             error = ParseError(f"not valid UTF-8: {exc}")
-        if isinstance(error, ShopmissionError) and error.path is None:
+        if (isinstance(error, ShopmissionError) and error.path is None
+                and self.path is not None):
             error.path = self.path
             error.args = (f"{self.path}: {error}",)
         if error is not exc:
@@ -472,4 +476,6 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
         timestamps=list(map(basket_ts.__getitem__, memoryview(rows))),
         spend_cents=spend.astype(np.int64),
         dropped_outside_window=len(basket_ts) - len(kept),
+        receipts_file=path,
+        categories_file=category_table,
     )

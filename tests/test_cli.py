@@ -669,6 +669,21 @@ MALFORMED_INPUTS = [
      ["pps", "--k", "2"],
      "no basket inside the window 2025-01-01..2025-03-31 "
      "(1 dropped outside it)"),
+    # Too few baskets in the window for the q95 value axis.
+    ("receipts.csv",
+     (RECEIPTS_HEADER + "b1,c1,2025-02-01,p1,K00,1.00,1,0\n").encode(),
+     ["sm", "--k-b", "2", "--k-sm", "2"],
+     "need at least 20 baskets for the 95% quantile, got 1"),
+    ("receipts.csv",
+     (RECEIPTS_HEADER + "b1,c1,2025-02-01,p1,K00,1.00,1,0\n").encode(),
+     ["select-k", "--target", "basket"],
+     "need at least 20 baskets for the 95% quantile, got 1"),
+    # A category that the trained model (``{model}``) lacks.
+    ("categories.csv",
+     ("category_id,label\n"
+      + "".join(f"K{i:02d},Label {i}\n" for i in (*range(8), 99))).encode(),
+     ["score", "--model", "{model}"],
+     "dataset has categories unknown to the model: ['K99']"),
 ]
 # The rows whose fault is in the options, not in the file's content; every
 # other row's error line names the file first.
@@ -700,16 +715,19 @@ def assert_one_error_line(code, capsys, message):
 
 @pytest.mark.parametrize("name, content, command, message", MALFORMED_INPUTS)
 def test_malformed_side_input_is_one_line_error(
-    data_dir, tmp_path, capsys, name, content, command, message
+    data_dir, trained_model, tmp_path, capsys, name, content, command, message
 ):
     path = tmp_path / name
     path.write_bytes(content)
-    argv = [str(path) if arg == "{}" else arg for arg in command]
+    model = tmp_path / "trained_model.json"
+    model.write_text(json.dumps(trained_model))
+    placeholders = {"{}": str(path), "{model}": str(model)}
+    argv = [placeholders.get(arg, arg) for arg in command]
     argv[1:1] = dataset_args(data_dir)
     if name == "run.cfg":
         argv[:0] = ["--config", str(path)]
-    if name == "receipts.csv":
-        argv[argv.index("--receipts") + 1] = str(path)
+    if name in ("receipts.csv", "categories.csv"):
+        argv[argv.index("--" + path.stem) + 1] = str(path)
     argv += ["--out", str(tmp_path / "out")]
     err = assert_one_error_line(main(argv), capsys, message)
     named = err.startswith(f"error: {path}")
@@ -731,6 +749,27 @@ def test_malformed_assignment_file_is_one_line_error(
         "--out", str(tmp_path / "out"),
     ])
     assert_one_error_line(code, capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+def test_assignments_over_different_entities_name_both_files(
+    tmp_path, capsys, command
+):
+    first = tmp_path / "first.csv"
+    first.write_text(ASSIGNMENTS_HEADER + "x,1\ny,2\n")
+    second = tmp_path / "second.csv"
+    second.write_text(ASSIGNMENTS_HEADER + "x,1\nz,2\nw,1\n")
+    code = main([
+        command, "--assignments", str(first), "--assignments", str(second),
+        "--out", str(tmp_path / "out"),
+    ])
+    err = assert_one_error_line(
+        code, capsys,
+        "assignments cover different entity sets "
+        "(1 only in first, 2 only in second)",
+    )
+    assert err.startswith(f"error: {first}, {second}: "), err
     assert not (tmp_path / "out").exists()
 
 

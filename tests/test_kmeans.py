@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -447,18 +448,19 @@ def engine_init(X, k, rng):
                 f"k={k} exceeds number of distinct rows ({n_distinct})"
             )
 
-    return kmeans._plusplus_init(X, k, rng, np.empty(X.shape), check_distinct)
+    return kmeans._plusplus_init(
+        np.ascontiguousarray(X.T), k, rng, np.empty(X.shape), check_distinct
+    )
 
 
 def engine_lloyd(X, init, max_iter, tol, assignment=None):
     """``kmeans._lloyd`` with the transpose and scratch buffer a fit makes,
     from ``assignment`` or, for a custom init, from ``_nearest``."""
+    XT = np.ascontiguousarray(X.T)
     buf = np.empty(X.shape)
     if assignment is None:
-        assignment = kmeans._nearest(X, init, buf)
-    return kmeans._lloyd(
-        X, np.ascontiguousarray(X.T), init, assignment, max_iter, tol, buf
-    )
+        assignment = kmeans._nearest(XT, init, buf)
+    return kmeans._lloyd(X, XT, init, assignment, max_iter, tol, buf)
 
 
 def oracle_or_reject(X, centers, max_iter, tol):
@@ -660,7 +662,7 @@ def test_seeding_hands_lloyd_the_nearest_assignment(n, d, kind, extra_k,
     centers, (labels, own, lower) = engine_init(
         X, k, np.random.default_rng(seed)
     )
-    want = kmeans._nearest(X, centers, np.empty(X.shape))
+    want = kmeans._nearest(X.T, centers, np.empty(X.shape))
     for got, expected in zip((labels, own, lower), want):
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
@@ -808,3 +810,96 @@ def test_select_k_sweep_pinned_on_syngen_baskets(tmp_path, monkeypatch):
     assert [row["inertia"] for row in sweep.rows] == [
         float.fromhex(PINNED_SWEEP[k][0]) for k in range(2, 13)
     ]
+
+
+# --- The order in which every squared distance adds up. ---
+
+
+def _pinned_sum_of_squares(row):
+    """A row's sum of squares in Python floats, step for step as numpy's
+    baseline x86-64 einsum kernel adds it: two lanes from 0.0, each block of
+    eight adding ``x * x + lane`` for its pairs from last to first, then the
+    tail pair by pair with a missing odd partner read as 0.0, then
+    ``lane 0 + lane 1``."""
+    d = len(row)
+    full = d - d % 8
+    lanes = [0.0, 0.0]
+    for block in range(0, full, 8):
+        for i in (6, 4, 2, 0):
+            for lane in (0, 1):
+                x = row[block + i + lane]
+                lanes[lane] = x * x + lanes[lane]
+    for start in range(full, d, 2):
+        for lane in (0, 1):
+            x = row[start + lane] if start + lane < d else 0.0
+            lanes[lane] = x * x + lanes[lane]
+    return lanes[0] + lanes[1]
+
+
+def _rows_of_kind(kind, n, d, rng):
+    if kind == "normal":
+        return rng.normal(size=(n, d))
+    if kind == "heavy-tailed":
+        return rng.standard_cauchy(size=(n, d))
+    if kind == "integer-grid":
+        return rng.integers(-3, 4, size=(n, d)).astype(float)
+    if kind == "zero":
+        return np.zeros((n, d))
+    if kind == "subnormal":
+        # Squares from 2**-1100 to 2**-1000: subnormal, or lost to 0.
+        return rng.normal(size=(n, d)) * 2.0 ** rng.integers(-550, -500, (n, d))
+    # Near sqrt(float max): squares near the largest double, whose sums
+    # overflow to inf.
+    return rng.uniform(-1, 1, size=(n, d)) * np.sqrt(np.finfo(float).max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 20),
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["normal", "heavy-tailed", "integer-grid", "zero",
+                          "subnormal", "near-sqrt-max"]),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_sum_squares_adds_in_the_pinned_order(d, n, kind, data_seed):
+    # Bit for bit, the routine must equal the pinned order in Python floats
+    # and the einsum the engine's recorded outputs came from. If only the
+    # einsum comparison fails, this numpy build's einsum adds in another
+    # order; the engine's outputs do not depend on it.
+    X = _rows_of_kind(kind, n, d, np.random.default_rng(data_seed))
+    with np.errstate(over="ignore", under="ignore"):
+        pinned = np.array([_pinned_sum_of_squares(row) for row in X.tolist()])
+        einsum = np.einsum("nd,nd->n", X, X)
+        got = kmeans._sum_squares(X.T.copy())
+        into = np.empty(n)
+        assert kmeans._sum_squares(X.T.copy(), into) is into
+    assert got.tobytes() == pinned.tobytes()
+    assert into.tobytes() == pinned.tobytes()
+    assert einsum.tobytes() == pinned.tobytes()
+
+
+# tracemalloc's peak of ``kmeans_fit(k=6, seed=42)`` on the stage-1 basket
+# matrix of the 2,000-customer syngen set of seed 1, the ``sm`` benchmark's
+# shape, for the engine that subtracted one center at a time from the
+# row-major matrix and summed each row with einsum.
+ROW_MAJOR_FIT_PEAK = 4_295_237
+
+
+def test_fit_memory_peak_on_a_2k_customer_basket_matrix(tmp_path):
+    # Distances over the feature-major matrix carve every block from the
+    # fit's scratch buffer, so the fit's traced peak must not grow.
+    generate(default_config(n_customers=2000, seed=1), tmp_path)
+    dataset = ingest_receipts(
+        tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
+    )
+    matrix = basket_sm_features(
+        dataset, dataset.category_ids, compute_q95(dataset), 1.0
+    )
+    assert matrix.X.shape == (15997, 9)
+    tracemalloc.start()
+    try:
+        kmeans_fit(matrix, 6, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ROW_MAJOR_FIT_PEAK + 64 * 1024, peak

@@ -62,6 +62,22 @@ def test_every_text_mode_open_names_its_encoding():
     assert not found, f"open() without encoding= in the package: {found}"
 
 
+def test_no_module_calls_einsum():
+    # kmeans._sum_squares owns the order in which every squared distance
+    # adds up; einsum adds in whatever order the SIMD kernel that a numpy
+    # build picks uses.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "einsum"
+        or isinstance(node, ast.Name) and node.id == "einsum"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "einsum" for alias in node.names)
+    ]
+    assert not found, f"einsum in the package: {found}"
+
+
 def uses_outside(functions, uses):
     """``path:line`` of each node that ``uses(tree)`` yields outside the
     top-level functions of txmodel.py named in ``functions``, and whether
