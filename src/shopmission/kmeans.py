@@ -40,7 +40,7 @@ owning these two draws also pins the seeding against numpy upgrades.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -156,7 +156,6 @@ class ClusterModel:
     seed: int
     inertia: float
     iterations_run: int
-    inertia_history: list = field(default_factory=list)
     # False when the kept restart stopped at max_iter with shift >= tol.
     converged: bool = True
 
@@ -167,7 +166,6 @@ class ClusterModel:
             "seed": self.seed,
             "inertia": self.inertia,
             "iterations_run": self.iterations_run,
-            "inertia_history": self.inertia_history,
             "converged": self.converged,
             "centers": [list(row) for row in self.centers],
         }
@@ -190,7 +188,6 @@ class ClusterModel:
             seed=doc["seed"],
             inertia=doc["inertia"],
             iterations_run=doc["iterations_run"],
-            inertia_history=doc.get("inertia_history", []),
             # Files written before the field existed did not record it.
             converged=doc.get("converged", True),
         )
@@ -406,10 +403,8 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
     # nearest center: the label an argmin would give.
     slack = 1e-9 * np.sqrt(((XT.max(axis=1) - XT.min(axis=1)) ** 2).sum())
     labels, own, lower = assignment
-    history = []
-    iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         counts = np.bincount(labels, minlength=k)
         # A re-seeded center can take every row of a cluster whose center
         # has not moved yet, so repair until no cluster is empty.
@@ -419,12 +414,10 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
             centers, labels = _repair_empty(X, centers, labels, own)
             labels, own, lower = _nearest(XT, centers, buf)
             counts = np.bincount(labels, minlength=k)
-        history.append(float(own.sum()))
         new_centers = _cluster_means(X, XT, labels, counts)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         lower -= shift
-        iterations += 1
         _reassign(XT, centers, labels, lower, slack, buf, own)
         if shift < tol:
             converged = True
@@ -442,9 +435,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
         )
         labels, own, lower = _nearest(XT, centers, buf)
         counts = np.bincount(labels, minlength=k)
-    inertia = float(own.sum())
-    history.append(inertia)
-    return centers, labels, inertia, iterations, history, converged
+    return centers, labels, float(own.sum()), iterations, converged
 
 
 def kmeans_fit(
@@ -503,7 +494,7 @@ def kmeans_fit(
         if best is None or fit[2] < best[2]:
             best = fit
 
-    centers, labels, inertia, iterations, history, converged = best
+    centers, labels, inertia, iterations, converged = best
     model = ClusterModel(
         k=k,
         centers=centers,
@@ -511,7 +502,6 @@ def kmeans_fit(
         seed=seed,
         inertia=inertia,
         iterations_run=iterations,
-        inertia_history=history,
         converged=converged,
     )
     return model, labels

@@ -254,7 +254,7 @@ class SmPipelineModel:
                 raise ValueError(
                     "category_ids must be a list of distinct strings"
                 )
-            return cls(
+            model = cls(
                 q95=QuantileSpec(q95=_finite_number(doc, "q95")),
                 basket_model=ClusterModel.from_dict(doc["basket_model"]),
                 customer_model=ClusterModel.from_dict(doc["customer_model"]),
@@ -262,6 +262,16 @@ class SmPipelineModel:
                 value_weight=_finite_number(doc, "value_weight"),
                 dataset_fingerprint=doc["dataset_fingerprint"],
             )
+            # The schemas that ``score``'s feature builders give.
+            basket_schema = [f"cat:{c}" for c in category_ids] + ["value"]
+            k_b = model.basket_model.k
+            for name, schema in (
+                ("basket_model", basket_schema),
+                ("customer_model", [f"archetype:{j}" for j in range(k_b)]),
+            ):
+                if getattr(model, name).feature_schema != schema:
+                    raise ValueError(f"{name} feature_schema must be {schema}")
+            return model
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise PipelineError(
                 f"not a valid SM model: {type(exc).__name__}: {exc}"

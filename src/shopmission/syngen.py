@@ -12,15 +12,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import groupby, starmap
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import ShopmissionError
 from .txmodel import (
-    CATEGORY_COLUMNS, RECEIPT_COLUMNS, ParseError, open_csv, read_pairs,
-    write_csv, write_text,
+    CATEGORY_COLUMNS, RECEIPT_COLUMNS, read_pairs, write_csv, write_text,
 )
 
 TRUTH_BASKET_COLUMNS = ["basket_id", "archetype"]
@@ -167,7 +166,7 @@ def default_config(
     def focused(idx):
         mix = [0.1 / (n_categories - 1)] * n_categories
         mix[idx] = 0.9
-        total = sum(mix)
+        *_, total = accumulate(mix)  # left to right, as sum() is not on 3.12+
         return tuple(m / total for m in mix)
 
     archetypes = [
@@ -380,17 +379,11 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
 def load_truth(out_dir) -> GroundTruth:
     """The ground truth that ``generate`` wrote to ``out_dir``."""
     out_dir = Path(out_dir)
-    truth = GroundTruth(
-        read_pairs(out_dir / "ground_truth_baskets.csv", TRUTH_BASKET_COLUMNS),
-        {}, {},
-    )
-    with open_csv(
+    customers = read_pairs(
         out_dir / "ground_truth_customers.csv", TRUTH_CUSTOMER_COLUMNS
-    ) as (lines, record):
-        for line_no, row in starmap(record, lines):
-            if len(row) != 3:
-                raise ParseError(f"need 3 fields, got {len(row)}", line_no)
-            customer_id, mission, persona = row
-            truth.customer_mission[customer_id] = mission
-            truth.customer_persona[customer_id] = persona
-    return truth
+    )
+    return GroundTruth(
+        read_pairs(out_dir / "ground_truth_baskets.csv", TRUTH_BASKET_COLUMNS),
+        {cid: mission for cid, (mission, _) in customers.items()},
+        {cid: persona for cid, (_, persona) in customers.items()},
+    )

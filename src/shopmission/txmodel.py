@@ -278,23 +278,27 @@ def open_csv(path, header):
 
 
 def read_pairs(path, header) -> dict:
-    """Key -> value of a ``header`` CSV file of one row of two non-empty
-    fields per key, blank lines skipped. Messages name the fields by their
+    """Key -> value of a ``header`` CSV file of one row of non-empty fields
+    per key, blank lines skipped; with more than two columns the value is
+    the tuple of the fields after the key. Messages name the fields by their
     header names, "_" read as a space, and the row by its physical line."""
-    key_name, value_name = (name.replace("_", " ") for name in header)
+    names = [name.replace("_", " ") for name in header]
+    width = len(header)
     pairs = {}
     with open_csv(path, header) as (lines, record):
         for line_no, row in starmap(record, lines):
             if not row:
                 continue  # blank line
-            if len(row) != 2:
-                raise ParseError(f"need 2 fields, got {len(row)}", line_no)
-            key, value = row
-            if not key or not value:
-                raise ParseError(f"empty {key_name} or {value_name}", line_no)
+            if len(row) != width:
+                raise ParseError(
+                    f"need {width} fields, got {len(row)}", line_no
+                )
+            if not all(row):
+                raise ParseError(f"empty {' or '.join(names)}", line_no)
+            key, *values = row
             if key in pairs:
-                raise ValidationError(f"duplicate {key_name} {key!r}", line_no)
-            pairs[key] = value
+                raise ValidationError(f"duplicate {names[0]} {key!r}", line_no)
+            pairs[key] = values[0] if width == 2 else tuple(values)
     return pairs
 
 

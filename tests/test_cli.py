@@ -447,6 +447,13 @@ def _duplicate_first_category(doc):
         row.insert(-1, 0.0)
 
 
+def _drop_last_basket_cluster(doc):
+    # A consistent basket model of one cluster fewer: the customer model
+    # still has a column for the dropped archetype.
+    doc["basket_model"]["k"] -= 1
+    doc["basket_model"]["centers"].pop()
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("value_weight", "abc"),
      "value_weight must be a finite number >= 0, got 'abc'"),
@@ -467,11 +474,20 @@ def _duplicate_first_category(doc):
      "category_ids must be a list of distinct strings"),
     (_duplicate_first_category,
      "category_ids must be a list of distinct strings"),
+    (_drop_last_basket_cluster,
+     "customer_model feature_schema must be ['archetype:0', 'archetype:1', "
+     "'archetype:2', 'archetype:3', 'archetype:4']"),
+    (_set("basket_model", "feature_schema", -1, "spend"),
+     "basket_model feature_schema must be ['cat:K00', 'cat:K01', "),
+    (_set("category_ids", 0, "K99"),
+     "basket_model feature_schema must be ['cat:K99', 'cat:K01', "),
 ], ids=[
     "weight-text", "weight-negative", "weight-bool", "weight-inf", "q95-inf",
     "customer-center-nan", "basket-center-inf", "basket-k-float",
     "category-id-list",
     "category-id-repeated",
+    "customer-schema-vs-basket-k", "basket-schema-column",
+    "basket-schema-vs-category-ids",
 ])
 def test_score_rejects_a_broken_model(
     data_dir, tmp_path, capsys, trained_model, edit, message
@@ -484,8 +500,36 @@ def test_score_rejects_a_broken_model(
         "score", *dataset_args(data_dir),
         "--model", str(model), "--out", str(tmp_path / "out"),
     ])
-    assert_one_error_line(code, capsys, message)
+    err = assert_one_error_line(code, capsys, message)
+    assert err.startswith(f"error: {model}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_score_loads_a_model_file_with_an_inertia_history(
+    data_dir, tmp_path, trained_model
+):
+    # Model files of earlier versions carry each cluster model's inertia
+    # after every Lloyd iteration, one more entry than iterations_run,
+    # between iterations_run and converged. Loading ignores the key.
+    doc = json.loads(json.dumps(trained_model))
+    for name in ("basket_model", "customer_model"):
+        model = doc[name]
+        history = [model["inertia"]] * (model["iterations_run"] + 1)
+        items = list(model.items())
+        at = [key for key, _ in items].index("converged")
+        doc[name] = dict(items[:at] + [("inertia_history", history)]
+                         + items[at:])
+    scored = []
+    for name, model_doc in (("old", doc), ("new", trained_model)):
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps(model_doc))
+        assert main([
+            "score", *dataset_args(data_dir),
+            "--model", str(model), "--out", str(tmp_path / name),
+        ]) == 0
+        scored.append((tmp_path / name / "scored_assignments.csv").read_text())
+    assert scored[0] == scored[1]
+    assert "inertia_history" in (tmp_path / "old.json").read_text()
 
 
 def test_report_command_emits_crosstab(data_dir, tmp_path):

@@ -252,7 +252,7 @@ GOLDEN = {
         "sm_customers_shares.csv":
             "347c934c8b71c257c70babbd9e5136ae8724f4d5ac5d21f685b693b673a993c4",
         "sm_model.json":
-            "73a941227299de439125d62622bdf55850077fa32e340d047ad6e403026033db",
+            "890290f7ba2b294b2a47c06154d6a43d6b219aebd78a7d1b164d557a369efe06",
     },
     "sm_tuned": {
         "<stdout>":
@@ -274,7 +274,7 @@ GOLDEN = {
         "sm_customers_shares.csv":
             "237a96b45cd47a6db69af21cd41a746959385db2021c0a3142356ed700a78df5",
         "sm_model.json":
-            "1bb0a220b426b0a054d6f607f8edafc71f668edb816b7fcac7ef5f85175eb4c2",
+            "28f1c758545aa18a3d654aecdf833c55d5cebada876767c3d89181a38e4f2274",
     },
     "syngen": {
         "<stdout>":

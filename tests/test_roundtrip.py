@@ -35,6 +35,14 @@ MANIFEST_ARGS_KEYS = {
     "report": {"assignments"},
 }
 FIT_KEYS = {"k", "inertia", "seed", "converged"}
+SM_MODEL_KEYS = {
+    "q95", "value_weight", "category_ids", "dataset_fingerprint",
+    "basket_model", "customer_model",
+}
+CLUSTER_MODEL_KEYS = {
+    "k", "feature_schema", "seed", "inertia", "iterations_run", "converged",
+    "centers",
+}
 # Metrics of a fit of k >= 2 clusters only.
 VALIDITY_KEYS = {"between_variance_ratio", "davies_bouldin"}
 
@@ -135,6 +143,10 @@ class OutputChecker:
         )
 
     def sm_model(self, path):
+        doc = json.loads(path.read_text())
+        assert set(doc) == SM_MODEL_KEYS
+        assert set(doc["basket_model"]) == CLUSTER_MODEL_KEYS
+        assert set(doc["customer_model"]) == CLUSTER_MODEL_KEYS
         model = SmPipelineModel.from_json(path.read_bytes())
         labels = score(model, self.dataset)
         want = read_pairs(

@@ -19,7 +19,7 @@ from shopmission.syngen import (
     generate,
     load_truth,
 )
-from shopmission.txmodel import ParseError, ingest_receipts
+from shopmission.txmodel import ParseError, ValidationError, ingest_receipts
 
 
 def single_archetype_config(seed=0, concentration=float("inf")):
@@ -85,6 +85,17 @@ def test_profile_and_persona_values_checked():
         Archetype("bad", (0.5, 0.5), 1.0, float("nan"))
 
 
+def test_focused_mixture_is_normalised_left_to_right():
+    # The eight shares add left to right to 0x1.ffffffffffffdp-1; Python
+    # 3.12's compensated sum() gives 1.0, which would change every share.
+    focused = default_config(n_categories=8).archetypes[3]
+    assert focused.name == "focused-1"
+    assert [m.hex() for m in focused.mixture] == (
+        ["0x1.d41d41d41d421p-7", "0x1.cccccccccccd0p-1"]
+        + ["0x1.d41d41d41d421p-7"] * 6
+    )
+
+
 def test_default_config_needs_four_categories():
     with pytest.raises(SyngenError, match="at least 4 categories, .* got 3"):
         default_config(n_categories=3)
@@ -126,25 +137,49 @@ def test_emitted_data_passes_ingestion(small_planted):
     assert load_truth(out) == truth
 
 
-@pytest.mark.parametrize("name, text, message", [
-    ("ground_truth_baskets.csv", "basket_id,mission\r\nb1,x\r\n",
+CUSTOMERS_HEADER = "customer_id,mission,persona\r\n"
+
+
+@pytest.mark.parametrize("name, text, error, message", [
+    ("ground_truth_baskets.csv", "basket_id,mission\r\nb1,x\r\n", ParseError,
      "expected header basket_id,archetype, got ['basket_id', 'mission']"),
     ("ground_truth_customers.csv", "customer_id,mission\r\nc1,x\r\n",
+     ParseError,
      "expected header customer_id,mission,persona, got "
      "['customer_id', 'mission']"),
-    ("ground_truth_baskets.csv", 'basket_id,archetype\r\nb1,"x',
+    ("ground_truth_baskets.csv", 'basket_id,archetype\r\nb1,"x', ParseError,
      "line 2: malformed CSV: unexpected end of data"),
-    ("ground_truth_customers.csv", 'customer_id,mission,persona\r\nc1,m,"x',
+    ("ground_truth_customers.csv", CUSTOMERS_HEADER + 'c1,m,"x', ParseError,
      "line 2: malformed CSV: unexpected end of data"),
-    ("ground_truth_customers.csv", "customer_id,mission,persona\r\nc1,m\r\n",
+    ("ground_truth_customers.csv", CUSTOMERS_HEADER + "c1,m\r\n", ParseError,
      "line 2: need 3 fields, got 2"),
+    ("ground_truth_customers.csv", CUSTOMERS_HEADER + "c1,,p\r\n", ParseError,
+     "line 2: empty customer id or mission or persona"),
+    ("ground_truth_customers.csv", CUSTOMERS_HEADER + "c1,m,\r\n", ParseError,
+     "line 2: empty customer id or mission or persona"),
+    ("ground_truth_customers.csv",
+     CUSTOMERS_HEADER + "c1,m,p\r\n\r\nc1,m,q\r\n", ValidationError,
+     "line 4: duplicate customer id 'c1'"),
+], ids=[
+    "basket-header", "customer-header", "basket-quote", "customer-quote",
+    "customer-fields", "empty-mission", "empty-persona", "repeated-customer",
 ])
-def test_load_truth_rejects_a_malformed_file(tmp_path, name, text, message):
+def test_load_truth_rejects_a_malformed_file(tmp_path, name, text, error,
+                                             message):
     generate(default_config(n_customers=5, seed=1), tmp_path)
     path = tmp_path / name
     path.write_bytes(text.encode())
-    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_truth(tmp_path)
+
+
+def test_load_truth_skips_blank_lines(tmp_path):
+    truth = generate(default_config(n_customers=5, seed=1), tmp_path)
+    for name in ("ground_truth_baskets.csv", "ground_truth_customers.csv"):
+        path = tmp_path / name
+        header, *rows = path.read_bytes().split(b"\r\n")
+        path.write_bytes(b"\r\n".join([header, b"", *rows, b""]))
+    assert load_truth(tmp_path) == truth
 
 
 def test_archetype_separation(small_planted):
