@@ -75,11 +75,10 @@ def rfm_features(dataset: Dataset) -> FeatureMatrix:
     window = dataset.window
     n = len(dataset.customer_ids)
     recency = np.full(n, np.iinfo(np.int64).max)
-    np.minimum.at(
-        recency,
-        dataset.basket_customer,
-        [(window.end - ts.date()).days for ts in dataset.timestamps],
+    days = np.array(
+        [(window.end - ts.date()).days for ts in dataset.times], np.int64
     )
+    np.minimum.at(recency, dataset.basket_customer, days[dataset.basket_time])
     frequency = np.bincount(dataset.basket_customer, minlength=n)
     cents = np.bincount(
         dataset.basket_customer, weights=dataset.basket_cents, minlength=n

@@ -181,16 +181,30 @@ class ClusterModel:
             )
         if not np.all(np.isfinite(centers)):
             raise KMeansError("model centers contain non-finite values")
+        # Files written before the field existed did not record it.
+        converged = doc.get("converged", True)
+        if type(converged) is not bool:
+            raise ValueError(f"converged must be a boolean, got {converged!r}")
         return cls(
             k=doc["k"],
             centers=centers,
             feature_schema=doc["feature_schema"],
-            seed=doc["seed"],
-            inertia=doc["inertia"],
-            iterations_run=doc["iterations_run"],
-            # Files written before the field existed did not record it.
-            converged=doc.get("converged", True),
+            seed=json_number(doc, "seed", int, 0),
+            inertia=json_number(doc, "inertia", float, 0),
+            iterations_run=json_number(doc, "iterations_run", int, 1),
+            converged=converged,
         )
+
+
+def json_number(doc, key, kind, low):
+    """``doc[key]``, a finite JSON number from ``low`` up, as a ``kind``:
+    ``int`` takes ints only, ``float`` ints and floats, and neither takes a
+    boolean; ``float`` raises OverflowError on an int beyond its range."""
+    value = doc[key]
+    if type(value) not in {int, kind} or not low <= value < np.inf:
+        what = "an int" if kind is int else "a finite number"
+        raise ValueError(f"{key} must be {what} >= {low}, got {value!r}")
+    return kind(value)
 
 
 @cache
@@ -343,17 +357,20 @@ def _reassign(XT, centers, labels, lower, slack, buf, own):
         )
 
 
-def _cluster_means(X, XT, labels, counts):
-    """Per-cluster means, bit-identical to ``X[labels == j].mean(axis=0)``;
-    ``XT`` is ``X.T`` made contiguous."""
+def cluster_means(X, XT, labels, counts):
+    """Per-cluster means, bit-identical to ``X[labels == j].mean(axis=0)``,
+    and zeros for a cluster of no rows; ``XT`` is ``X.T`` and ``counts``
+    the cluster sizes."""
     k = len(counts)
+    means = np.zeros((k, X.shape[1]))
     if X.shape[1] == 1:
         # numpy sums a lone column pairwise, where bincount sums row by row.
-        return np.array([X[labels == j].mean(axis=0) for j in range(k)])
-    means = np.empty((k, X.shape[1]))
+        for j in np.flatnonzero(counts):
+            means[j] = X[labels == j].mean(axis=0)
+        return means
     for col, row in enumerate(XT):
         means[:, col] = np.bincount(labels, weights=row, minlength=k)
-    means /= counts[:, None]
+    means /= np.maximum(counts, 1)[:, None]
     return means
 
 
@@ -414,7 +431,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
             centers, labels = _repair_empty(X, centers, labels, own)
             labels, own, lower = _nearest(XT, centers, buf)
             counts = np.bincount(labels, minlength=k)
-        new_centers = _cluster_means(X, XT, labels, counts)
+        new_centers = cluster_means(X, XT, labels, counts)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         lower -= shift
@@ -430,7 +447,7 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
     while counts.min() == 0:
         passes = _count_repair(passes, k)
         centers, labels = _repair_empty(X, centers, labels, own)
-        centers = _cluster_means(
+        centers = cluster_means(
             X, XT, labels, np.bincount(labels, minlength=k)
         )
         labels, own, lower = _nearest(XT, centers, buf)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ShopmissionError, features as feat
 from .features import FeatureMatrix, QuantileSpec
-from .kmeans import ClusterModel, assign, kmeans_fit
+from .kmeans import ClusterModel, assign, cluster_means, json_number, kmeans_fit
 from .txmodel import Dataset, ValidationError, naming, write_csv, write_text
 from .validity import fit_summary
 
@@ -168,12 +168,11 @@ def run_rfm(
     named C01, C02, ... and their centers are in raw feature units."""
     matrix, fit_matrix = rfm_matrix(dataset, standardize_rfm)
     model, labels = kmeans_fit(fit_matrix, k, seed=seed, **fit_kwargs)
+    X, counts = matrix.X, np.bincount(labels, minlength=k)
     return SegmentationReport(
         ids=matrix.ids,
         labels=labels,
-        centers=np.array(
-            [matrix.X[labels == c].mean(axis=0) for c in range(k)]
-        ),
+        centers=cluster_means(X, X.T, labels, counts),
         feature_schema=list(matrix.schema),
         cluster_labels=[f"C{c + 1:02d}" for c in range(k)],
         metrics=fit_summary(fit_matrix, model, labels),
@@ -190,19 +189,17 @@ def run_rfm_expert(dataset: Dataset, bounds: dict) -> SegmentationReport:
     segment = np.ravel_multi_index(
         [np.digitize(x, e) for x, e in zip(matrix.X.T, edges)], shape
     )
-    centers = np.zeros((math.prod(shape), len(shape)))
-    for c in np.flatnonzero(np.bincount(segment)):
-        centers[c] = matrix.X[segment == c].mean(axis=0)
+    counts = np.bincount(segment, minlength=math.prod(shape))
     return SegmentationReport(
         ids=matrix.ids,
         labels=segment,
-        centers=centers,
+        centers=cluster_means(matrix.X, matrix.X.T, segment, counts),
         feature_schema=list(matrix.schema),
         cluster_labels=[
             f"rec{r}|frq{f}|mon{m}"
             for r, f, m in itertools.product(*map(range, shape))
         ],
-        metrics={"k": len(centers), "mode": "expert"},
+        metrics={"k": len(counts), "mode": "expert"},
     )
 
 
@@ -255,13 +252,18 @@ class SmPipelineModel:
                     "category_ids must be a list of distinct strings"
                 )
             model = cls(
-                q95=QuantileSpec(q95=_finite_number(doc, "q95")),
+                q95=QuantileSpec(q95=json_number(doc, "q95", float, 0)),
                 basket_model=ClusterModel.from_dict(doc["basket_model"]),
                 customer_model=ClusterModel.from_dict(doc["customer_model"]),
                 category_ids=category_ids,
-                value_weight=_finite_number(doc, "value_weight"),
+                value_weight=json_number(doc, "value_weight", float, 0),
                 dataset_fingerprint=doc["dataset_fingerprint"],
             )
+            if not isinstance(model.dataset_fingerprint, str):
+                raise ValueError(
+                    f"dataset_fingerprint must be a string, got "
+                    f"{model.dataset_fingerprint!r}"
+                )
             # The schemas that ``score``'s feature builders give.
             basket_schema = [f"cat:{c}" for c in category_ids] + ["value"]
             k_b = model.basket_model.k
@@ -272,19 +274,11 @@ class SmPipelineModel:
                 if getattr(model, name).feature_schema != schema:
                     raise ValueError(f"{name} feature_schema must be {schema}")
             return model
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ShopmissionError, ValueError, KeyError, TypeError,
+                OverflowError) as exc:
             raise PipelineError(
                 f"not a valid SM model: {type(exc).__name__}: {exc}"
             ) from None
-
-
-def _finite_number(doc, key) -> float:
-    """``doc[key]``, a JSON number (not a boolean) from 0 up, as a finite
-    float; ``float`` raises OverflowError on an int beyond its range."""
-    value = doc[key]
-    if type(value) not in (int, float) or not 0 <= value < math.inf:
-        raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
-    return float(value)
 
 
 def run_sm(

@@ -8,11 +8,12 @@ that all downstream feature computations share.
 from __future__ import annotations
 
 import csv
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from itertools import chain, starmap
 from operator import itemgetter
 
@@ -37,6 +38,9 @@ CATEGORY_COLUMNS = ["category_id", "label"]
 # and every float sum of them is exact.
 MAX_CENTS = 2**53
 _CENT = Decimal("0.01")
+# The text of a unit_price and of a quantity: plain ASCII decimals.
+_PRICE = re.compile(r"-?[0-9]+(\.[0-9]+)?").fullmatch
+_QUANTITY = re.compile(r"-?[0-9]+").fullmatch
 # Baskets hashed per sha256 update in ``Dataset.fingerprint``.
 _FINGERPRINT_CHUNK = 4096
 
@@ -51,12 +55,6 @@ class ParseError(TxError):
 
 class ValidationError(TxError):
     pass
-
-
-@dataclass(frozen=True)
-class Category:
-    id: str
-    label: str
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,13 @@ class AnalysisWindow:
 class Dataset:
     """Baskets as columns; row i of every per-basket column is basket_ids[i]."""
 
-    categories: dict  # category_id -> Category
+    categories: dict  # category_id -> label
     window: AnalysisWindow
     basket_ids: list  # sorted
     customer_ids: list  # sorted, each with at least one basket
     basket_customer: np.ndarray  # (n_baskets,) index into customer_ids
-    timestamps: list  # (n_baskets,) datetime of each basket
+    times: list  # datetime of each distinct timestamp text, first-seen order
+    basket_time: np.ndarray  # (n_baskets,) int64 index into times
     spend_cents: np.ndarray  # (n_baskets, n_categories) int64, category_ids order
     dropped_outside_window: int = 0
     # The files ingest read, named by errors about the dataset as a whole.
@@ -120,22 +119,18 @@ class Dataset:
         # dataset is hashed.
         import hashlib
 
-        # Ingest parses each distinct timestamp text once, so baskets share
-        # timestamp objects; format each object once. Keyed by identity:
-        # equal instants with different UTC offsets print differently.
-        distinct = {id(ts): ts for ts in self.timestamps}
-        iso = {key: ts.isoformat() for key, ts in distinct.items()}
-        customer = self.customer_ids.__getitem__
+        iso = [ts.isoformat() for ts in self.times]
+        customer, time = self.customer_ids.__getitem__, iso.__getitem__
         h = hashlib.sha256()
         # A few thousand lines at a time, not the whole text at once.
         for start in range(0, self.n_baskets, _FINGERPRINT_CHUNK):
             stop = start + _FINGERPRINT_CHUNK
             h.update("".join(
-                f"{bid},{cid},{iso[id(ts)]}\n"
+                f"{bid},{cid},{ts}\n"
                 for bid, cid, ts in zip(
                     self.basket_ids[start:stop],
                     map(customer, self.basket_customer[start:stop].tolist()),
-                    self.timestamps[start:stop],
+                    map(time, self.basket_time[start:stop].tolist()),
                 )
             ).encode())
         h.update("".join(f"{cid}\n" for cid in self.category_ids).encode())
@@ -146,11 +141,7 @@ class Dataset:
 
 def _parse_price(text: str, line_no: int, basket_id: str) -> int:
     """Unit price in cents, exact."""
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise ParseError(f"bad money value {text!r}", line_no) from None
-    if not value.is_finite() or value.copy_abs() >= MAX_CENTS * _CENT:
+    if not _PRICE(text) or abs(value := Decimal(text)) >= MAX_CENTS * _CENT:
         raise ParseError(f"bad money value {text!r}", line_no)
     rounded = value.quantize(_CENT)
     if rounded != value:
@@ -167,7 +158,9 @@ def _parse_price(text: str, line_no: int, basket_id: str) -> int:
 def _parse_quantity(text: str, line_no: int, basket_id: str) -> float:
     """The quantity as a float, exact because it is below 2**53."""
     try:
-        qty = int(text)
+        if not _QUANTITY(text):
+            raise ValueError
+        qty = int(text)  # ValueError past int()'s digit limit
     except ValueError:
         raise ParseError(f"bad quantity {text!r}", line_no) from None
     if not 1 <= qty < MAX_CENTS:
@@ -178,20 +171,21 @@ def _parse_quantity(text: str, line_no: int, basket_id: str) -> float:
     return float(qty)
 
 
-def _parse_timestamp(text: str, line_no: int, seen: dict) -> datetime:
-    """Parse ``text``; ``seen`` holds the file's timestamps parsed so far."""
+def _parse_timestamp(text: str, line_no: int, times: list) -> int:
+    """Parse ``text``, append it to ``times``, the file's timestamps parsed
+    so far, and return its index there."""
     try:
         # Dates without time-of-day default to midnight.
         ts = datetime.fromisoformat(text)
     except ValueError:
         raise ParseError(f"bad timestamp {text!r}", line_no) from None
-    first = next(iter(seen.values()), ts)
-    if (first.tzinfo is None) != (ts.tzinfo is None):
+    if times and (times[0].tzinfo is None) != (ts.tzinfo is None):
         raise ValidationError(
             f"timestamp {text!r} mixes timezone-aware and naive timestamps "
             "in one file", line_no
         )
-    return ts
+    times.append(ts)
+    return len(times) - 1
 
 
 def write_csv(path, header, rows):
@@ -304,10 +298,7 @@ def read_pairs(path, header) -> dict:
 
 def read_categories(path) -> dict:
     """The category table: at least two ``category_id,label`` pairs."""
-    categories = {
-        cid: Category(id=cid, label=label)
-        for cid, label in read_pairs(path, CATEGORY_COLUMNS).items()
-    }
+    categories = read_pairs(path, CATEGORY_COLUMNS)
     if len(categories) < 2:
         with naming(path):
             raise ValidationError(
@@ -332,15 +323,16 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
     # and is no longer than this; so does the loop below.
     limit = csv.field_size_limit()
 
-    # Each distinct timestamp text is parsed once, and so is each distinct
-    # line tail "unit_price,quantity,promo_flag<line end>": ``values`` maps
-    # a tail whose three fields are valid to its line value in cents. A bad
+    # Each distinct timestamp text is parsed once, into ``times``, and
+    # ``timestamps`` maps it to its index there; so is each distinct line
+    # tail "unit_price,quantity,promo_flag<line end>": ``values`` maps a
+    # tail whose three fields are valid to its line value in cents. A bad
     # one is never stored, so it raises at its first row.
-    timestamps, values = {}, {}
+    times, timestamps, values = [], {}, {}
     basket_index = {}  # basket_id -> basket index, in first-seen order
     customer_index = {}  # customer_id -> customer index, in first-seen order
-    # Per basket: its customer's first-seen index and its timestamp.
-    basket_customer, basket_ts = array("q"), []
+    # Per basket: its customer's first-seen index and its timestamp's index.
+    basket_customer, basket_time = array("q"), array("q")
     # Cents spent per basket x category cell (basket * n_cats + category),
     # as doubles, since price times quantity can pass the int64 range. Each
     # line value rounds once, to the double nearest the exact product.
@@ -376,7 +368,7 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                 bid, cid, ts_text, _, cat, price_text, qty_text, promo = row
                 if ts_text not in timestamps:
                     timestamps[ts_text] = _parse_timestamp(
-                        ts_text, line_no, timestamps
+                        ts_text, line_no, times
                     )
                 price = _parse_price(price_text, line_no, bid)
                 value = price * _parse_quantity(qty_text, line_no, bid)
@@ -392,10 +384,10 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                 bid == last_bid and cid == last_cid and ts_text == last_ts
             )
             if not same_basket:
-                ts = get_ts(ts_text)
-                if ts is None:
-                    ts = timestamps[ts_text] = _parse_timestamp(
-                        ts_text, line_no, timestamps
+                t = get_ts(ts_text)
+                if t is None:
+                    t = timestamps[ts_text] = _parse_timestamp(
+                        ts_text, line_no, times
                     )
             c = get_cat(cat)
             if c is None:
@@ -407,11 +399,11 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
             if not same_basket:
                 b = get_basket(bid)
                 if b is None:
-                    b = basket_index[bid] = len(basket_ts)
+                    b = basket_index[bid] = len(basket_time)
                     basket_customer.append(
                         customer_index.setdefault(cid, len(customer_index))
                     )
-                    basket_ts.append(ts)
+                    basket_time.append(t)
                     spend.extend(zero_row)
                 elif customer_index.get(cid) != basket_customer[b]:
                     first = list(customer_index)[basket_customer[b]]
@@ -419,24 +411,21 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
                         f"basket {bid!r} has conflicting customer ids "
                         f"{first!r} and {cid!r}", line_no
                     )
-                elif basket_ts[b] is not ts and (
-                    basket_ts[b].isoformat() != ts.isoformat()
+                elif basket_time[b] != t and (
+                    times[basket_time[b]].isoformat() != times[t].isoformat()
                 ):
                     raise ValidationError(
                         f"basket {bid!r} has conflicting timestamps "
-                        f"{basket_ts[b].isoformat()!r} and "
-                        f"{ts.isoformat()!r}", line_no
+                        f"{times[basket_time[b]].isoformat()!r} and "
+                        f"{times[t].isoformat()!r}", line_no
                     )
                 first_cell = b * n_cats
                 last_bid, last_cid, last_ts = bid, cid, ts_text
             spend[first_cell + c] += value
 
-    # Baskets share one datetime per timestamp text, so the window test
-    # runs once per distinct object (by identity: one instant in two UTC
-    # offsets can fall on two dates).
-    inside = {id(ts) for ts in timestamps.values() if window.contains(ts)}
+    inside = list(map(window.contains, times))
     kept = sorted(
-        bid for bid, b in basket_index.items() if id(basket_ts[b]) in inside
+        bid for bid, b in basket_index.items() if inside[basket_time[b]]
     )
     rows = np.fromiter(
         map(basket_index.__getitem__, kept), dtype=np.intp, count=len(kept)
@@ -475,11 +464,10 @@ def ingest_receipts(path, category_table, window: AnalysisWindow) -> Dataset:
         basket_ids=kept,
         customer_ids=[seen_ids[i] for i in by_id],
         basket_customer=rank[first_seen],
-        # One index at a time: rows.tolist() would hold an int per basket
-        # at ingest's memory high-water.
-        timestamps=list(map(basket_ts.__getitem__, memoryview(rows))),
+        times=times,
+        basket_time=np.frombuffer(basket_time, dtype=np.int64)[rows],
         spend_cents=spend.astype(np.int64),
-        dropped_outside_window=len(basket_ts) - len(kept),
+        dropped_outside_window=len(basket_time) - len(kept),
         receipts_file=path,
         categories_file=category_table,
     )

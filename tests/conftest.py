@@ -30,12 +30,13 @@ def as_assignment(ids, labels) -> dict:
 
 def write_receipts(path: Path, rows):
     header = "basket_id,customer_id,timestamp,product_id,category_id,unit_price,quantity,promo_flag"
-    path.write_text("\n".join([header] + rows) + "\n")
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
 
 
 def write_categories(path: Path, ids):
     path.write_text(
-        "\n".join(["category_id,label"] + [f"{c},Label {c}" for c in ids]) + "\n"
+        "\n".join(["category_id,label"] + [f"{c},Label {c}" for c in ids]) + "\n",
+        encoding="utf-8",
     )
 
 

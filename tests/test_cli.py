@@ -464,12 +464,28 @@ def _drop_last_basket_cluster(doc):
     (_set("value_weight", float("inf")),
      "value_weight must be a finite number >= 0, got inf"),
     (_set("q95", float("inf")), "q95 must be a finite number >= 0, got inf"),
+    (_set("q95", 0), "FeatureError: q95 must be positive, got 0.0"),
+    (_set("dataset_fingerprint", 5),
+     "dataset_fingerprint must be a string, got 5"),
+    (_set("basket_model", "seed", -5), "seed must be an int >= 0, got -5"),
+    (_set("basket_model", "seed", True), "seed must be an int >= 0, got True"),
+    (_set("customer_model", "inertia", "abc"),
+     "inertia must be a finite number >= 0, got 'abc'"),
+    (_set("customer_model", "inertia", False),
+     "inertia must be a finite number >= 0, got False"),
+    (_set("customer_model", "iterations_run", None),
+     "iterations_run must be an int >= 1, got None"),
+    (_set("basket_model", "iterations_run", 0),
+     "iterations_run must be an int >= 1, got 0"),
+    (_set("basket_model", "converged", "no"),
+     "converged must be a boolean, got 'no'"),
     (_set("customer_model", "centers", 0, 0, float("nan")),
      "model centers contain non-finite values"),
     (_set("basket_model", "centers", 1, 2, float("-inf")),
      "model centers contain non-finite values"),
     (_set("basket_model", "k", 6.0),
-     "centers of shape (6, 9) do not match k=6.0 and 9 features"),
+     "KMeansError: centers of shape (6, 9) do not match k=6.0 and 9 "
+     "features"),
     (_set("category_ids", 0, ["K00"]),
      "category_ids must be a list of distinct strings"),
     (_duplicate_first_category,
@@ -483,6 +499,9 @@ def _drop_last_basket_cluster(doc):
      "basket_model feature_schema must be ['cat:K99', 'cat:K01', "),
 ], ids=[
     "weight-text", "weight-negative", "weight-bool", "weight-inf", "q95-inf",
+    "q95-zero", "fingerprint-number", "seed-negative", "seed-bool",
+    "inertia-text", "inertia-bool", "iterations-null", "iterations-zero",
+    "converged-text",
     "customer-center-nan", "basket-center-inf", "basket-k-float",
     "category-id-list",
     "category-id-repeated",
@@ -501,7 +520,7 @@ def test_score_rejects_a_broken_model(
         "--model", str(model), "--out", str(tmp_path / "out"),
     ])
     err = assert_one_error_line(code, capsys, message)
-    assert err.startswith(f"error: {model}: ")
+    assert err.startswith(f"error: {model}: not a valid SM model: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,15 +1,15 @@
 import math
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import WINDOW, basket_rows
+from conftest import AWARE_DAYS, WINDOW, basket_rows
 from shopmission import features as feat
 from shopmission.features import FeatureError, QuantileSpec
-from shopmission.txmodel import Category, Dataset
+from shopmission.txmodel import AnalysisWindow, Dataset
 
 CATS = ["hair", "body", "face"]
 
@@ -57,6 +57,41 @@ def test_rfm_permutation_invariant_in_basket_order(make_dataset):
     assert np.array_equal(
         feat.rfm_features(fwd).row("c1"), feat.rfm_features(rev).row("c1")
     )
+
+
+# Every day of AWARE_DAYS inside: one instant written in two UTC offsets
+# falls on either side of midnight, and each basket counts its local date.
+WIDE_WINDOW = AnalysisWindow(start=date(2024, 12, 1), end=date(2025, 4, 30))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(baskets=st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(AWARE_DAYS),
+              st.integers(1, 99_999)),
+    min_size=1, max_size=12,
+))
+@example(baskets=[(0, AWARE_DAYS[2], 100), (1, AWARE_DAYS[3], 100)])
+def test_rfm_matches_a_per_basket_loop(make_dataset, baskets):
+    rows, per_customer = [], {}
+    for b, (c, day, cents) in enumerate(baskets):
+        rows += basket_rows(f"b{b:02d}", f"c{c}", {"hair": cents / 100}, day)
+        per_customer.setdefault(f"c{c}", []).append((day, cents))
+    end, days = WIDE_WINDOW.end, WIDE_WINDOW.length_days
+    want = [
+        [
+            float(min(
+                (end - datetime.fromisoformat(day).date()).days
+                for day, _ in own
+            )),
+            len(own) / days,
+            sum(cents for _, cents in own) / 100.0 / days,
+        ]
+        for _, own in sorted(per_customer.items())
+    ]
+    matrix = feat.rfm_features(make_dataset(rows, CATS, WIDE_WINDOW))
+    assert matrix.ids == sorted(per_customer)
+    assert matrix.X.tobytes() == np.array(want).tobytes()
 
 
 def test_pps_single_category_is_one_hot(make_dataset):
@@ -200,12 +235,13 @@ def value_dataset(cents):
     """One-category dataset whose baskets are worth ``cents``."""
     n = len(cents)
     return Dataset(
-        categories={"K00": Category("K00", "only")},
+        categories={"K00": "only"},
         window=WINDOW,
         basket_ids=[f"b{i:05d}" for i in range(n)],
         customer_ids=["c1"],
         basket_customer=np.zeros(n, dtype=np.intp),
-        timestamps=[datetime(2025, 2, 1)] * n,
+        times=[datetime(2025, 2, 1)],
+        basket_time=np.zeros(n, dtype=np.int64),
         spend_cents=np.asarray(cents, dtype=np.int64)[:, None],
     )
 

@@ -37,7 +37,7 @@ def reference_ingest(path, category_table, window):
     categories = read_categories(category_table)
     cat_index = {c: i for i, c in enumerate(sorted(categories))}
     n_cats, n_fields = len(cat_index), len(RECEIPT_COLUMNS)
-    timestamps, prices, quantities = {}, {}, {}
+    times, timestamps, prices, quantities = [], {}, {}, {}
     basket_index, customer_index = {}, {}
     basket_customer, basket_ts = array("q"), []
     spend, zero_row = array("d"), array("d", bytes(8 * n_cats))
@@ -70,9 +70,9 @@ def reference_ingest(path, category_table, window):
                 if not same_basket:
                     ts = timestamps.get(ts_text)
                     if ts is None:
-                        ts = timestamps[ts_text] = _parse_timestamp(
-                            ts_text, line_no, timestamps
-                        )
+                        ts = timestamps[ts_text] = times[_parse_timestamp(
+                            ts_text, line_no, times
+                        )]
                 price = prices.get(price_text)
                 if price is None:
                     price = prices[price_text] = _parse_price(
@@ -159,13 +159,19 @@ def reference_ingest(path, category_table, window):
     by_id = sorted(present.tolist(), key=seen_ids.__getitem__)
     rank = np.empty(len(seen_ids), dtype=np.intp)
     rank[by_id] = np.arange(len(by_id))
+    # Each basket's object, looked up by identity: one instant in two UTC
+    # offsets is two equal objects.
+    where = {id(ts): i for i, ts in enumerate(times)}
     return Dataset(
         categories=categories,
         window=window,
         basket_ids=kept,
         customer_ids=[seen_ids[i] for i in by_id],
         basket_customer=rank[first_seen],
-        timestamps=[basket_ts[b] for b in rows.tolist()],
+        times=times,
+        basket_time=np.array(
+            [where[id(basket_ts[b])] for b in rows.tolist()], dtype=np.int64
+        ),
         spend_cents=spend.astype(np.int64),
         dropped_outside_window=len(basket_ts) - len(kept),
     )
@@ -186,7 +192,8 @@ def outcome(ingest, receipts, categories):
         ds.basket_customer.tolist(),
         # Equal instants in two UTC offsets compare equal; text tells them
         # apart.
-        [(ts, ts.isoformat()) for ts in ds.timestamps],
+        [(ts, ts.isoformat())
+         for ts in map(ds.times.__getitem__, ds.basket_time.tolist())],
         ds.spend_cents.dtype, ds.spend_cents.shape, ds.spend_cents.tobytes(),
         ds.dropped_outside_window,
     )

@@ -884,6 +884,28 @@ def test_sum_squares_adds_in_the_pinned_order(d, n, kind, data_seed):
     assert einsum.tobytes() == pinned.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    d=st.integers(1, 6),
+    k=st.integers(1, 8),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_cluster_means_match_masked_means(n, d, k, data_seed):
+    # Labels drawn at random leave some clusters empty: their rows are 0,
+    # where a masked mean would warn and give NaN.
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    labels = rng.integers(k, size=n)
+    counts = np.bincount(labels, minlength=k)
+    want = np.zeros((k, d))
+    for j in np.flatnonzero(counts):
+        want[j] = X[labels == j].mean(axis=0)
+    for XT in (X.T, np.ascontiguousarray(X.T)):
+        got = kmeans.cluster_means(X, XT, labels, counts)
+        assert got.tobytes() == want.tobytes()
+
+
 # tracemalloc's peak of ``kmeans_fit(k=6, seed=42)`` on the stage-1 basket
 # matrix of the 2,000-customer syngen set of seed 1, the ``sm`` benchmark's
 # shape, for the engine that subtracted one center at a time from the

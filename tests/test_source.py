@@ -78,6 +78,20 @@ def test_no_module_calls_einsum():
     assert not found, f"einsum in the package: {found}"
 
 
+def test_no_module_calls_id():
+    # An object's identity is no key for a value: equal values read from
+    # two places are two objects. The Dataset indexes distinct values
+    # instead, as it does customers and timestamps.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "id"
+    ]
+    assert not found, f"id() calls in the package: {found}"
+
+
 def uses_outside(functions, uses):
     """``path:line`` of each node that ``uses(tree)`` yields outside the
     top-level functions of txmodel.py named in ``functions``, and whether

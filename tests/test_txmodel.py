@@ -188,12 +188,31 @@ def test_ingestion_deterministic_under_row_shuffle(tmp_path, cats):
     assert ds1.basket_ids == ds2.basket_ids
 
 
-@pytest.mark.parametrize("price", ["Infinity", "-Infinity", "1e400", "NaN", "sNaN"])
+# Only plain ASCII decimal text is a price: no exponent, digit separator,
+# sign other than "-", surrounding space or non-ASCII digit.
+@pytest.mark.parametrize("price", [
+    "Infinity", "-Infinity", "1e400", "NaN", "sNaN", "1e1", "1_0.00",
+    " 1.00", "1.00 ", "+1.00", "\u0661.00", "1.", ".50", "1.0_0",
+])
 def test_non_finite_or_huge_price_rejected(tmp_path, cats, price):
-    with pytest.raises(ParseError, match=r"line 3: bad money value"):
+    message = f"line 3: bad money value {price!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
         ingest(tmp_path, cats, [
             "b1,c1,2025-02-01,p1,K00,1.00,1,0",
             f"b2,c1,2025-02-02,p1,K00,{price},1,0",
+        ])
+
+
+@pytest.mark.parametrize("quantity", [
+    "1_0", "\u0663", " 3", "3 ", "+3", "3.0", "1e1", "x",
+    pytest.param("1" * 5000, id="5000-digits"),
+])
+def test_non_decimal_quantity_rejected(tmp_path, cats, quantity):
+    message = f"line 3: bad quantity {quantity!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        ingest(tmp_path, cats, [
+            "b1,c1,2025-02-01,p1,K00,1.00,1,0",
+            f"b2,c1,2025-02-02,p1,K00,1.00,{quantity},0",
         ])
 
 
