@@ -41,10 +41,9 @@ class InputError(ShopmissionError):
     """A malformed config file or window date."""
 
 
-def _finite_float(text, minimum=-math.inf):
-    """``float(text)``; NaN, +-inf and values below ``minimum`` are bad."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= minimum):
+def _finite_float(text):
+    """``float(text)``; NaN and +-inf are bad."""
+    if not math.isfinite(value := float(text)):
         raise ValueError(text)
     return value
 
@@ -54,15 +53,19 @@ class _OutOfRange(ValueError):
 
 
 def _positive_float(text):
-    value = _finite_float(text)
-    if not value > 0:
+    if not (value := _finite_float(text)) > 0:
         raise _OutOfRange(f"must be > 0, got {value!r}")
     return value
 
 
+def _non_negative_float(text):
+    if not (value := _finite_float(text)) >= 0:
+        raise _OutOfRange(f"must be >= 0, got {value!r}")
+    return value
+
+
 def _positive_int(text):
-    value = int(text)
-    if value < 1:
+    if (value := int(text)) < 1:
         raise _OutOfRange(f"must be >= 1, got {value}")
     return value
 
@@ -81,7 +84,7 @@ CONFIG_KEYS = {
     "n_init": _positive_int,
     "max_iter": _positive_int,
     "dominance_threshold": _finite_float,
-    "value_weight": lambda s: _finite_float(s, minimum=0.0),
+    "value_weight": _non_negative_float,
     "standardize_rfm": _boolean,
 }
 

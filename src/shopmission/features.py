@@ -34,7 +34,7 @@ class FeatureMatrix:
     schema: list  # column names, length d
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
+        self.X = np.ascontiguousarray(self.X, dtype=float)
         if self.X.ndim != 2 or self.X.shape != (len(self.ids), len(self.schema)):
             raise FeatureError(
                 f"shape {self.X.shape} inconsistent with "

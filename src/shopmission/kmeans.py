@@ -357,16 +357,16 @@ def _reassign(XT, centers, labels, lower, slack, buf, own):
         )
 
 
-def cluster_means(X, XT, labels, counts):
-    """Per-cluster means, bit-identical to ``X[labels == j].mean(axis=0)``,
-    and zeros for a cluster of no rows; ``XT`` is ``X.T`` and ``counts``
-    the cluster sizes."""
+def cluster_means(XT, labels, counts):
+    """Per-cluster means of the rows of ``X``, given as ``XT = X.T``,
+    bit-identical to ``X[labels == j].mean(axis=0)``, and zeros for a
+    cluster of no rows; ``counts`` are the cluster sizes."""
     k = len(counts)
-    means = np.zeros((k, X.shape[1]))
-    if X.shape[1] == 1:
+    means = np.zeros((k, XT.shape[0]))
+    if XT.shape[0] == 1:
         # numpy sums a lone column pairwise, where bincount sums row by row.
         for j in np.flatnonzero(counts):
-            means[j] = X[labels == j].mean(axis=0)
+            means[j] = XT[0, labels == j].mean()
         return means
     for col, row in enumerate(XT):
         means[:, col] = np.bincount(labels, weights=row, minlength=k)
@@ -374,7 +374,7 @@ def cluster_means(X, XT, labels, counts):
     return means
 
 
-def _repair_empty(X, centers, labels, own):
+def _repair_empty(XT, centers, labels, own):
     """Re-seed each empty cluster at the point farthest from its own center.
 
     Two empty clusters never take rows with equal coordinates: the nearer
@@ -390,10 +390,9 @@ def _repair_empty(X, centers, labels, own):
                 f"cannot re-seed empty cluster {j}: every distinct row "
                 f"already seeds one"
             )
-        centers[j] = X[idx]
+        centers[j] = XT[:, idx]
         labels[idx] = j
-        own[(X == X[idx]).all(axis=1)] = -np.inf
-    return centers, labels
+        own[(XT == XT[:, idx, None]).all(axis=0)] = -np.inf
 
 
 def _count_repair(passes, k):
@@ -406,19 +405,13 @@ def _count_repair(passes, k):
     return passes + 1
 
 
-def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
+def _lloyd(XT, centers, assignment, max_iter, tol, buf, slack):
     """Lloyd's iterations from ``centers`` and their nearest-center
     ``assignment``, the ``(labels, own, lower)`` of ``_nearest``, which the
-    iterations update in place; ``XT`` is ``X.T`` made contiguous and ``buf``
-    is scratch of its size, both shared by the restarts of a fit."""
+    iterations update in place; ``XT``, ``buf`` and the pruning ``slack``
+    are those of ``kmeans_fit``, shared by the restarts of a fit."""
     centers = centers.copy()
     k = centers.shape[0]
-    # Centers are rows or means of rows, so every distance is at most the
-    # data's bounding-box diagonal, and the bounds gather a few ulps of it
-    # per iteration. The slack stays above that error for some 10^5
-    # iterations, so a row that skips its distance row has a strictly
-    # nearest center: the label an argmin would give.
-    slack = 1e-9 * np.sqrt(((XT.max(axis=1) - XT.min(axis=1)) ** 2).sum())
     labels, own, lower = assignment
     converged = False
     for iterations in range(1, max_iter + 1):
@@ -428,10 +421,10 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
         passes = 0
         while counts.min() == 0:
             passes = _count_repair(passes, k)
-            centers, labels = _repair_empty(X, centers, labels, own)
+            _repair_empty(XT, centers, labels, own)
             labels, own, lower = _nearest(XT, centers, buf)
             counts = np.bincount(labels, minlength=k)
-        new_centers = cluster_means(X, XT, labels, counts)
+        new_centers = cluster_means(XT, labels, counts)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         lower -= shift
@@ -446,10 +439,8 @@ def _lloyd(X, XT, centers, assignment, max_iter, tol, buf):
     passes = 0
     while counts.min() == 0:
         passes = _count_repair(passes, k)
-        centers, labels = _repair_empty(X, centers, labels, own)
-        centers = cluster_means(
-            X, XT, labels, np.bincount(labels, minlength=k)
-        )
+        _repair_empty(XT, centers, labels, own)
+        centers = cluster_means(XT, labels, np.bincount(labels, minlength=k))
         labels, own, lower = _nearest(XT, centers, buf)
         counts = np.bincount(labels, minlength=k)
     return centers, labels, float(own.sum()), iterations, converged
@@ -500,6 +491,11 @@ def kmeans_fit(
             "feature values span too wide a range: squared distances "
             "overflow float64"
         )
+    # Centers are rows or means of rows, so the bounds gather a few ulps of
+    # the diagonal per iteration. The slack stays above that error for some
+    # 10^5 iterations, so a row that skips its distance row has a strictly
+    # nearest center: the label an argmin would give.
+    slack = 1e-9 * np.sqrt(diagonal2)
 
     XT = np.ascontiguousarray(X.T)
     buf = np.empty_like(XT)
@@ -507,7 +503,7 @@ def kmeans_fit(
     for restart in range(n_init):
         rng = _Pcg64Draws((seed, restart))
         init, assignment = _plusplus_init(XT, k, rng, buf, check_distinct)
-        fit = _lloyd(X, XT, init, assignment, max_iter, tol, buf)
+        fit = _lloyd(XT, init, assignment, max_iter, tol, buf, slack)
         if best is None or fit[2] < best[2]:
             best = fit
 

@@ -172,7 +172,7 @@ def run_rfm(
     return SegmentationReport(
         ids=matrix.ids,
         labels=labels,
-        centers=cluster_means(X, X.T, labels, counts),
+        centers=cluster_means(X.T, labels, counts),
         feature_schema=list(matrix.schema),
         cluster_labels=[f"C{c + 1:02d}" for c in range(k)],
         metrics=fit_summary(fit_matrix, model, labels),
@@ -193,7 +193,7 @@ def run_rfm_expert(dataset: Dataset, bounds: dict) -> SegmentationReport:
     return SegmentationReport(
         ids=matrix.ids,
         labels=segment,
-        centers=cluster_means(matrix.X, matrix.X.T, segment, counts),
+        centers=cluster_means(matrix.X.T, segment, counts),
         feature_schema=list(matrix.schema),
         cluster_labels=[
             f"rec{r}|frq{f}|mon{m}"

@@ -661,7 +661,7 @@ def test_config_value_weight_is_non_negative(tmp_path):
     cfg.write_text("value_weight = 0\ndominance_threshold = -0.5\n")
     assert load_config(cfg) == {"value_weight": 0.0, "dominance_threshold": -0.5}
     cfg.write_text("value_weight = -1e-9\n")
-    with pytest.raises(InputError, match="bad value '-1e-9' for value_weight"):
+    with pytest.raises(InputError, match="value_weight must be >= 0, got -1e-09"):
         load_config(cfg)
 
 
@@ -713,7 +713,7 @@ MALFORMED_INPUTS = [
     ("run.cfg", b"dominance_threshold = nan\n", ["sm", "--k-b", "6", "--k-sm", "9"],
      "run.cfg:1: bad value 'nan' for dominance_threshold"),
     ("run.cfg", b"value_weight = -1\n", ["sm", "--k-b", "6", "--k-sm", "9"],
-     "run.cfg:1: bad value '-1' for value_weight"),
+     "run.cfg:1: value_weight must be >= 0, got -1.0"),
     # 73 x 137 x 1 cells, one more than MAX_EXPERT_SEGMENTS.
     ("bounds.json",
      json.dumps({"recency_days": list(range(72)),

@@ -460,13 +460,14 @@ def engine_init(X, k, rng):
 
 
 def engine_lloyd(X, init, max_iter, tol, assignment=None):
-    """``kmeans._lloyd`` with the transpose and scratch buffer a fit makes,
-    from ``assignment`` or, for a custom init, from ``_nearest``."""
+    """``kmeans._lloyd`` with the transpose, scratch buffer and slack a fit
+    makes, from ``assignment`` or, for a custom init, from ``_nearest``."""
     XT = np.ascontiguousarray(X.T)
     buf = np.empty(X.shape)
+    slack = 1e-9 * np.sqrt((np.ptp(X, axis=0) ** 2).sum())
     if assignment is None:
         assignment = kmeans._nearest(XT, init, buf)
-    return kmeans._lloyd(X, XT, init, assignment, max_iter, tol, buf)
+    return kmeans._lloyd(XT, init, assignment, max_iter, tol, buf, slack)
 
 
 def oracle_or_reject(X, centers, max_iter, tol):
@@ -902,7 +903,7 @@ def test_cluster_means_match_masked_means(n, d, k, data_seed):
     for j in np.flatnonzero(counts):
         want[j] = X[labels == j].mean(axis=0)
     for XT in (X.T, np.ascontiguousarray(X.T)):
-        got = kmeans.cluster_means(X, XT, labels, counts)
+        got = kmeans.cluster_means(XT, labels, counts)
         assert got.tobytes() == want.tobytes()
 
 

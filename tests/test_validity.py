@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopmission.features import FeatureMatrix
+from shopmission.kmeans import kmeans_fit
 from shopmission.validity import (
     CrosstabMatrix,
     ValidityError,
     between_variance_ratio,
     crosstab,
     davies_bouldin,
+    fit_summary,
     purity,
     select_k,
 )
@@ -225,6 +227,28 @@ def test_metrics_need_one_label_per_row(metric):
     matrix = matrix_from([[0.0], [1.0], [2.0]])
     with pytest.raises(ValidityError, match="one label per row"):
         metric(matrix, [0, 1])
+
+
+def test_fit_summary_ignores_matrix_layout():
+    # The metrics reduce along rows, which numpy adds in another order for
+    # a Fortran-ordered or strided matrix; FeatureMatrix stores C order.
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n, d = rng.integers(20, 60), rng.integers(2, 7)
+        W = rng.normal(size=(n, 2 * d)) * 10.0 ** rng.integers(-3, 4, size=2 * d)
+        copies = [np.ascontiguousarray(W[:, ::2]), np.asfortranarray(W[:, ::2]),
+                  W[:, ::2]]
+        got = set()
+        for X in copies:
+            matrix = FeatureMatrix(
+                ids=list(range(n)), X=X, schema=[f"f{j}" for j in range(d)]
+            )
+            assert matrix.X.flags.c_contiguous
+            model, labels = kmeans_fit(matrix, 4, seed=0, n_init=2)
+            summary = fit_summary(matrix, model, labels)
+            got.add((model.centers.tobytes(), labels.tobytes(),
+                     repr(sorted(summary.items()))))
+        assert len(got) == 1
 
 
 def test_select_k_single_row_sweep():
