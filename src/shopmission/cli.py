@@ -38,7 +38,7 @@ from .validity import crosstab, purity, select_k
 
 
 class InputError(ShopmissionError):
-    """A malformed config file or window date."""
+    """A malformed config file, window date or list of input files."""
 
 
 def _finite_float(text):
@@ -321,8 +321,13 @@ def _naming_both(*paths):
 
 def cmd_compare(args, config):
     paths = args.assignments
-    assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in paths]
     names = [Path(p).stem for p in paths]
+    for name, path in zip(names, paths):
+        other = paths[names.index(name)]
+        if Path(other).resolve() != Path(path).resolve():
+            with _naming_both(other, path):
+                raise InputError(f"both are {name!r} in purity_matrix.csv")
+    assignments = [read_pairs(p, ASSIGNMENT_COLUMNS) for p in paths]
 
     def pair_purity(i, j):
         with _naming_both(paths[i], paths[j]):

@@ -135,6 +135,8 @@ def basket_sm_features(
     and value enter with similar weight).
     """
     column = {c: j for j, c in enumerate(category_ids)}
+    if missing := sorted(set(dataset.category_ids) - column.keys()):
+        raise FeatureError(f"category_ids lack dataset categories {missing}")
     X = np.zeros((dataset.n_baskets, len(column) + 1))
     # Cents are below 2**53, so they convert to float64 exactly.
     X[:, [column[c] for c in dataset.category_ids]] = dataset.spend_cents

@@ -5,12 +5,12 @@ strictly increasing id order (checked when the matrix is built), restarts
 use seeds derived from the run seed, and all reductions are single-threaded
 numpy. Labels are integer arrays aligned with ``matrix.ids``.
 
-Lloyd's iterations skip distance evaluations with triangle-inequality
-bounds (Hamerly, "Making k-means even faster", SDM 2010). The pruning is
-exact: a point skips its distance row only when its current center
-provably wins by a margin larger than any rounding error, so centers,
-labels, inertia and iteration counts are bit-identical to plain Lloyd
-with lowest-index tie-breaking.
+Lloyd's iterations skip distance evaluations with one lower bound per row
+on its distance to the other centers (Hamerly, "Making k-means even
+faster", SDM 2010), and read the rows that fail it in place. The pruning is
+exact: a row skips its distance row only when its own center provably wins
+by more than any rounding error, so centers, labels, inertia and iteration
+counts are bit-identical to plain Lloyd with lowest-index tie-breaking.
 
 A fit makes ``XT = X.T`` contiguous once, and its restarts share one
 scratch buffer of that feature-major shape, so an iteration writes its
@@ -298,28 +298,28 @@ def _plusplus_init(XT, k, rng, buf, check_distinct):
     return centers, (labels, own, np.sqrt(second, out=second))
 
 
-def _nearest(XT, centers, buf):
+def _nearest(XT, centers, buf, cols=None):
     """Nearest-center labels (lowest index on ties), their squared
     distances, and each row's distance to its runner-up center, for the
-    rows of ``X`` given as ``XT = X.T``; ``buf`` is scratch.
+    rows of ``X`` given as ``XT = X.T``, or for its rows at the indices
+    ``cols``; ``buf`` is scratch.
 
     The rows go in chunks whose (d, k, rows) block of differences to every
-    center fits in ``buf``.
+    center fits in ``buf``; a chunk of ``cols`` gathers only its own rows.
     """
-    d, m = XT.shape
+    d, m = XT.shape if cols is None else (len(XT), len(cols))
     k = centers.shape[0]
     step = buf.size // (d * k) if d else m
     if not step:  # more centers than buf has rows: one row at a time
         buf, step = np.empty(d * k), 1
     CT = np.ascontiguousarray(centers.T)[:, :, None]
-    labels = np.empty(m, dtype=np.intp)
-    own = np.empty(m)
-    lower = np.empty(m)
+    labels, own, lower = np.empty(m, np.intp), np.empty(m), np.empty(m)
     for lo in range(0, m, step):
         s = min(step, m - lo)
         rows = slice(lo, lo + s)
+        block = XT[:, rows] if cols is None else XT.take(cols[rows], axis=1)
         D = buf.reshape(-1)[: d * k * s].reshape(d, k, s)
-        np.subtract(XT[:, None, rows], CT, out=D)
+        np.subtract(block[:, None], CT, out=D)
         d2 = _sum_squares(D.reshape(d, k * s)).reshape(k, s)
         np.argmin(d2, axis=0, out=labels[rows])
         d2.min(axis=0, out=own[rows])
@@ -334,9 +334,9 @@ def _reassign(XT, centers, labels, lower, slack, buf, own):
     contiguous and ``buf`` is scratch of its size.
 
     A row keeps its label without a distance row when its distance to that
-    center, plus ``slack``, is below half the gap to the nearest other
-    center or below ``lower``, its bound on the distance to every other
-    center. NaN fails the test, so such rows are recomputed.
+    center, plus ``slack``, is below ``lower``, its bound on the distance
+    to every other center. NaN fails the test, so such rows are
+    recomputed, read in place by index.
     """
     D = buf.reshape(XT.shape)
     # Labels are always in range; mode="raise" would copy ``D`` first.
@@ -344,17 +344,10 @@ def _reassign(XT, centers, labels, lower, slack, buf, own):
             mode="clip")
     np.subtract(XT, D, out=D)
     _sum_squares(D, own)
-    gap = np.sqrt(((centers[:, None] - centers) ** 2).sum(axis=2))
-    np.fill_diagonal(gap, np.inf)
-    bound = np.take(gap.min(axis=1) / 2, labels)
-    np.maximum(bound, lower, out=bound)
     dist = np.sqrt(own)
     dist += slack
-    stale = np.flatnonzero(~(dist < bound))
-    if stale.size:
-        labels[stale], own[stale], lower[stale] = _nearest(
-            XT.take(stale, axis=1), centers, buf
-        )
+    stale = np.flatnonzero(~(dist < lower))
+    labels[stale], own[stale], lower[stale] = _nearest(XT, centers, buf, stale)
 
 
 def cluster_means(XT, labels, counts):
@@ -413,7 +406,6 @@ def _lloyd(XT, centers, assignment, max_iter, tol, buf, slack):
     centers = centers.copy()
     k = centers.shape[0]
     labels, own, lower = assignment
-    converged = False
     for iterations in range(1, max_iter + 1):
         counts = np.bincount(labels, minlength=k)
         # A re-seeded center can take every row of a cluster whose center
@@ -430,8 +422,8 @@ def _lloyd(XT, centers, assignment, max_iter, tol, buf, slack):
         lower -= shift
         _reassign(XT, centers, labels, lower, slack, buf, own)
         if shift < tol:
-            converged = True
             break
+    converged = bool(shift < tol)
     counts = np.bincount(labels, minlength=k)
     # Final assignment may orphan a center; repair keeps k as requested.
     # With more centers than distinct rows, which only custom inits allow,

@@ -180,14 +180,15 @@ def _label_order(labels) -> list:
 
 
 def _contingency(assignment_i: dict, assignment_ii: dict):
+    _check_same_entities(assignment_i, assignment_ii)
     rows = _label_order(assignment_i.values())
     cols = _label_order(assignment_ii.values())
-    row_idx = {c: i for i, c in enumerate(rows)}
+    row_idx = {c: i * len(cols) for i, c in enumerate(rows)}  # row * n_cols
     col_idx = {c: i for i, c in enumerate(cols)}
-    counts = np.zeros((len(rows), len(cols)))
-    for eid, ci in assignment_i.items():
-        counts[row_idx[ci], col_idx[assignment_ii[eid]]] += 1
-    return rows, cols, counts
+    cells = [row_idx[ci] + col_idx[assignment_ii[eid]]
+             for eid, ci in assignment_i.items()]
+    counts = np.bincount(cells, minlength=len(rows) * len(cols))
+    return rows, cols, counts.reshape(len(rows), len(cols))
 
 
 def purity(assignment_i: dict, assignment_ii: dict) -> float:
@@ -196,7 +197,6 @@ def purity(assignment_i: dict, assignment_ii: dict) -> float:
     (1/n) sum over I-clusters of the largest overlap with any II-cluster.
     Not symmetric.
     """
-    _check_same_entities(assignment_i, assignment_ii)
     _, _, counts = _contingency(assignment_i, assignment_ii)
     return float(counts.max(axis=1).sum() / counts.sum())
 
@@ -224,7 +224,6 @@ class CrosstabMatrix:
 
 def crosstab(assignment_i: dict, assignment_ii: dict) -> CrosstabMatrix:
     """Row-normalized contingency matrix: how I-clusters split over II."""
-    _check_same_entities(assignment_i, assignment_ii)
     rows, cols, counts = _contingency(assignment_i, assignment_ii)
     return CrosstabMatrix(
         row_labels=rows,

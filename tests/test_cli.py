@@ -836,6 +836,24 @@ def test_assignments_over_different_entities_name_both_files(
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_files_sharing_a_name_is_one_line_error(tmp_path, capsys):
+    first = tmp_path / "o1" / "sm_customers_assignments.csv"
+    second = tmp_path / "y" / "sm_customers_assignments.csv"
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_text(ASSIGNMENTS_HEADER + "x,1\ny,2\n")
+    code = main([
+        "compare", "--assignments", str(first), "--assignments", str(second),
+        "--out", str(tmp_path / "out"),
+    ])
+    err = assert_one_error_line(
+        code, capsys,
+        "both are 'sm_customers_assignments' in purity_matrix.csv",
+    )
+    assert err.startswith(f"error: {first}, {second}: "), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "window, message",
     [

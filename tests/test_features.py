@@ -151,6 +151,12 @@ def test_value_coord_clips_at_one(make_dataset):
     assert feat.basket_sm_features(ds, CATS, q).row("b1")[-1] == 1.0
 
 
+def test_basket_sm_axis_lacking_a_dataset_category_names_it(make_dataset):
+    ds = make_dataset(basket_rows("b1", "c1", {"hair": 5.0}), CATS)
+    with pytest.raises(FeatureError, match=r"categories \['body', 'face'\]"):
+        feat.basket_sm_features(ds, ["hair"], QuantileSpec(q95=10.0))
+
+
 def test_value_weight_scales_value_coordinate(make_dataset):
     q = QuantileSpec(q95=10.0)
     ds = make_dataset(basket_rows("b1", "c1", {"hair": 5.0}), CATS)

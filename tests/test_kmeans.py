@@ -916,19 +916,23 @@ ROW_MAJOR_FIT_PEAK = 4_295_237
 
 def test_fit_memory_peak_on_a_2k_customer_basket_matrix(tmp_path):
     # Distances over the feature-major matrix carve every block from the
-    # fit's scratch buffer, so the fit's traced peak must not grow.
-    generate(default_config(n_customers=2000, seed=1), tmp_path)
-    dataset = ingest_receipts(
-        tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
-    )
-    matrix = basket_sm_features(
-        dataset, dataset.category_ids, compute_q95(dataset), 1.0
-    )
-    assert matrix.X.shape == (15997, 9)
-    tracemalloc.start()
-    try:
-        kmeans_fit(matrix, 6, seed=42)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ROW_MAJOR_FIT_PEAK + 64 * 1024, peak
+    # fit's scratch buffer, so the fit's traced peak must not grow. On the
+    # seed-4711 set, almost every row goes stale in one iteration, so a
+    # copy of the stale columns would break the cap there.
+    for seed, shape in ((1, (15997, 9)), (4711, (15933, 9))):
+        data = tmp_path / f"seed{seed}"
+        generate(default_config(n_customers=2000, seed=seed), data)
+        dataset = ingest_receipts(
+            data / "receipts.csv", data / "categories.csv", WINDOW
+        )
+        matrix = basket_sm_features(
+            dataset, dataset.category_ids, compute_q95(dataset), 1.0
+        )
+        assert matrix.X.shape == shape
+        tracemalloc.start()
+        try:
+            kmeans_fit(matrix, 6, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ROW_MAJOR_FIT_PEAK + 64 * 1024, (seed, peak)
