@@ -5,12 +5,13 @@ strictly increasing id order (checked when the matrix is built), restarts
 use seeds derived from the run seed, and all reductions are single-threaded
 numpy. Labels are integer arrays aligned with ``matrix.ids``.
 
-Lloyd's iterations skip distance evaluations with one lower bound per row
-on its distance to the other centers (Hamerly, "Making k-means even
-faster", SDM 2010), and read the rows that fail it in place. The pruning is
-exact: a row skips its distance row only when its own center provably wins
-by more than any rounding error, so centers, labels, inertia and iteration
-counts are bit-identical to plain Lloyd with lowest-index tie-breaking.
+Lloyd's iterations skip distance evaluations with two bounds per row on
+its distance to its own center and to the other centers, moved by the
+centers' shifts (Hamerly, "Making k-means even faster", SDM 2010), and read
+the rows that fail them in place. The pruning is exact: a row skips its
+distance row only when its own center provably wins by more than any
+rounding error, so centers, labels, inertia and iteration counts are
+bit-identical to plain Lloyd with lowest-index tie-breaking.
 
 A fit makes ``XT = X.T`` contiguous once, and its restarts share one
 scratch buffer of that feature-major shape, so an iteration writes its
@@ -328,26 +329,25 @@ def _nearest(XT, centers, buf, cols=None):
     return labels, own, lower
 
 
-def _reassign(XT, centers, labels, lower, slack, buf, own):
-    """Move each row to its nearest center, in place, and write the squared
-    distances to the new labels into ``own``; ``XT`` is ``X.T`` made
-    contiguous and ``buf`` is scratch of its size.
-
-    A row keeps its label without a distance row when its distance to that
-    center, plus ``slack``, is below ``lower``, its bound on the distance
-    to every other center. NaN fails the test, so such rows are
-    recomputed, read in place by index.
-    """
+def _own_distances(XT, centers, labels, buf, out):
+    """Each row's squared distance to its labelled center, into ``out``."""
     D = buf.reshape(XT.shape)
     # Labels are always in range; mode="raise" would copy ``D`` first.
     np.take(np.ascontiguousarray(centers.T), labels, axis=1, out=D,
             mode="clip")
     np.subtract(XT, D, out=D)
-    _sum_squares(D, own)
-    dist = np.sqrt(own)
-    dist += slack
-    stale = np.flatnonzero(~(dist < lower))
-    labels[stale], own[stale], lower[stale] = _nearest(XT, centers, buf, stale)
+    return _sum_squares(D, out)
+
+
+def _reassign(XT, centers, labels, upper, lower, slack, buf):
+    """Move each row to its nearest center, in place. A row keeps its label
+    without a distance row when ``upper``, its bound on the distance to that
+    center, plus ``slack`` is below ``lower``, its bound on the distance to
+    every other center (NaN fails); ``_nearest`` reads the other rows in
+    place by index and sets their labels and both bounds exactly."""
+    stale = np.flatnonzero(~(upper + slack < lower))
+    labels[stale], own, lower[stale] = _nearest(XT, centers, buf, stale)
+    upper[stale] = np.sqrt(own, out=own)
 
 
 def cluster_means(XT, labels, counts):
@@ -402,10 +402,13 @@ def _lloyd(XT, centers, assignment, max_iter, tol, buf, slack):
     """Lloyd's iterations from ``centers`` and their nearest-center
     ``assignment``, the ``(labels, own, lower)`` of ``_nearest``, which the
     iterations update in place; ``XT``, ``buf`` and the pruning ``slack``
-    are those of ``kmeans_fit``, shared by the restarts of a fit."""
+    are those of ``kmeans_fit``, shared by the restarts of a fit. ``own``
+    turns into each row's upper bound on the distance to its center; exact
+    distances are worked out only before a repair and after the loop."""
     centers = centers.copy()
     k = centers.shape[0]
-    labels, own, lower = assignment
+    labels, upper, lower = assignment
+    np.sqrt(upper, out=upper)
     for iterations in range(1, max_iter + 1):
         counts = np.bincount(labels, minlength=k)
         # A re-seeded center can take every row of a cluster whose center
@@ -413,17 +416,22 @@ def _lloyd(XT, centers, assignment, max_iter, tol, buf, slack):
         passes = 0
         while counts.min() == 0:
             passes = _count_repair(passes, k)
+            own = _own_distances(XT, centers, labels, buf, upper)
             _repair_empty(XT, centers, labels, own)
-            labels, own, lower = _nearest(XT, centers, buf)
+            labels, upper, lower = _nearest(XT, centers, buf)
+            np.sqrt(upper, out=upper)
             counts = np.bincount(labels, minlength=k)
         new_centers = cluster_means(XT, labels, counts)
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        move = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
+        shift = move.max()
         centers = new_centers
+        upper += move[labels]
         lower -= shift
-        _reassign(XT, centers, labels, lower, slack, buf, own)
+        _reassign(XT, centers, labels, upper, lower, slack, buf)
         if shift < tol:
             break
     converged = bool(shift < tol)
+    own = _own_distances(XT, centers, labels, buf, upper)
     counts = np.bincount(labels, minlength=k)
     # Final assignment may orphan a center; repair keeps k as requested.
     # With more centers than distinct rows, which only custom inits allow,
@@ -483,10 +491,12 @@ def kmeans_fit(
             "feature values span too wide a range: squared distances "
             "overflow float64"
         )
-    # Centers are rows or means of rows, so the bounds gather a few ulps of
-    # the diagonal per iteration. The slack stays above that error for some
-    # 10^5 iterations, so a row that skips its distance row has a strictly
-    # nearest center: the label an argmin would give.
+    # Centers are rows or means of rows, so each shift adds a few ulps of
+    # the diagonal to the error of both bounds: the upper one grows by its
+    # center's move and the lower one shrinks by the largest. The slack
+    # stays above their summed error for some 10^5 iterations, so a row
+    # that skips its distance row has a strictly nearest center: the label
+    # an argmin would give.
     slack = 1e-9 * np.sqrt(diagonal2)
 
     XT = np.ascontiguousarray(X.T)
@@ -522,4 +532,5 @@ def assign(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:
         )
     if not np.all(np.isfinite(matrix.X)):
         raise KMeansError("feature matrix contains non-finite values")
-    return _nearest(matrix.X.T, model.centers, np.empty(matrix.X.shape))[0]
+    XT = np.ascontiguousarray(matrix.X.T)
+    return _nearest(XT, model.centers, np.empty_like(XT))[0]

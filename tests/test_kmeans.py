@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -794,14 +795,18 @@ PINNED_SWEEP = {
 }
 
 
-def test_select_k_sweep_pinned_on_syngen_baskets(tmp_path, monkeypatch):
-    generate(default_config(n_customers=150, seed=1), tmp_path)
-    dataset = ingest_receipts(
-        tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
-    )
-    matrix = basket_sm_features(
+def _syngen_basket_matrix(config, path):
+    generate(config, path)
+    dataset = ingest_receipts(path / "receipts.csv", path / "categories.csv",
+                              WINDOW)
+    return basket_sm_features(
         dataset, dataset.category_ids, compute_q95(dataset), 1.0
     )
+
+
+def _recorded_sweep(matrix, k_range, monkeypatch):
+    """``select_k(matrix, k_range, seed=42)`` and, per k, the fit's
+    float.hex(inertia), iterations_run and a sha256 prefix of the labels."""
     fits = {}
 
     def recording_fit(matrix, k, **kwargs):
@@ -811,12 +816,123 @@ def test_select_k_sweep_pinned_on_syngen_baskets(tmp_path, monkeypatch):
         return model, labels
 
     monkeypatch.setattr(validity, "kmeans_fit", recording_fit)
-    sweep = validity.select_k(matrix, (2, 12), seed=42)
-    assert matrix.X.shape == (1153, 9)
-    assert fits == PINNED_SWEEP
+    sweep = validity.select_k(matrix, k_range, seed=42)
     assert [row["inertia"] for row in sweep.rows] == [
-        float.fromhex(PINNED_SWEEP[k][0]) for k in range(2, 13)
+        float.fromhex(fits[k][0]) for k in range(k_range[0], k_range[1] + 1)
     ]
+    return fits, sweep
+
+
+def test_select_k_sweep_pinned_on_syngen_baskets(tmp_path, monkeypatch):
+    matrix = _syngen_basket_matrix(default_config(n_customers=150, seed=1),
+                                   tmp_path)
+    assert matrix.X.shape == (1153, 9)
+    fits, _ = _recorded_sweep(matrix, (2, 12), monkeypatch)
+    assert fits == PINNED_SWEEP
+
+
+# The same record for k=2..10 on the 200-customer, 48-category syngen set of
+# seed 1, taken from the engine that worked out every row's distance to its
+# own center in every Lloyd iteration. Dozens of categories is the paper's
+# regime, and the one where the upper bound saves the most.
+PINNED_SWEEP_48 = {
+    2: ("0x1.1e76a6681b5f0p+9", 3, "c92e8d86286eb337"),
+    3: ("0x1.9444dd8138546p+8", 3, "dce8222d8c0c34f1"),
+    4: ("0x1.0275e8f1b6046p+8", 2, "e30db9fd8bf9df4b"),
+    5: ("0x1.eee47a8d61fd5p+6", 3, "b2a7dbf7255bacc0"),
+    6: ("0x1.2bb7c937984e9p+4", 2, "11133c6fdd343111"),
+    7: ("0x1.e946daf24638cp+3", 3, "7db252bdeb9f86ef"),
+    8: ("0x1.cece581cf5f95p+3", 8, "2aad4a4e4274f5c4"),
+    9: ("0x1.c58d4e621c590p+3", 9, "b99dc271927b29ce"),
+    10: ("0x1.c35fc6f77a947p+3", 27, "0129f9fdb8d57279"),
+}
+
+
+def test_select_k_sweep_pinned_at_48_categories(tmp_path, monkeypatch):
+    config = default_config(n_customers=200, seed=1, n_categories=48)
+    matrix = _syngen_basket_matrix(config, tmp_path)
+    assert matrix.X.shape == (1664, 49)
+    fits, sweep = _recorded_sweep(matrix, (2, 10), monkeypatch)
+    assert fits == PINNED_SWEEP_48
+    assert sweep.recommended_k == 6
+
+
+def _counting(monkeypatch, counts, name):
+    real = getattr(kmeans, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kmeans, name, counted)
+
+
+def test_full_own_distance_pass_runs_once_per_restart_and_repair(
+        tmp_path, monkeypatch):
+    # The upper bound stands in for the exact distances inside the loop:
+    # the full pass runs once after each restart's iterations, and once
+    # before each main-loop repair pass, never once per iteration.
+    counts = dict.fromkeys(
+        ["_own_distances", "_lloyd", "_reassign", "_repair_empty"], 0
+    )
+    for name in counts:
+        _counting(monkeypatch, counts, name)
+    matrix = _syngen_basket_matrix(default_config(n_customers=150, seed=1),
+                                   tmp_path)
+    validity.select_k(matrix, (2, 12), seed=42)
+    assert counts == {"_own_distances": 110, "_lloyd": 110,
+                      "_reassign": 1101, "_repair_empty": 0}
+    # Two main-loop repair passes in the first iteration (see
+    # test_main_loop_repeats_repair_until_no_cluster_is_empty).
+    counts.update(dict.fromkeys(counts, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        engine_lloyd(np.array([[2.0], [3.0], [3.0]]),
+                     np.array([[5.0], [-2.0]]), 300, 1e-6)
+    assert counts == {"_own_distances": 3, "_lloyd": 1, "_reassign": 1,
+                      "_repair_empty": 2}
+    # The final repair reads the distances of the pass after the loop and
+    # then those of ``_nearest`` (see test_final_repair_matches_oracle).
+    counts.update(dict.fromkeys(counts, 0))
+    engine_lloyd(np.array([[0.0, 4.0], [2.0, 4.0], [3.0, 1.0], [3.0, 2.0]]),
+                 np.array([[5.0, 5.0], [1.0, 5.0], [0.0, 4.0]]), 1, 1e-6)
+    assert counts == {"_own_distances": 1, "_lloyd": 1, "_reassign": 1,
+                      "_repair_empty": 1}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    inputs=fit_inputs(),
+    seed=st.integers(0, 10**6),
+    n_init=st.integers(1, 3),
+    max_iter=st.integers(1, 30),
+)
+def test_pruning_bounds_hold_after_every_iteration(inputs, seed, n_init,
+                                                   max_iter):
+    # After each reassignment, every row's upper bound plus the slack must
+    # reach its exact distance to its own center, and its lower bound must
+    # not pass its exact distance to the nearest other center by more than
+    # the slack. The bounds are checked themselves, so a bound that drifts
+    # the wrong way fails here even where the labels come out right.
+    X, k = inputs
+    reassign = kmeans._reassign
+    iterations = []
+
+    def checked_reassign(XT, centers, labels, upper, lower, slack, buf):
+        reassign(XT, centers, labels, upper, lower, slack, buf)
+        dist = np.sqrt(_oracle_squared_distances(XT.T, centers))
+        rows = np.arange(len(labels))
+        assert np.all(upper + slack >= dist[rows, labels])
+        dist[rows, labels] = np.inf
+        assert np.all(lower <= dist.min(axis=1) + slack)
+        iterations.append(1)
+
+    with mock.patch.object(kmeans, "_reassign", checked_reassign):
+        model, _ = kmeans_fit(matrix_from(X), k, seed=seed,
+                              max_iter=max_iter, n_init=n_init)
+    assert len(iterations) >= n_init
+    assert len(iterations) >= model.iterations_run
 
 
 # --- The order in which every squared distance adds up. ---
