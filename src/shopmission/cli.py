@@ -34,7 +34,7 @@ from .txmodel import (
     AnalysisWindow, ValidationError, ingest_receipts, naming, read_pairs,
     write_csv, write_text,
 )
-from .validity import crosstab, purity, select_k
+from .validity import POLICIES, crosstab, purity, select_k
 
 
 class InputError(ShopmissionError):
@@ -457,11 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         _arg("--target", choices=["pps", "basket", "rfm"], default="basket"),
         _arg("--k-min", type=int, default=2),
         _arg("--k-max", type=int, default=12),
-        _arg(
-            "--policy",
-            choices=["db_min", "variance_elbow", "report_only"],
-            default="db_min",
-        ),
+        _arg("--policy", choices=POLICIES, default="db_min"),
         dataset=True, seed=True,
     )
     _command(

@@ -213,19 +213,32 @@ def _cdf(weights) -> list:
 
 
 def _dirichlet_sampler(rng, alpha):
-    """A callable that returns the draws of ``rng.dirichlet(alpha).tolist()``.
+    """A callable that returns one Dirichlet draw over ``alpha`` as a list,
+    0.0 wherever an alpha is 0 (a category its archetype never buys).
 
-    Below a largest alpha of 0.1 numpy draws by stick-breaking, so the
-    callable calls ``rng.dirichlet``. Otherwise it draws numpy's gammas
-    without the per-call checks on ``alpha``: one scalar-shape
-    ``standard_gamma`` call per run of adjacent equal alphas, then numpy's
-    normalisation, a left-to-right sum (``sum()`` would compensate it) and
-    one reciprocal.
+    Where the largest alpha is at least 0.1, the draws are those of
+    ``rng.dirichlet(alpha).tolist()``, made without numpy's per-call checks
+    on ``alpha``: one scalar-shape ``standard_gamma`` call per run of
+    adjacent equal alphas, then numpy's normalisation, a left-to-right sum
+    (``sum()`` would compensate it) and one reciprocal. ``standard_gamma``
+    returns 0.0 for a zero alpha without advancing the generator, so zero
+    alphas take the same path. Below a largest alpha of 0.1 numpy draws by
+    stick-breaking, where zero alphas change the draws, so the callable
+    calls ``rng.dirichlet`` on the positive alphas only and puts the draws
+    back in their places.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.max() < 0.1:
         dirichlet = rng.dirichlet
-        return lambda: dirichlet(alpha).tolist()
+        active = alpha > 0
+        positive = alpha[active]
+
+        def stick_breaking():
+            shares = np.zeros(len(alpha))
+            shares[active] = dirichlet(positive)
+            return shares.tolist()
+
+        return stick_breaking
     gamma = rng.standard_gamma
     runs = [(v, len(list(g))) for v, g in groupby(alpha.tolist())]
 
@@ -258,13 +271,13 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
 
     The files are byte-identical for a given config and seed. Per customer,
     the draws are: mission, persona, basket count, visit days; per basket:
-    archetype, value, Dirichlet shares (unless the concentration is
-    infinite), hour, then one promo double per emitted line.
+    archetype, value, shares, hour, then one promo double per emitted line.
 
-    The shares are the draws of ``rng.dirichlet(alpha)``, made from one
-    scalar-shape gamma call per run of adjacent equal alphas
-    (``_dirichlet_sampler``); archetypes whose largest alpha is below 0.1
-    still call ``rng.dirichlet``.
+    Each archetype has one share sampler, built before the first draw. At
+    an infinite concentration it returns a copy of the mixture and draws
+    nothing; otherwise it is ``_dirichlet_sampler`` over ``concentration *
+    mixture``, zeros included, which keeps zero-mixture categories at
+    exactly zero.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,8 +285,7 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     random, integers = rng.random, rng.integers
     lognormal = rng.lognormal
 
-    n_cats = config.n_categories
-    category_ids = [f"K{i:02d}" for i in range(n_cats)]
+    category_ids = [f"K{i:02d}" for i in range(config.n_categories)]
     product_fields = [f"prod_{cid},{cid}," for cid in category_ids]
     window_days = (config.window_end - config.window_start).days
     days = [
@@ -283,23 +295,16 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     hours = [f"T{h:02d}:00:00," for h in range(21)]
     prices = _PriceText()
 
-    # Per archetype: name, value distribution, fixed shares (used when the
-    # concentration is infinite), and the Dirichlet sampler of its nonzero
-    # categories with their indices (None when all are nonzero). Zero-mixture
-    # categories stay exactly zero, since Dirichlet alphas must be positive.
+    # Per archetype: name, value distribution and share sampler.
     archetypes = []
     for a in config.archetypes:
         mixture = np.asarray(a.mixture, dtype=float)
-        draw_shares = active = None
-        if not np.isinf(config.concentration):
+        if np.isinf(config.concentration):
+            draw_shares = mixture.tolist().copy
+        else:
             alpha = config.concentration * mixture
-            active = np.flatnonzero(alpha > 0)
-            draw_shares = _dirichlet_sampler(rng, alpha[active])
-            active = active.tolist() if len(active) < n_cats else None
-        archetypes.append(
-            (a.name, a.value_mu, a.value_sigma, mixture.tolist(), draw_shares,
-             active)
-        )
+            draw_shares = _dirichlet_sampler(rng, alpha)
+        archetypes.append((a.name, a.value_mu, a.value_sigma, draw_shares))
     missions = [(m.name, _cdf(m.archetype_weights)) for m in config.missions]
     personas = [
         (
@@ -338,19 +343,13 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
 
         for bi, day in enumerate(day_offsets):
             basket_id = f"{basket_prefix}{bi:03d}"
-            name, mu, sigma, shares, draw_shares, active = archetypes[
+            name, mu, sigma, draw_shares = archetypes[
                 bisect_right(arch_cdf, random())
             ]
             basket_archetype[basket_id] = name
 
             total = value_scale * lognormal(mu, sigma)
-            if draw_shares is not None:
-                if active is None:
-                    shares = draw_shares()
-                else:
-                    shares = [0.0] * n_cats
-                    for j, s in zip(active, draw_shares()):
-                        shares[j] = s
+            shares = draw_shares()
             # round() of a float is half-even, as np.round
             cents = [round(s * total * 100) for s in shares]
             if sum(cents) <= 0:

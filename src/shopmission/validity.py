@@ -99,6 +99,7 @@ def fit_summary(matrix: FeatureMatrix, model, labels) -> dict:
 
 
 SWEEP_COLUMNS = ["k", "inertia", "between_variance_ratio", "davies_bouldin"]
+POLICIES = ("db_min", "variance_elbow", "report_only")
 
 
 @dataclass
@@ -132,11 +133,12 @@ def select_k(
     """Sweep k over a range, summarizing each fit with ``fit_summary``.
 
     The recommendation is advisory (the sweep table is always emitted so a
-    human can overrule it); ``policy`` is one of db_min, variance_elbow,
-    report_only.
+    human can overrule it); ``policy`` is one of ``POLICIES``.
     """
     if seed < 0:
         raise ValidityError(f"seed must be >= 0, got {seed}")
+    if policy not in POLICIES:
+        raise ValidityError(f"unknown policy {policy!r}")
     k_min, k_max = k_range
     if not 2 <= k_min <= k_max < len(matrix.ids):
         raise ValidityError(
@@ -151,10 +153,8 @@ def select_k(
         recommended = min(rows, key=itemgetter("davies_bouldin", "k"))["k"]
     elif policy == "variance_elbow":
         recommended = _elbow_k(rows)
-    elif policy == "report_only":
-        recommended = None
     else:
-        raise ValidityError(f"unknown policy {policy!r}")
+        recommended = None
     return KSweepResult(rows=rows, recommended_k=recommended, policy=policy)
 
 

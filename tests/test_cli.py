@@ -205,20 +205,21 @@ def test_sweep_rows_are_the_metrics_of_the_same_fit(data_dir, tmp_path):
 def test_sm_and_select_k_leave_numpy_ma_unloaded(data_dir, tmp_path, command):
     # np.quantile and np.unique import numpy.ma; these commands use neither.
     # The k-means++ draws are computed without numpy.random, which would
-    # load secrets and OpenSSL.
+    # load secrets and OpenSSL. Only the syngen command loads the generator.
     script = (
         "import sys\n"
         "from shopmission.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(code, 'numpy.ma' in sys.modules,\n"
-        "      'numpy.random' in sys.modules)\n"
+        "      'numpy.random' in sys.modules,\n"
+        "      'shopmission.syngen' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, *command, *dataset_args(data_dir),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=subprocess_env(), check=True,
     )
-    assert result.stdout == "0 False False\n"
+    assert result.stdout == "0 False False False\n"
 
 
 def test_importing_the_cli_leaves_openssl_unloaded():

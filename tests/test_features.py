@@ -237,6 +237,12 @@ def test_feature_matrix_ids_must_be_sorted_and_unique(ids, message):
         feat.FeatureMatrix(ids=ids, X=np.zeros((len(ids), 1)), schema=["x"])
 
 
+@pytest.mark.parametrize("X", [np.zeros((2, 1)), np.zeros((3, 2)), np.zeros(3)])
+def test_feature_matrix_shape_must_match_ids_and_schema(X):
+    with pytest.raises(FeatureError, match="inconsistent with 3 ids x 1"):
+        feat.FeatureMatrix(ids=["a", "b", "c"], X=X, schema=["x"])
+
+
 def value_dataset(cents):
     """One-category dataset whose baskets are worth ``cents``."""
     n = len(cents)

@@ -250,6 +250,9 @@ def test_non_finite_rejected():
     X = np.array([[1.0], [np.nan]])
     with pytest.raises(KMeansError, match="non-finite"):
         kmeans_fit(matrix_from(X), k=1, seed=0)
+    model = ClusterModel(1, np.zeros((1, 1)), ["f0"], 0, 0.0, 0)
+    with pytest.raises(KMeansError, match="non-finite"):
+        assign(model, matrix_from(X))
 
 
 def test_overflowing_squared_distances_rejected():

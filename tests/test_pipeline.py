@@ -16,7 +16,7 @@ from conftest import (
     write_categories,
     write_receipts,
 )
-from shopmission.features import rfm_features
+from shopmission.features import FeatureError, rfm_features
 from shopmission.pipeline import (
     PipelineError,
     SmPipelineModel,
@@ -27,6 +27,7 @@ from shopmission.pipeline import (
     run_rfm_expert,
     run_sm,
     score,
+    stage1_matrix,
 )
 from shopmission.syngen import default_config, generate
 from shopmission.txmodel import AnalysisWindow, ValidationError, ingest_receipts
@@ -339,6 +340,31 @@ def test_sm_model_json_roundtrip(small_planted):
     restored = SmPipelineModel.from_json(model.to_json())
     assert restored.to_json() == model.to_json()
     assert np.array_equal(score(restored, dataset), score(model, dataset))
+
+
+@pytest.mark.parametrize(
+    "value_weight, shown", [(-1.0, "-1.0"), (float("nan"), "nan"),
+                            (float("inf"), "inf"), (True, "True")],
+)
+def test_value_weight_outside_the_model_range_rejected(
+    small_planted, value_weight, shown
+):
+    # The same wording as SmPipelineModel.from_json, which reads no such
+    # model back.
+    _, _, _, dataset = small_planted
+    message = f"value_weight must be a finite number >= 0, got {shown}$"
+    with pytest.raises(FeatureError, match=message):
+        stage1_matrix(dataset, value_weight)
+    with pytest.raises(FeatureError, match=message):
+        run_sm(dataset, k_b=3, k_sm=2, value_weight=value_weight)
+
+
+def test_zero_value_weight_model_roundtrips(small_planted):
+    _, _, _, dataset = small_planted
+    model, _, _ = run_sm(dataset, k_b=6, k_sm=9, seed=42, value_weight=0.0)
+    restored = SmPipelineModel.from_json(model.to_json())
+    assert restored.value_weight == 0.0
+    assert restored.to_json() == model.to_json()
 
 
 def test_report_files_written(tmp_path, small_planted):

@@ -68,6 +68,10 @@ def test_config_invariant_violations():
         ({"mission_weights": [0.5]}, "mission_weights must sum to 1"),
         ({"missions": []}, "at least one archetype, mission and persona"),
         ({"concentration": float("nan")}, "concentration must be positive"),
+        ({"n_categories": 1}, "need at least 2 categories"),
+        ({"missions": [MissionProfile("pair", (0.5, 0.5))]},
+         "mission 'pair' weights length != n_archetypes"),
+        ({"window_end": date(2025, 1, 1)}, "window end must be after start"),
     ],
 )
 def test_generator_config_rejects_bad_values(changes, message):
@@ -79,6 +83,8 @@ def test_profile_and_persona_values_checked():
     # sums to 1, so only the sign check catches it
     with pytest.raises(SyngenError, match="weights must be non-negative"):
         MissionProfile("bad", (1.5, -0.5))
+    with pytest.raises(SyngenError, match=r"active_fraction must be in \(0, 1\]"):
+        RfmPersona("bad", (1, 2), active_fraction=0.0)
     with pytest.raises(SyngenError, match="value_scale must be positive"):
         RfmPersona("bad", (1, 2), value_scale=0.0)
     with pytest.raises(SyngenError, match="sigma >= 0"):

@@ -288,18 +288,32 @@ def test_generate_matches_oracle_property(
         pytest.param(
             (0.1, 0.05, 0.1), "standard_gamma", id="max-exactly-0.1"
         ),
+        pytest.param(
+            (0.0, 3.0, 0.0, 0.0, 1.0), "standard_gamma", id="gamma-zeros"
+        ),
         pytest.param((0.0999, 0.0999), "dirichlet", id="max-below-0.1"),
         pytest.param((0.09, 0.02, 0.05), "dirichlet", id="all-below-0.1"),
+        pytest.param(
+            (0.05, 0.0, 0.02, 0.0), "dirichlet", id="stick-breaking-zeros"
+        ),
     ],
 )
 def test_dirichlet_sampler_makes_numpys_draws(alpha, method):
+    alpha = np.array(alpha)
     want_rng = np.random.default_rng(2024)
     got_rng = np.random.default_rng(2024)
     # The sampler sees only the generator method of the path it should
     # take, so taking the other path fails.
     only = SimpleNamespace(**{method: getattr(got_rng, method)})
-    draw = _dirichlet_sampler(only, np.array(alpha))
+    draw = _dirichlet_sampler(only, alpha)
     for _ in range(2000):
-        assert draw() == want_rng.dirichlet(np.array(alpha)).tolist()
+        if method == "standard_gamma":
+            want = want_rng.dirichlet(alpha).tolist()
+        else:
+            # Zero alphas change numpy's stick-breaking draws, so the
+            # sampler draws over the positive alphas only.
+            drawn = iter(want_rng.dirichlet(alpha[alpha > 0]).tolist())
+            want = [next(drawn) if a > 0 else 0.0 for a in alpha]
+        assert draw() == want
     # the generator state advanced by the same draws
     assert got_rng.random() == want_rng.random()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shopmission import validity
 from shopmission.features import FeatureMatrix
 from shopmission.kmeans import kmeans_fit
 from shopmission.validity import (
@@ -257,9 +258,11 @@ def test_select_k_single_row_sweep():
     sweep = select_k(matrix_from(X), (2, 2), seed=0)
     assert len(sweep.rows) == 1
     assert sweep.recommended_k == 2
+    elbow = select_k(matrix_from(X), (2, 2), seed=0, policy="variance_elbow")
+    assert elbow.recommended_k == 2
 
 
-def test_select_k_policies():
+def test_select_k_policies(monkeypatch):
     rng = np.random.default_rng(4)
     X = np.vstack([rng.normal(loc=c, scale=0.2, size=(15, 2)) for c in (0, 5, 10)])
     matrix = matrix_from(X)
@@ -269,7 +272,13 @@ def test_select_k_policies():
     assert report.recommended_k is None
     elbow = select_k(matrix, (2, 6), seed=1, policy="variance_elbow")
     assert elbow.recommended_k == 3
-    with pytest.raises(ValidityError, match="policy"):
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("kmeans_fit called")
+
+    # An unknown policy fails before the first fit.
+    monkeypatch.setattr(validity, "kmeans_fit", no_fit)
+    with pytest.raises(ValidityError, match="unknown policy 'nope'"):
         select_k(matrix, (2, 6), seed=1, policy="nope")
 
 
@@ -314,6 +323,8 @@ def test_purity_mismatched_entity_sets():
     b = {"x": 0, "z": 1}
     with pytest.raises(ValidityError, match="different entity sets"):
         purity(a, b)
+    with pytest.raises(ValidityError, match="assignments are empty"):
+        purity({}, {})
 
 
 def test_crosstab_identity():
