@@ -7,6 +7,10 @@ clusters baskets into archetypes and then clusters customers by their
 archetype ratios.
 """
 
+import math
+from contextlib import suppress
+from numbers import Integral, Real
+
 __version__ = "0.1.0"
 
 
@@ -21,3 +25,37 @@ class ShopmissionError(Exception):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+# Each number that a caller, a config file or a model file gives the
+# package: (int or float, its lowest value, whether that value is excluded).
+NUMBERS = {
+    "k": (int, 1, False),
+    "seed": (int, 0, False),
+    "n_init": (int, 1, False),
+    "max_iter": (int, 1, False),
+    "iterations_run": (int, 1, False),
+    "tol": (float, 0, True),
+    "value_weight": (float, 0, False),
+    "dominance_threshold": (float, -math.inf, True),
+    "q95": (float, 0, False),
+    "inertia": (float, 0, False),
+}
+
+
+def number(name, value, error=ValueError):
+    """``value`` as a plain ``int`` or ``float``, when it lies in ``name``'s
+    domain in ``NUMBERS``; else raises ``error``. An int domain takes Python
+    and numpy ints, a float domain those and any finite real number; neither
+    takes a boolean."""
+    kind, low, excluded = NUMBERS[name]
+    accepted = Integral if kind is int else Real
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int too large for a float
+            plain = kind(value)
+            if (low < plain if excluded else low <= plain) and plain < math.inf:
+                return plain
+    what = "an int" if kind is int else "a finite number"
+    if low > -math.inf:
+        what += f" {'>' if excluded else '>='} {low}"
+    raise error(f"{name} must be {what}, got {value!r}")

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from datetime import date
 from pathlib import Path
 
-from . import ShopmissionError, __version__, features as feat
+from . import NUMBERS, ShopmissionError, __version__, features as feat, number
 from .pipeline import (
     ASSIGNMENT_COLUMNS,
     PipelineError,
@@ -41,35 +40,6 @@ class InputError(ShopmissionError):
     """A malformed config file, window date or list of input files."""
 
 
-def _finite_float(text):
-    """``float(text)``; NaN and +-inf are bad."""
-    if not math.isfinite(value := float(text)):
-        raise ValueError(text)
-    return value
-
-
-class _OutOfRange(ValueError):
-    """A config value that converts but lies outside its key's range."""
-
-
-def _positive_float(text):
-    if not (value := _finite_float(text)) > 0:
-        raise _OutOfRange(f"must be > 0, got {value!r}")
-    return value
-
-
-def _non_negative_float(text):
-    if not (value := _finite_float(text)) >= 0:
-        raise _OutOfRange(f"must be >= 0, got {value!r}")
-    return value
-
-
-def _positive_int(text):
-    if (value := int(text)) < 1:
-        raise _OutOfRange(f"must be >= 1, got {value}")
-    return value
-
-
 def _boolean(text):
     word = text.lower()
     if word in ("1", "true", "yes", "on"):
@@ -79,12 +49,13 @@ def _boolean(text):
     raise ValueError(text)
 
 
+# Each key's parser; ``NUMBERS`` holds the domain of each numeric key.
 CONFIG_KEYS = {
-    "tol": _positive_float,
-    "n_init": _positive_int,
-    "max_iter": _positive_int,
-    "dominance_threshold": _finite_float,
-    "value_weight": _non_negative_float,
+    "tol": float,
+    "n_init": int,
+    "max_iter": int,
+    "dominance_threshold": float,
+    "value_weight": float,
     "standardize_rfm": _boolean,
 }
 
@@ -106,13 +77,15 @@ def load_config(path) -> dict:
         if key in config:
             raise InputError(f"{path}:{line_no}: duplicate key {key!r}")
         try:
-            config[key] = CONFIG_KEYS[key](value.strip("\"'"))
-        except _OutOfRange as exc:
-            raise InputError(f"{path}:{line_no}: {key} {exc}") from None
+            parsed = CONFIG_KEYS[key](value.strip("\"'"))
         except ValueError:
             raise InputError(
                 f"{path}:{line_no}: bad value {value!r} for {key}"
             ) from None
+        try:
+            config[key] = number(key, parsed) if key in NUMBERS else parsed
+        except ValueError as exc:
+            raise InputError(f"{path}:{line_no}: {exc}") from None
     return config
 
 

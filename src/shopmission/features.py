@@ -14,7 +14,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from . import ShopmissionError
+from . import ShopmissionError, number
 from .txmodel import Dataset, naming
 
 MIN_BASKETS_FOR_Q95 = 20
@@ -134,11 +134,7 @@ def basket_sm_features(
     min(value / q95, 1) scaled by ``value_weight`` (default 1.0: structure
     and value enter with similar weight).
     """
-    # What SmPipelineModel.from_json refuses, so a model can be read back.
-    if isinstance(value_weight, bool) or not 0 <= value_weight < math.inf:
-        raise FeatureError(
-            f"value_weight must be a finite number >= 0, got {value_weight!r}"
-        )
+    value_weight = number("value_weight", value_weight, FeatureError)
     column = {c: j for j, c in enumerate(category_ids)}
     if missing := sorted(set(dataset.category_ids) - column.keys()):
         raise FeatureError(f"category_ids lack dataset categories {missing}")

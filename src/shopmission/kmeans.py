@@ -46,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from . import ShopmissionError
+from . import ShopmissionError, number
 from .features import FeatureMatrix
 
 
@@ -139,8 +139,6 @@ class _Pcg64Draws:
             return 0
         if n > 1 << 32:
             raise KMeansError(f"cannot draw one of {n} rows: at most 2**32")
-        if n == 1 << 32:
-            return self._next32()
         m = self._next32() * n
         if m & _MASK32 < n:
             threshold = ((1 << 32) - n) % n
@@ -190,22 +188,11 @@ class ClusterModel:
             k=doc["k"],
             centers=centers,
             feature_schema=doc["feature_schema"],
-            seed=json_number(doc, "seed", int, 0),
-            inertia=json_number(doc, "inertia", float, 0),
-            iterations_run=json_number(doc, "iterations_run", int, 1),
+            seed=number("seed", doc["seed"]),
+            inertia=number("inertia", doc["inertia"]),
+            iterations_run=number("iterations_run", doc["iterations_run"]),
             converged=converged,
         )
-
-
-def json_number(doc, key, kind, low):
-    """``doc[key]``, a finite JSON number from ``low`` up, as a ``kind``:
-    ``int`` takes ints only, ``float`` ints and floats, and neither takes a
-    boolean; ``float`` raises OverflowError on an int beyond its range."""
-    value = doc[key]
-    if type(value) not in {int, kind} or not low <= value < np.inf:
-        what = "an int" if kind is int else "a finite number"
-        raise ValueError(f"{key} must be {what} >= {low}, got {value!r}")
-    return kind(value)
 
 
 @cache
@@ -458,14 +445,11 @@ def kmeans_fit(
     X = matrix.X
     if not np.all(np.isfinite(X)):
         raise KMeansError("feature matrix contains non-finite values")
-    if k < 1:
-        raise KMeansError(f"k must be >= 1, got {k}")
-    if max_iter < 1 or not tol > 0:
-        raise KMeansError("max_iter must be >= 1 and tol > 0")
-    if n_init < 1:
-        raise KMeansError(f"n_init must be >= 1, got {n_init}")
-    if seed < 0:
-        raise KMeansError(f"seed must be >= 0, got {seed}")
+    k = number("k", k, KMeansError)
+    seed = number("seed", seed, KMeansError)
+    max_iter = number("max_iter", max_iter, KMeansError)
+    tol = number("tol", tol, KMeansError)
+    n_init = number("n_init", n_init, KMeansError)
 
     def check_distinct():
         if k > matrix.n_distinct:

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ShopmissionError, features as feat
+from . import ShopmissionError, features as feat, number
 from .features import FeatureMatrix, QuantileSpec
-from .kmeans import ClusterModel, assign, cluster_means, json_number, kmeans_fit
+from .kmeans import ClusterModel, KMeansError, assign, cluster_means, kmeans_fit
 from .txmodel import Dataset, ValidationError, naming, write_csv, write_text
 from .validity import fit_summary
 
@@ -211,6 +211,9 @@ def run_pps(
     **fit_kwargs,
 ) -> SegmentationReport:
     """PPS segmentation: k-means on per-customer category spend ratios."""
+    dominance_threshold = number(
+        "dominance_threshold", dominance_threshold, PipelineError
+    )
     matrix = feat.pps_features(dataset)
     model, labels = kmeans_fit(matrix, k, seed=seed, **fit_kwargs)
     return _report_from_fit(matrix, model, labels, dominance_threshold)
@@ -252,11 +255,11 @@ class SmPipelineModel:
                     "category_ids must be a list of distinct strings"
                 )
             model = cls(
-                q95=QuantileSpec(q95=json_number(doc, "q95", float, 0)),
+                q95=QuantileSpec(q95=number("q95", doc["q95"])),
                 basket_model=ClusterModel.from_dict(doc["basket_model"]),
                 customer_model=ClusterModel.from_dict(doc["customer_model"]),
                 category_ids=category_ids,
-                value_weight=json_number(doc, "value_weight", float, 0),
+                value_weight=number("value_weight", doc["value_weight"]),
                 dataset_fingerprint=doc["dataset_fingerprint"],
             )
             if not isinstance(model.dataset_fingerprint, str):
@@ -297,6 +300,12 @@ def run_sm(
     basket archetypes. Returns (SmPipelineModel, basket report, customer
     report).
     """
+    # The model records the checked weight, a plain float.
+    value_weight = number("value_weight", value_weight, feat.FeatureError)
+    dominance_threshold = number(
+        "dominance_threshold", dominance_threshold, PipelineError
+    )
+    k_sm = number("k", k_sm, KMeansError)
     q, basket_matrix = stage1_matrix(dataset, value_weight)
     basket_model, basket_labels = kmeans_fit(
         basket_matrix, k_b, seed=seed, **fit_kwargs

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ShopmissionError
+from . import ShopmissionError, number
 from .txmodel import (
     CATEGORY_COLUMNS, RECEIPT_COLUMNS, read_pairs, write_csv, write_text,
 )
@@ -106,8 +106,7 @@ class GeneratorConfig:
             raise SyngenError(
                 f"need at least 1 customer, got {self.n_customers}"
             )
-        if self.seed < 0:
-            raise SyngenError(f"seed must be >= 0, got {self.seed}")
+        self.seed = number("seed", self.seed, SyngenError)
         if not (self.archetypes and self.missions and self.personas):
             raise SyngenError("need at least one archetype, mission and persona")
         for a in self.archetypes:

@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import ShopmissionError
+from . import ShopmissionError, number
 from .features import FeatureMatrix
 from .kmeans import kmeans_fit
 from .txmodel import write_csv
@@ -135,11 +135,10 @@ def select_k(
     The recommendation is advisory (the sweep table is always emitted so a
     human can overrule it); ``policy`` is one of ``POLICIES``.
     """
-    if seed < 0:
-        raise ValidityError(f"seed must be >= 0, got {seed}")
+    seed = number("seed", seed, ValidityError)
     if policy not in POLICIES:
         raise ValidityError(f"unknown policy {policy!r}")
-    k_min, k_max = k_range
+    k_min, k_max = (number("k", k, ValidityError) for k in k_range)
     if not 2 <= k_min <= k_max < len(matrix.ids):
         raise ValidityError(
             f"k range [{k_min}, {k_max}] must be non-empty and lie within "

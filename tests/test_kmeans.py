@@ -301,13 +301,13 @@ def test_restart_count_and_tol_validation():
 @pytest.mark.parametrize("n_init", [0, -1])
 def test_n_init_below_one_rejected(n_init):
     X = np.arange(10, dtype=float).reshape(-1, 1)
-    with pytest.raises(KMeansError, match=f"n_init must be >= 1, got {n_init}"):
+    with pytest.raises(KMeansError, match=f"n_init must be an int >= 1, got {n_init}"):
         kmeans_fit(matrix_from(X), k=2, seed=0, n_init=n_init)
 
 
 def test_negative_seed_rejected():
     X = np.arange(10, dtype=float).reshape(-1, 1)
-    with pytest.raises(KMeansError, match="seed must be >= 0"):
+    with pytest.raises(KMeansError, match="seed must be an int >= 0, got -1"):
         kmeans_fit(matrix_from(X), k=2, seed=-1)
 
 

@@ -16,6 +16,7 @@ from conftest import (
     write_categories,
     write_receipts,
 )
+from shopmission import pipeline
 from shopmission.features import FeatureError, rfm_features
 from shopmission.pipeline import (
     PipelineError,
@@ -195,7 +196,6 @@ def test_run_sm_kb1_degenerates_with_warning(make_dataset):
 
 
 def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch, make_dataset):
-    from shopmission import pipeline
 
     real = pipeline.feat.customer_sm_features
 
@@ -357,6 +357,24 @@ def test_value_weight_outside_the_model_range_rejected(
         stage1_matrix(dataset, value_weight)
     with pytest.raises(FeatureError, match=message):
         run_sm(dataset, k_b=3, k_sm=2, value_weight=value_weight)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("-inf"), "0.3"])
+def test_dominance_threshold_checked_before_the_first_fit(
+    small_planted, monkeypatch, threshold
+):
+    # A NaN threshold would label every cluster "General".
+    _, _, _, dataset = small_planted
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("kmeans_fit called")
+
+    monkeypatch.setattr(pipeline, "kmeans_fit", no_fit)
+    message = f"dominance_threshold must be a finite number, got {threshold!r}$"
+    with pytest.raises(PipelineError, match=message):
+        run_pps(dataset, 3, dominance_threshold=threshold)
+    with pytest.raises(PipelineError, match=message):
+        run_sm(dataset, 3, 2, dominance_threshold=threshold)
 
 
 def test_zero_value_weight_model_roundtrips(small_planted):

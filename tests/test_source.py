@@ -5,8 +5,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-from shopmission import ShopmissionError, kmeans, pipeline
-from shopmission.cli import CONFIG_KEYS
+from shopmission import NUMBERS, ShopmissionError, kmeans, pipeline
+from shopmission.cli import CONFIG_KEYS, _boolean
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shopmission"
 
@@ -216,6 +216,10 @@ def test_every_config_key_has_one_default_in_the_library():
     # A key the config file leaves out takes the default of the function it
     # feeds; the functions that one key feeds agree on it.
     assert sorted(CONFIG_FEEDS) == sorted(CONFIG_KEYS)
+    # A numeric key parses as the kind that NUMBERS gives it, and its range
+    # is the one in NUMBERS, so the CLI states no range of its own.
+    for key, parse in CONFIG_KEYS.items():
+        assert parse is _boolean or parse is NUMBERS[key][0], key
     for key, functions in CONFIG_FEEDS.items():
         defaults = set()
         for fn in functions:
@@ -257,13 +261,12 @@ def package_exception_classes():
 
 def test_every_package_exception_is_a_shopmission_error():
     # The CLI catches ShopmissionError, so a new module error reaches the
-    # user as one error: line, not a traceback. _OutOfRange is a ValueError
-    # that load_config turns into an InputError.
+    # user as one error: line, not a traceback.
     classes = set(package_exception_classes())
     assert ShopmissionError in classes
     found = {cls.__name__ for cls in classes
              if not issubclass(cls, ShopmissionError)}
-    assert found == {"_OutOfRange"}, found
+    assert not found, found
 
 
 def handler_names(node):

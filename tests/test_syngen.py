@@ -72,6 +72,8 @@ def test_config_invariant_violations():
         ({"missions": [MissionProfile("pair", (0.5, 0.5))]},
          "mission 'pair' weights length != n_archetypes"),
         ({"window_end": date(2025, 1, 1)}, "window end must be after start"),
+        ({"seed": True}, "seed must be an int >= 0, got True"),
+        ({"seed": 1.5}, "seed must be an int >= 0, got 1.5"),
     ],
 )
 def test_generator_config_rejects_bad_values(changes, message):

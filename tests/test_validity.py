@@ -288,6 +288,10 @@ def test_select_k_range_validation():
         select_k(matrix, (1, 5), seed=0)
     with pytest.raises(ValidityError):
         select_k(matrix, (2, 10), seed=0)
+    for k_range, bound in [((2.0, 5), 2.0), ((2, 5.5), 5.5)]:
+        message = f"k must be an int >= 1, got {bound}$"
+        with pytest.raises(ValidityError, match=message):
+            select_k(matrix, k_range, seed=0)
 
 
 def test_select_k_constant_dataset_errors():
