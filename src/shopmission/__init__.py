@@ -11,6 +11,8 @@ import math
 from contextlib import suppress
 from numbers import Integral, Real
 
+import numpy as np
+
 __version__ = "0.1.0"
 
 
@@ -27,8 +29,8 @@ class ShopmissionError(Exception):
         super().__init__(message)
 
 
-# Each number that a caller, a config file or a model file gives the
-# package: (int or float, its lowest value, whether that value is excluded).
+# Each scalar a caller, a config file or a model file gives the package:
+# (int, float or bool, its lowest value, whether that value is excluded).
 NUMBERS = {
     "k": (int, 1, False),
     "seed": (int, 0, False),
@@ -38,17 +40,32 @@ NUMBERS = {
     "tol": (float, 0, True),
     "value_weight": (float, 0, False),
     "dominance_threshold": (float, -math.inf, True),
-    "q95": (float, 0, False),
+    "q95": (float, 0, True),
     "inertia": (float, 0, False),
+    "converged": (bool, None, None),
+    "standardize_rfm": (bool, None, None),
+    "n_customers": (int, 1, False),
+    "n_categories": (int, 2, False),
+    "baskets_min": (int, 1, False),
+    "baskets_max": (int, 1, False),
+    "concentration": (float, 0, True),
+    "active_fraction": (float, 0, True),
+    "value_scale": (float, 0, True),
+    "value_mu": (float, -math.inf, True),
+    "value_sigma": (float, 0, False),
 }
 
 
 def number(name, value, error=ValueError):
-    """``value`` as a plain ``int`` or ``float``, when it lies in ``name``'s
-    domain in ``NUMBERS``; else raises ``error``. An int domain takes Python
-    and numpy ints, a float domain those and any finite real number; neither
-    takes a boolean."""
+    """``value`` as a plain ``int``, ``float`` or ``bool``, when it lies in
+    ``name``'s domain in ``NUMBERS``; else raises ``error``. An int domain
+    takes Python and numpy ints, a float domain those and any finite real
+    number, a bool domain Python and numpy booleans only."""
     kind, low, excluded = NUMBERS[name]
+    if kind is bool:
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
+        raise error(f"{name} must be a boolean, got {value!r}")
     accepted = Integral if kind is int else Real
     if isinstance(value, accepted) and not isinstance(value, bool):
         with suppress(OverflowError):  # an int too large for a float

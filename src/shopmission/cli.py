@@ -40,24 +40,12 @@ class InputError(ShopmissionError):
     """A malformed config file, window date or list of input files."""
 
 
-def _boolean(text):
-    word = text.lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
-# Each key's parser; ``NUMBERS`` holds the domain of each numeric key.
-CONFIG_KEYS = {
-    "tol": float,
-    "n_init": int,
-    "max_iter": int,
-    "dominance_threshold": float,
-    "value_weight": float,
-    "standardize_rfm": _boolean,
-}
+# ``NUMBERS`` gives each key its kind and domain.
+CONFIG_KEYS = ("tol", "n_init", "max_iter", "dominance_threshold",
+               "value_weight", "standardize_rfm")
+# The words of a boolean key, in any case.
+BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
 
 
 def load_config(path) -> dict:
@@ -76,14 +64,19 @@ def load_config(path) -> dict:
             raise InputError(f"{path}:{line_no}: unknown key {key!r}")
         if key in config:
             raise InputError(f"{path}:{line_no}: duplicate key {key!r}")
+        text, kind = value.strip("\"'"), NUMBERS[key][0]
         try:
-            parsed = CONFIG_KEYS[key](value.strip("\"'"))
-        except ValueError:
+            # int() and float() alone would read other scripts' digits and
+            # "_" separators.
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
+            parsed = BOOLEANS[text.lower()] if kind is bool else kind(text)
+        except (ValueError, KeyError):
             raise InputError(
                 f"{path}:{line_no}: bad value {value!r} for {key}"
             ) from None
         try:
-            config[key] = number(key, parsed) if key in NUMBERS else parsed
+            config[key] = number(key, parsed)
         except ValueError as exc:
             raise InputError(f"{path}:{line_no}: {exc}") from None
     return config

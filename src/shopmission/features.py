@@ -66,8 +66,7 @@ class QuantileSpec:
     q95: float
 
     def __post_init__(self):
-        if not self.q95 > 0:
-            raise FeatureError(f"q95 must be positive, got {self.q95}")
+        object.__setattr__(self, "q95", number("q95", self.q95, FeatureError))
 
 
 def rfm_features(dataset: Dataset) -> FeatureMatrix:

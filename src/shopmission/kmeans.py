@@ -172,26 +172,24 @@ class ClusterModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
         centers = np.array(doc["centers"], dtype=float)
-        k, n_features = doc["k"], len(doc["feature_schema"])
-        if type(k) is not int or centers.shape != (k, n_features):
+        k = number("k", doc["k"], KMeansError)
+        n_features = len(doc["feature_schema"])
+        if centers.shape != (k, n_features):
             raise KMeansError(
-                f"centers of shape {centers.shape} do not match k={k!r} "
+                f"centers of shape {centers.shape} do not match k={k} "
                 f"and {n_features} features"
             )
         if not np.all(np.isfinite(centers)):
             raise KMeansError("model centers contain non-finite values")
-        # Files written before the field existed did not record it.
-        converged = doc.get("converged", True)
-        if type(converged) is not bool:
-            raise ValueError(f"converged must be a boolean, got {converged!r}")
         return cls(
-            k=doc["k"],
+            k=k,
             centers=centers,
             feature_schema=doc["feature_schema"],
             seed=number("seed", doc["seed"]),
             inertia=number("inertia", doc["inertia"]),
             iterations_run=number("iterations_run", doc["iterations_run"]),
-            converged=converged,
+            # Files written before the field existed did not record it.
+            converged=number("converged", doc.get("converged", True)),
         )
 
 

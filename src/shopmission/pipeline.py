@@ -107,6 +107,7 @@ def _zscore(matrix: FeatureMatrix) -> FeatureMatrix:
 def rfm_matrix(dataset: Dataset, standardize_rfm: bool = True):
     """(raw RFM vectors, the matrix that RFM k-means fits): the fitted one is
     z-scored per column unless ``standardize_rfm`` is false."""
+    standardize_rfm = number("standardize_rfm", standardize_rfm, PipelineError)
     matrix = feat.rfm_features(dataset)
     return matrix, _zscore(matrix) if standardize_rfm else matrix
 
@@ -120,13 +121,25 @@ def stage1_matrix(dataset: Dataset, value_weight: float = 1.0):
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON readers' ``object_pairs_hook``: it refuses a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise PipelineError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_expert_bounds(path) -> dict:
     """Expert RFM bin edges: a JSON object of lists of finite numbers,
     {"recency_days": [...], ...}, strictly increasing per dimension."""
     with naming(path), open(path, "rb") as f:
         try:
             # Numbers become floats, as binning uses them; huge ints -> inf.
-            bounds = json.load(f, parse_int=float)
+            bounds = json.load(
+                f, parse_int=float, object_pairs_hook=_unique_keys
+            )
         except ValueError as exc:  # bad JSON or invalid UTF-8
             raise PipelineError(f"not valid JSON: {exc}") from None
         if not isinstance(bounds, dict):
@@ -244,7 +257,7 @@ class SmPipelineModel:
     def from_json(cls, text) -> "SmPipelineModel":
         """Parse a model file's text (str, or bytes in UTF-8)."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
             category_ids = doc["category_ids"]
             if not (
                 isinstance(category_ids, list)
@@ -255,7 +268,7 @@ class SmPipelineModel:
                     "category_ids must be a list of distinct strings"
                 )
             model = cls(
-                q95=QuantileSpec(q95=number("q95", doc["q95"])),
+                q95=QuantileSpec(q95=doc["q95"]),
                 basket_model=ClusterModel.from_dict(doc["basket_model"]),
                 customer_model=ClusterModel.from_dict(doc["customer_model"]),
                 category_ids=category_ids,

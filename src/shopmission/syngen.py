@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from itertools import accumulate, groupby
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,10 @@ class Archetype:
 
     def __post_init__(self):
         _check_unit_sum(f"archetype {self.name!r} mixture", self.mixture)
-        if not (np.isfinite(self.value_mu) and 0 <= self.value_sigma < np.inf):
-            raise SyngenError(
-                f"archetype {self.name!r} needs a finite mu and sigma >= 0"
-            )
+        mu = number("value_mu", self.value_mu, SyngenError)
+        sigma = number("value_sigma", self.value_sigma, SyngenError)
+        object.__setattr__(self, "value_mu", mu)
+        object.__setattr__(self, "value_sigma", sigma)
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,18 @@ class RfmPersona:
 
     def __post_init__(self):
         lo, hi = self.baskets_range
+        lo = number("baskets_min", lo, SyngenError)
+        hi = number("baskets_max", hi, SyngenError)
         # hi + 1 is an exclusive int64 bound of the generator's draw.
-        if lo < 1 or hi < lo or hi >= np.iinfo(np.int64).max:
+        if not lo <= hi < np.iinfo(np.int64).max:
             raise SyngenError(f"persona {self.name!r} has bad baskets range")
-        if not 0 < self.active_fraction <= 1:
-            raise SyngenError(
-                f"persona {self.name!r} active_fraction must be in (0, 1]"
-            )
-        if not 0 < self.value_scale < np.inf:
-            raise SyngenError(
-                f"persona {self.name!r} value_scale must be positive"
-            )
+        fraction = number("active_fraction", self.active_fraction, SyngenError)
+        if fraction > 1:
+            raise SyngenError(f"active_fraction must be <= 1, got {fraction}")
+        scale = number("value_scale", self.value_scale, SyngenError)
+        object.__setattr__(self, "baskets_range", (lo, hi))
+        object.__setattr__(self, "active_fraction", fraction)
+        object.__setattr__(self, "value_scale", scale)
 
 
 @dataclass
@@ -100,13 +102,13 @@ class GeneratorConfig:
     concentration: float = 80.0  # Dirichlet concentration of per-basket noise
 
     def __post_init__(self):
-        if self.n_categories < 2:
-            raise SyngenError("need at least 2 categories")
-        if self.n_customers < 1:
-            raise SyngenError(
-                f"need at least 1 customer, got {self.n_customers}"
-            )
+        self.n_categories = number("n_categories", self.n_categories, SyngenError)
+        self.n_customers = number("n_customers", self.n_customers, SyngenError)
         self.seed = number("seed", self.seed, SyngenError)
+        c = self.concentration
+        if not (isinstance(c, Real) and c == np.inf):  # inf: zero-noise sampler
+            c = number("concentration", c, SyngenError)
+        self.concentration = float(c)
         if not (self.archetypes and self.missions and self.personas):
             raise SyngenError("need at least one archetype, mission and persona")
         for a in self.archetypes:
@@ -135,8 +137,6 @@ class GeneratorConfig:
                     f"expected {len(entities)}"
                 )
             _check_unit_sum(label, weights)
-        if not self.concentration > 0:
-            raise SyngenError("concentration must be positive")
 
 
 @dataclass
@@ -155,6 +155,7 @@ def default_config(
 ) -> GeneratorConfig:
     """Planted-structure default: 2 general archetypes at distinct value
     levels plus 4 focused ones, 3 mission profiles, 3 RFM personas."""
+    n_categories = number("n_categories", n_categories, SyngenError)
     if n_categories < 4:
         raise SyngenError(
             f"the default config needs at least 4 categories, one per "
@@ -183,10 +184,11 @@ def default_config(
     ]
     # Personas differ in visit frequency and timing only; a value scale
     # would blur the basket-value axis that separates the general archetypes.
-    lo, hi = baskets_range
+    frequent = RfmPersona("frequent", baskets_range, 1.0, 1.0)
+    lo, hi = frequent.baskets_range
     occasional = (max(1, lo // 2), max(2, hi // 2))
     personas = [
-        RfmPersona("frequent", baskets_range, 1.0, 1.0),
+        frequent,
         RfmPersona("occasional", occasional, 1.0, 1.0),
         RfmPersona("lapsed", occasional, 0.35, 1.0),
     ]

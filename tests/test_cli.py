@@ -464,8 +464,8 @@ def _drop_last_basket_cluster(doc):
      "value_weight must be a finite number >= 0, got True"),
     (_set("value_weight", float("inf")),
      "value_weight must be a finite number >= 0, got inf"),
-    (_set("q95", float("inf")), "q95 must be a finite number >= 0, got inf"),
-    (_set("q95", 0), "FeatureError: q95 must be positive, got 0.0"),
+    (_set("q95", float("inf")), "q95 must be a finite number > 0, got inf"),
+    (_set("q95", 0), "FeatureError: q95 must be a finite number > 0, got 0"),
     (_set("dataset_fingerprint", 5),
      "dataset_fingerprint must be a string, got 5"),
     (_set("basket_model", "seed", -5), "seed must be an int >= 0, got -5"),
@@ -485,8 +485,7 @@ def _drop_last_basket_cluster(doc):
     (_set("basket_model", "centers", 1, 2, float("-inf")),
      "model centers contain non-finite values"),
     (_set("basket_model", "k", 6.0),
-     "KMeansError: centers of shape (6, 9) do not match k=6.0 and 9 "
-     "features"),
+     "KMeansError: k must be an int >= 1, got 6.0"),
     (_set("category_ids", 0, ["K00"]),
      "category_ids must be a list of distinct strings"),
     (_duplicate_first_category,
@@ -750,6 +749,18 @@ MALFORMED_INPUTS = [
       + "".join(f"K{i:02d},Label {i}\n" for i in (*range(8), 99))).encode(),
      ["score", "--model", "{model}"],
      "dataset has categories unknown to the model: ['K99']"),
+    # A repeated JSON key, as in the config file.
+    ("bounds.json", b'{"recency_days": [1], "recency_days": [5, 30]}',
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "bounds.json: duplicate key 'recency_days'"),
+    ("model.json", b'{"basket_model": {"k": 6, "k": 6}}',
+     ["score", "--model", "{}"],
+     "not a valid SM model: PipelineError: duplicate key 'k'"),
+    # int() and float() would read these as 3 and 0.001.
+    ("run.cfg", "n_init = \u0663\n".encode(), ["pps", "--k", "3"],
+     "run.cfg:1: bad value '\u0663' for n_init"),
+    ("run.cfg", b"tol = 1_0e-4\n", ["pps", "--k", "3"],
+     "run.cfg:1: bad value '1_0e-4' for tol"),
 ]
 # The rows whose fault is in the options, not in the file's content; every
 # other row's error line names the file first.
@@ -954,9 +965,9 @@ def test_value_error_inside_the_program_is_not_a_data_error(
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--customers", "0"], "at least 1 customer, got 0"),
+        (["--customers", "0"], "n_customers must be an int >= 1, got 0"),
         (["--n-categories", "3"], "at least 4 categories"),
-        (["--baskets-min", "0"], "bad baskets range"),
+        (["--baskets-min", "0"], "baskets_min must be an int >= 1, got 0"),
         (["--baskets-min", "9", "--baskets-max", "4"], "bad baskets range"),
     ],
 )

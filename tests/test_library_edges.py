@@ -7,19 +7,22 @@ and floats, and at most one argument drawn from out-of-range ints and
 floats, floats where an int is due, booleans, NaN, +-inf and a string. The
 call must raise a ``ShopmissionError`` of one line exactly when an argument
 is out of range; otherwise it returns a model whose numbers are plain Python
-ints and floats that survive a JSON round trip.
+ints and floats that survive a JSON round trip. ``syngen.default_config``
+and the RFM matrix's ``standardize_rfm`` flag keep the same contract.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopmission import ShopmissionError, features as feat
 from shopmission.kmeans import ClusterModel, kmeans_fit
-from shopmission.pipeline import SmPipelineModel, run_sm
+from shopmission.pipeline import SmPipelineModel, rfm_matrix, run_rfm, run_sm
+from shopmission.syngen import default_config
 from shopmission.validity import POLICIES, select_k
 
 NAN, INF = math.nan, math.inf
@@ -114,3 +117,71 @@ def test_every_library_number_gives_a_model_or_one_error_line(
         check_plain(json.loads(text), {"value_weight": float, "q95": float})
         check_cluster_model(model.basket_model)
         check_cluster_model(model.customer_model)
+
+
+# default_config's arguments; the basket bounds go in as one pair. The
+# largest in-range baskets_min is below the smallest in-range baskets_max.
+CONFIG_ARGUMENTS = {
+    "n_customers": ([1, 50, np.int64(3), np.uint8(7)], COUNT_BAD),
+    # The default config has one focused archetype per category of four.
+    "n_categories": ([4, 8, np.int32(5)], [3, 1, 8.0, *COUNT_BAD]),
+    "baskets_min": ([1, 3, np.int16(2)], COUNT_BAD),
+    "baskets_max": ([4, 16, np.uint64(6), 2**63 - 2],
+                    [0, -1, 2**63 - 1, 2**70, 8.0, np.float64(16.0),
+                     *NOT_NUMBERS]),
+    "seed": ARGUMENTS["seed"],
+    # An infinite concentration selects the zero-noise share sampler.
+    "concentration": ([80.0, 1, np.float32(0.5), np.int64(2), INF,
+                       np.float64(INF)],
+                      [0, -1.0, -1e-9, NAN, -INF, True, False, "80"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_generator_number_gives_a_config_or_one_error_line(data):
+    bad = data.draw(st.none() | st.sampled_from(sorted(CONFIG_ARGUMENTS)),
+                    label="bad")
+    args = {
+        name: data.draw(st.sampled_from(values[name == bad]), label=name)
+        for name, values in CONFIG_ARGUMENTS.items()
+    }
+    args["baskets_range"] = (args.pop("baskets_min"), args.pop("baskets_max"))
+    try:
+        config = default_config(**args)
+    except ShopmissionError as exc:
+        assert bad is not None, exc
+        assert "\n" not in str(exc), exc
+        return
+    assert bad is None
+    counts = [config.n_customers, config.n_categories, config.seed]
+    counts += [n for persona in config.personas for n in persona.baskets_range]
+    assert all(type(n) is int for n in counts), counts
+    assert config.personas[0].baskets_range == args["baskets_range"]
+    assert type(config.concentration) is float
+    assert config.concentration == args["concentration"]
+
+
+@pytest.mark.parametrize("call", ["rfm_matrix", "run_rfm"])
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_,
+                                   0, 1, "off", None, NAN])
+def test_standardize_rfm_is_a_boolean_or_one_error_line(
+    small_planted, call, value
+):
+    _, _, _, dataset = small_planted
+    in_range = isinstance(value, (bool, np.bool_))
+    try:
+        if call == "rfm_matrix":
+            raw, fitted = rfm_matrix(dataset, standardize_rfm=value)
+        else:
+            report = run_rfm(dataset, 3, standardize_rfm=value)
+    except ShopmissionError as exc:
+        assert not in_range, exc
+        assert "\n" not in str(exc), exc
+        return
+    assert in_range
+    if call == "rfm_matrix":
+        # z-scored exactly when the flag is true
+        assert (fitted is raw) == (not value)
+    else:
+        assert len(report.labels) == len(dataset.customer_ids)

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 from shopmission import NUMBERS, ShopmissionError, kmeans, pipeline
-from shopmission.cli import CONFIG_KEYS, _boolean
+from shopmission.cli import CONFIG_KEYS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shopmission"
 
@@ -212,14 +212,41 @@ CONFIG_FEEDS = {
 }
 
 
+def number_call_names():
+    """``path:line`` -> the literal first argument of each ``number(...)``
+    call in the package (None where it is not a string literal)."""
+    return {
+        f"{path.name}:{node.lineno}": (
+            node.args[0].value if node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str) else None
+        )
+        for path, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "number"
+    }
+
+
+def test_every_numbers_row_is_checked_and_every_check_has_a_row():
+    # A row no call names is dead; a call naming no row raises a KeyError,
+    # a traceback, the first time it runs.
+    names = number_call_names()
+    assert names, "no number() calls in the package"
+    unknown = {at: name for at, name in names.items()
+               if name is not None and name not in NUMBERS}
+    assert not unknown, f"number() names without a NUMBERS row: {unknown}"
+    dead = set(NUMBERS) - set(names.values())
+    assert not dead, f"NUMBERS rows that no number() call names: {dead}"
+
+
 def test_every_config_key_has_one_default_in_the_library():
     # A key the config file leaves out takes the default of the function it
     # feeds; the functions that one key feeds agree on it.
     assert sorted(CONFIG_FEEDS) == sorted(CONFIG_KEYS)
-    # A numeric key parses as the kind that NUMBERS gives it, and its range
-    # is the one in NUMBERS, so the CLI states no range of its own.
-    for key, parse in CONFIG_KEYS.items():
-        assert parse is _boolean or parse is NUMBERS[key][0], key
+    # Every key parses as the kind that NUMBERS gives it, and its range is
+    # the one in NUMBERS, so the CLI states no kind or range of its own.
+    assert set(CONFIG_KEYS) <= set(NUMBERS)
     for key, functions in CONFIG_FEEDS.items():
         defaults = set()
         for fn in functions:

@@ -42,7 +42,7 @@ def test_config_invariant_violations():
         Archetype("bad", (0.5, 0.6), 1.0, 0.1)
     with pytest.raises(SyngenError, match="sum to 1"):
         MissionProfile("bad", (0.5, 0.6))
-    with pytest.raises(SyngenError, match="baskets range"):
+    with pytest.raises(SyngenError, match="baskets_min must be an int >= 1, got 0"):
         RfmPersona("bad", (0, 3))
     cfg = single_archetype_config()
     with pytest.raises(SyngenError, match="n_categories"):
@@ -61,14 +61,15 @@ def test_config_invariant_violations():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"n_customers": 0}, "at least 1 customer, got 0"),
+        ({"n_customers": 0}, "n_customers must be an int >= 1, got 0"),
         ({"mission_weights": [0.5, 0.5]}, "mission_weights has 2 entries, expected 1"),
         ({"persona_weights": [-1.0]}, "persona_weights must be non-negative"),
         ({"persona_weights": [float("nan")]}, "persona_weights must be non-negative"),
         ({"mission_weights": [0.5]}, "mission_weights must sum to 1"),
         ({"missions": []}, "at least one archetype, mission and persona"),
-        ({"concentration": float("nan")}, "concentration must be positive"),
-        ({"n_categories": 1}, "need at least 2 categories"),
+        ({"concentration": float("nan")},
+         "concentration must be a finite number > 0, got nan"),
+        ({"n_categories": 1}, "n_categories must be an int >= 2, got 1"),
         ({"missions": [MissionProfile("pair", (0.5, 0.5))]},
          "mission 'pair' weights length != n_archetypes"),
         ({"window_end": date(2025, 1, 1)}, "window end must be after start"),
@@ -85,12 +86,26 @@ def test_profile_and_persona_values_checked():
     # sums to 1, so only the sign check catches it
     with pytest.raises(SyngenError, match="weights must be non-negative"):
         MissionProfile("bad", (1.5, -0.5))
-    with pytest.raises(SyngenError, match=r"active_fraction must be in \(0, 1\]"):
+    with pytest.raises(SyngenError,
+                       match="active_fraction must be a finite number > 0, got 0.0"):
         RfmPersona("bad", (1, 2), active_fraction=0.0)
-    with pytest.raises(SyngenError, match="value_scale must be positive"):
+    with pytest.raises(SyngenError,
+                       match="value_scale must be a finite number > 0, got 0.0"):
         RfmPersona("bad", (1, 2), value_scale=0.0)
-    with pytest.raises(SyngenError, match="sigma >= 0"):
+    with pytest.raises(SyngenError,
+                       match="value_sigma must be a finite number >= 0, got nan"):
         Archetype("bad", (0.5, 0.5), 1.0, float("nan"))
+
+
+def test_persona_comparisons_past_the_table():
+    with pytest.raises(SyngenError, match="active_fraction must be <= 1, got 1.5"):
+        RfmPersona("bad", (1, 2), active_fraction=1.5)
+    with pytest.raises(SyngenError, match="persona 'bad' has bad baskets range"):
+        RfmPersona("bad", (3, 2))
+    persona = RfmPersona("ok", (np.int64(2), np.uint8(3)), np.float32(0.5))
+    assert persona.baskets_range == (2, 3)
+    assert [type(n) for n in persona.baskets_range] == [int, int]
+    assert type(persona.active_fraction) is float
 
 
 def test_focused_mixture_is_normalised_left_to_right():
