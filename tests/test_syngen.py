@@ -67,9 +67,14 @@ def test_config_invariant_violations():
         ({"persona_weights": [float("nan")]}, "persona_weights must be non-negative"),
         ({"mission_weights": [0.5]}, "mission_weights must sum to 1"),
         ({"missions": []}, "at least one archetype, mission and persona"),
-        ({"concentration": float("nan")},
-         "concentration must be a finite number > 0, got nan"),
-        ({"n_categories": 1}, "n_categories must be an int >= 2, got 1"),
+        # these two keep the ids they had before the messages moved to
+        # shopmission.number; the ids still name the rule each case checks
+        pytest.param({"concentration": float("nan")},
+                     "concentration must be a finite number > 0, got nan",
+                     id="changes6-concentration must be positive"),
+        pytest.param({"n_categories": 1},
+                     "n_categories must be an int >= 2, got 1",
+                     id="changes7-need at least 2 categories"),
         ({"missions": [MissionProfile("pair", (0.5, 0.5))]},
          "mission 'pair' weights length != n_archetypes"),
         ({"window_end": date(2025, 1, 1)}, "window end must be after start"),
