@@ -171,6 +171,11 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
+        for row in doc["centers"]:
+            for c in row:
+                # np.array would read "1.5" and true as 1.5 and 1.0.
+                if isinstance(c, bool) or not isinstance(c, (int, float)):
+                    raise KMeansError(f"model centers must be numbers, got {c!r}")
         centers = np.array(doc["centers"], dtype=float)
         k = number("k", doc["k"], KMeansError)
         n_features = len(doc["feature_schema"])

@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -131,6 +133,43 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+def _check_bounds(bounds) -> dict:
+    """``bounds`` with each edge as a float, when it maps some of
+    ``RFM_SCHEMA`` to lists of finite real numbers, strictly increasing per
+    list, that cut at most ``MAX_EXPERT_SEGMENTS`` segments; else raises
+    ``PipelineError``."""
+    if not isinstance(bounds, dict):
+        raise PipelineError("expected a JSON object of edge lists")
+    checked = {}
+    for dim, edges in bounds.items():
+        if dim not in feat.RFM_SCHEMA:
+            raise PipelineError(
+                f"unknown RFM dimension {dim!r}, expected one of "
+                f"{feat.RFM_SCHEMA}"
+            )
+        # abs() compares a huge int exactly, where float() would overflow.
+        if not isinstance(edges, list) or not all(
+            isinstance(e, Real) and not isinstance(e, bool)
+            and abs(e) <= sys.float_info.max for e in edges
+        ):
+            raise PipelineError(
+                f"bin edges for {dim!r} must be a list of finite "
+                f"numbers, got {edges!r}"
+            )
+        edges = checked[dim] = [float(e) for e in edges]
+        if any(b <= a for a, b in zip(edges, edges[1:])):
+            raise PipelineError(
+                f"bin edges for {dim} are not strictly increasing: {edges}"
+            )
+    segments = math.prod(len(edges) + 1 for edges in checked.values())
+    if segments > MAX_EXPERT_SEGMENTS:
+        raise PipelineError(
+            f"the bin edges make {segments} RFM segments, more than "
+            f"{MAX_EXPERT_SEGMENTS}"
+        )
+    return checked
+
+
 def load_expert_bounds(path) -> dict:
     """Expert RFM bin edges: a JSON object of lists of finite numbers,
     {"recency_days": [...], ...}, strictly increasing per dimension."""
@@ -142,32 +181,7 @@ def load_expert_bounds(path) -> dict:
             )
         except ValueError as exc:  # bad JSON or invalid UTF-8
             raise PipelineError(f"not valid JSON: {exc}") from None
-        if not isinstance(bounds, dict):
-            raise PipelineError("expected a JSON object of edge lists")
-        for dim, edges in bounds.items():
-            if dim not in feat.RFM_SCHEMA:
-                raise PipelineError(
-                    f"unknown RFM dimension {dim!r}, expected one of "
-                    f"{feat.RFM_SCHEMA}"
-                )
-            if not isinstance(edges, list) or not all(
-                isinstance(e, float) and math.isfinite(e) for e in edges
-            ):
-                raise PipelineError(
-                    f"bin edges for {dim!r} must be a list of finite "
-                    f"numbers, got {edges!r}"
-                )
-            if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise PipelineError(
-                    f"bin edges for {dim} are not strictly increasing: {edges}"
-                )
-        segments = math.prod(len(edges) + 1 for edges in bounds.values())
-        if segments > MAX_EXPERT_SEGMENTS:
-            raise PipelineError(
-                f"the bin edges make {segments} RFM segments, more than "
-                f"{MAX_EXPERT_SEGMENTS}"
-            )
-    return bounds
+        return _check_bounds(bounds)
 
 
 def run_rfm(
@@ -196,6 +210,7 @@ def run_rfm_expert(dataset: Dataset, bounds: dict) -> SegmentationReport:
     """Expert RFM segmentation: one segment per cell of the bins that the
     ``load_expert_bounds`` edges cut each dimension into (one bin where a
     dimension has no edges). An empty segment's center is all zeros."""
+    bounds = _check_bounds(bounds)
     matrix = feat.rfm_features(dataset)
     edges = [bounds.get(dim, []) for dim in matrix.schema]
     shape = [len(e) + 1 for e in edges]

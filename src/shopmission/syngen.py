@@ -1,16 +1,16 @@
 """Synthetic receipt generator with planted ground truth.
 
 Each customer draws a mission profile (distribution over basket archetypes)
-and an RFM persona (visit count, timing and spend scale). Each basket draws
-an archetype, then category spends from a Dirichlet perturbation of the
-archetype mixture and a total value from the archetype's log-normal value
-distribution. Deterministic given the seed.
+and an RFM persona (visit count, timing and spend scale), both uniformly.
+Each basket draws an archetype, then category spends from a Dirichlet
+perturbation of the archetype mixture and a total value from the
+archetype's log-normal value distribution. Deterministic given the seed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import accumulate, groupby
 from numbers import Real
@@ -25,6 +25,9 @@ from .txmodel import (
 
 TRUTH_BASKET_COLUMNS = ["basket_id", "archetype"]
 TRUTH_CUSTOMER_COLUMNS = ["customer_id", "mission", "persona"]
+# Every visit falls on a day of this window, both ends included.
+WINDOW_START = date(2025, 1, 1)
+WINDOW_END = date(2025, 3, 31)
 
 
 class SyngenError(ShopmissionError):
@@ -72,9 +75,13 @@ class RfmPersona:
     value_scale: float = 1.0
 
     def __post_init__(self):
-        lo, hi = self.baskets_range
-        lo = number("baskets_min", lo, SyngenError)
-        hi = number("baskets_max", hi, SyngenError)
+        pair = self.baskets_range
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise SyngenError(
+                f"persona {self.name!r} baskets_range must be a pair, got {pair!r}"
+            )
+        lo = number("baskets_min", pair[0], SyngenError)
+        hi = number("baskets_max", pair[1], SyngenError)
         # hi + 1 is an exclusive int64 bound of the generator's draw.
         if not lo <= hi < np.iinfo(np.int64).max:
             raise SyngenError(f"persona {self.name!r} has bad baskets range")
@@ -89,20 +96,19 @@ class RfmPersona:
 
 @dataclass
 class GeneratorConfig:
-    n_categories: int
     archetypes: list
     missions: list
     personas: list
     n_customers: int
-    window_start: date
-    window_end: date
     seed: int
-    mission_weights: list = field(default_factory=list)
-    persona_weights: list = field(default_factory=list)
     concentration: float = 80.0  # Dirichlet concentration of per-basket noise
 
+    @property
+    def n_categories(self) -> int:
+        """The archetype mixtures' common length."""
+        return len(self.archetypes[0].mixture)
+
     def __post_init__(self):
-        self.n_categories = number("n_categories", self.n_categories, SyngenError)
         self.n_customers = number("n_customers", self.n_customers, SyngenError)
         self.seed = number("seed", self.seed, SyngenError)
         c = self.concentration
@@ -111,6 +117,16 @@ class GeneratorConfig:
         self.concentration = float(c)
         if not (self.archetypes and self.missions and self.personas):
             raise SyngenError("need at least one archetype, mission and persona")
+        for label, kind in (
+            ("archetypes", Archetype), ("missions", MissionProfile),
+            ("personas", RfmPersona),
+        ):
+            bad = [e for e in getattr(self, label) if not isinstance(e, kind)]
+            if bad:
+                raise SyngenError(
+                    f"{label} must hold {kind.__name__} entries, got {bad[0]!r}"
+                )
+        number("n_categories", self.n_categories, SyngenError)
         for a in self.archetypes:
             if len(a.mixture) != self.n_categories:
                 raise SyngenError(
@@ -121,22 +137,6 @@ class GeneratorConfig:
                 raise SyngenError(
                     f"mission {m.name!r} weights length != n_archetypes"
                 )
-        if self.window_end <= self.window_start:
-            raise SyngenError("window end must be after start")
-        if not self.mission_weights:
-            self.mission_weights = [1 / len(self.missions)] * len(self.missions)
-        if not self.persona_weights:
-            self.persona_weights = [1 / len(self.personas)] * len(self.personas)
-        for label, weights, entities in (
-            ("mission_weights", self.mission_weights, self.missions),
-            ("persona_weights", self.persona_weights, self.personas),
-        ):
-            if len(weights) != len(entities):
-                raise SyngenError(
-                    f"{label} has {len(weights)} entries, "
-                    f"expected {len(entities)}"
-                )
-            _check_unit_sum(label, weights)
 
 
 @dataclass
@@ -193,13 +193,10 @@ def default_config(
         RfmPersona("lapsed", occasional, 0.35, 1.0),
     ]
     return GeneratorConfig(
-        n_categories=n_categories,
         archetypes=archetypes,
         missions=missions,
         personas=personas,
         n_customers=n_customers,
-        window_start=date(2025, 1, 1),
-        window_end=date(2025, 3, 31),
         seed=seed,
         concentration=concentration,
     )
@@ -288,9 +285,9 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
 
     category_ids = [f"K{i:02d}" for i in range(config.n_categories)]
     product_fields = [f"prod_{cid},{cid}," for cid in category_ids]
-    window_days = (config.window_end - config.window_start).days
+    window_days = (WINDOW_END - WINDOW_START).days
     days = [
-        (config.window_start + timedelta(days=d)).isoformat()
+        (WINDOW_START + timedelta(days=d)).isoformat()
         for d in range(window_days + 1)
     ]
     hours = [f"T{h:02d}:00:00," for h in range(21)]
@@ -317,8 +314,8 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
         )
         for p in config.personas
     ]
-    mission_cdf = _cdf(config.mission_weights)
-    persona_cdf = _cdf(config.persona_weights)
+    mission_cdf = _cdf([1 / len(missions)] * len(missions))
+    persona_cdf = _cdf([1 / len(personas)] * len(personas))
 
     truth = GroundTruth({}, {}, {})
     basket_archetype = truth.basket_archetype

@@ -673,6 +673,21 @@ RECEIPTS_HEADER = (
     "quantity,promo_flag\n"
 )
 
+def one_category_model(basket_centers, customer_centers) -> bytes:
+    """An SM model file over one category K00 and one cluster per stage,
+    with the given centers."""
+    def cluster_model(schema, centers):
+        return {"k": 1, "feature_schema": schema, "seed": 0, "inertia": 0.0,
+                "iterations_run": 1, "centers": centers}
+
+    return json.dumps({
+        "q95": 1.0, "value_weight": 1.0, "category_ids": ["K00"],
+        "dataset_fingerprint": "",
+        "basket_model": cluster_model(["cat:K00", "value"], basket_centers),
+        "customer_model": cluster_model(["archetype:0"], customer_centers),
+    }).encode()
+
+
 # (file name, bytes, command tail after the dataset arguments, message).
 # Each command reads one malformed side input, or receipts.csv in place of
 # the dataset's; "{}" stands for its path.
@@ -761,6 +776,15 @@ MALFORMED_INPUTS = [
      "run.cfg:1: bad value '\u0663' for n_init"),
     ("run.cfg", b"tol = 1_0e-4\n", ["pps", "--k", "3"],
      "run.cfg:1: bad value '1_0e-4' for tol"),
+    # Cluster centers that np.array would convert to 0.5 and 1.0.
+    ("model.json", one_category_model([["0.5", "1"]], [[1.0]]),
+     ["score", "--model", "{}"],
+     "not a valid SM model: KMeansError: model centers must be numbers, "
+     "got '0.5'"),
+    ("model.json", one_category_model([[0.5, 1.0]], [[True]]),
+     ["score", "--model", "{}"],
+     "not a valid SM model: KMeansError: model centers must be numbers, "
+     "got True"),
 ]
 # The rows whose fault is in the options, not in the file's content; every
 # other row's error line names the file first.

@@ -45,6 +45,39 @@ def one_cat_rows(n_per_customer, customers, cat, value=10.0):
     return rows
 
 
+@pytest.mark.parametrize("bounds, message", [
+    pytest.param({"recency": [30.0]}, "unknown RFM dimension 'recency'",
+                 id="misspelt-dimension"),
+    pytest.param({"monetary": [5.0, 1.0]},
+                 "bin edges for monetary are not strictly increasing",
+                 id="decreasing"),
+    pytest.param({"monetary": [float("nan")]},
+                 "bin edges for 'monetary' must be a list of finite numbers",
+                 id="nan"),
+    pytest.param({"monetary": "abc"},
+                 "bin edges for 'monetary' must be a list of finite numbers",
+                 id="not-a-list"),
+    pytest.param({"frequency": [True]}, "must be a list of finite numbers",
+                 id="boolean"),
+    pytest.param({"frequency": [10**400]}, "must be a list of finite numbers",
+                 id="huge-int"),
+    pytest.param([[30.0]], "expected a JSON object of edge lists",
+                 id="not-a-dict"),
+])
+def test_rfm_expert_checks_the_bounds_it_is_given(small_planted, bounds,
+                                                  message):
+    with pytest.raises(PipelineError, match=message):
+        run_rfm_expert(small_planted[3], bounds)
+
+
+def test_rfm_expert_takes_int_edges_as_floats(small_planted):
+    dataset = small_planted[3]
+    floats = run_rfm_expert(dataset, {"recency_days": [30.0], "monetary": [20.0]})
+    ints = run_rfm_expert(dataset, {"recency_days": [30], "monetary": [np.int64(20)]})
+    assert ints.labels.tolist() == floats.labels.tolist()
+    assert ints.centers.tobytes() == floats.centers.tobytes()
+
+
 def test_rfm_expert_bounds_split_at_threshold(tmp_path, make_dataset):
     rows = basket_rows("b1", "recent", {"K00": 5.0}, "2025-03-20")
     rows += basket_rows("b2", "stale", {"K00": 5.0}, "2025-01-10")

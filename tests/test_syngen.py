@@ -1,7 +1,6 @@
 import hashlib
 import re
-from dataclasses import replace
-from datetime import date
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,13 +24,10 @@ from shopmission.txmodel import ParseError, ValidationError, ingest_receipts
 def single_archetype_config(seed=0, concentration=float("inf")):
     archetypes = [Archetype("only", (0.5, 0.3, 0.2), np.log(10.0), 0.0)]
     return GeneratorConfig(
-        n_categories=3,
         archetypes=archetypes,
         missions=[MissionProfile("mono", (1.0,))],
         personas=[RfmPersona("plain", (20, 30))],
         n_customers=5,
-        window_start=date(2025, 1, 1),
-        window_end=date(2025, 3, 31),
         seed=seed,
         concentration=concentration,
     )
@@ -47,13 +43,10 @@ def test_config_invariant_violations():
     cfg = single_archetype_config()
     with pytest.raises(SyngenError, match="n_categories"):
         GeneratorConfig(
-            n_categories=4,
-            archetypes=cfg.archetypes,
-            missions=cfg.missions,
+            archetypes=[*cfg.archetypes, Archetype("pair", (0.5, 0.5), 1.0, 0.1)],
+            missions=[MissionProfile("duo", (0.5, 0.5))],
             personas=cfg.personas,
             n_customers=5,
-            window_start=date(2025, 1, 1),
-            window_end=date(2025, 3, 31),
             seed=0,
         )
 
@@ -61,25 +54,38 @@ def test_config_invariant_violations():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"n_customers": 0}, "n_customers must be an int >= 1, got 0"),
-        ({"mission_weights": [0.5, 0.5]}, "mission_weights has 2 entries, expected 1"),
-        ({"persona_weights": [-1.0]}, "persona_weights must be non-negative"),
-        ({"persona_weights": [float("nan")]}, "persona_weights must be non-negative"),
-        ({"mission_weights": [0.5]}, "mission_weights must sum to 1"),
-        ({"missions": []}, "at least one archetype, mission and persona"),
-        # these two keep the ids they had before the messages moved to
-        # shopmission.number; the ids still name the rule each case checks
+        # Each case keeps the id its position in an older, longer list gave
+        # it; the ids still name the rule each case checks.
+        pytest.param({"n_customers": 0},
+                     "n_customers must be an int >= 1, got 0",
+                     id="changes0-n_customers must be an int >= 1, got 0"),
+        pytest.param({"missions": []},
+                     "at least one archetype, mission and persona",
+                     id="changes5-at least one archetype, mission and persona"),
         pytest.param({"concentration": float("nan")},
                      "concentration must be a finite number > 0, got nan",
                      id="changes6-concentration must be positive"),
-        pytest.param({"n_categories": 1},
+        # n_categories is the mixtures' length, checked by its NUMBERS row
+        pytest.param({"archetypes": [Archetype("one", (1.0,), 1.0, 0.1)]},
                      "n_categories must be an int >= 2, got 1",
                      id="changes7-need at least 2 categories"),
-        ({"missions": [MissionProfile("pair", (0.5, 0.5))]},
-         "mission 'pair' weights length != n_archetypes"),
-        ({"window_end": date(2025, 1, 1)}, "window end must be after start"),
-        ({"seed": True}, "seed must be an int >= 0, got True"),
-        ({"seed": 1.5}, "seed must be an int >= 0, got 1.5"),
+        pytest.param({"missions": [MissionProfile("pair", (0.5, 0.5))]},
+                     "mission 'pair' weights length != n_archetypes",
+                     id="changes8-mission 'pair' weights length != n_archetypes"),
+        pytest.param({"seed": True}, "seed must be an int >= 0, got True",
+                     id="changes10-seed must be an int >= 0, got True"),
+        pytest.param({"seed": 1.5}, "seed must be an int >= 0, got 1.5",
+                     id="changes11-seed must be an int >= 0, got 1.5"),
+        pytest.param({"archetypes": ["a"]},
+                     "archetypes must hold Archetype entries, got 'a'",
+                     id="archetype-entry"),
+        pytest.param({"missions": [1]},
+                     "missions must hold MissionProfile entries, got 1",
+                     id="mission-entry"),
+        pytest.param({"personas": [("x",)]},
+                     re.escape("personas must hold RfmPersona entries, "
+                               "got ('x',)"),
+                     id="persona-entry"),
     ],
 )
 def test_generator_config_rejects_bad_values(changes, message):
@@ -111,6 +117,24 @@ def test_persona_comparisons_past_the_table():
     assert persona.baskets_range == (2, 3)
     assert [type(n) for n in persona.baskets_range] == [int, int]
     assert type(persona.active_fraction) is float
+
+
+@pytest.mark.parametrize("baskets_range", [5, (1, 2, 3)])
+def test_baskets_range_must_be_a_pair(baskets_range):
+    message = f"persona 'frequent' baskets_range must be a pair, got {baskets_range!r}"
+    with pytest.raises(SyngenError, match=f"^{re.escape(message)}$"):
+        default_config(baskets_range=baskets_range)
+
+
+def test_config_n_categories_is_the_mixture_length():
+    assert [f.name for f in fields(GeneratorConfig)] == [
+        "archetypes", "missions", "personas", "n_customers", "seed",
+        "concentration",
+    ]
+    cfg = single_archetype_config()
+    assert cfg.n_categories == 3
+    with pytest.raises(AttributeError):
+        cfg.n_categories = 4
 
 
 def test_focused_mixture_is_normalised_left_to_right():

@@ -8,7 +8,7 @@ the ground truth equal.
 """
 
 import csv
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopmission.syngen import (
+    WINDOW_END,
+    WINDOW_START,
     Archetype,
     GeneratorConfig,
     GroundTruth,
@@ -45,7 +47,8 @@ def oracle_generate(config, out_dir) -> GroundTruth:
     rng = np.random.default_rng(config.seed)
 
     category_ids = [f"K{i:02d}" for i in range(config.n_categories)]
-    window_days = (config.window_end - config.window_start).days
+    window_days = (WINDOW_END - WINDOW_START).days
+    n_missions, n_personas = len(config.missions), len(config.personas)
 
     truth = GroundTruth({}, {}, {})
     receipt_rows = []
@@ -53,10 +56,10 @@ def oracle_generate(config, out_dir) -> GroundTruth:
     for ci in range(config.n_customers):
         customer_id = f"c{ci:05d}"
         mission = config.missions[
-            rng.choice(len(config.missions), p=config.mission_weights)
+            rng.choice(n_missions, p=[1 / n_missions] * n_missions)
         ]
         persona = config.personas[
-            rng.choice(len(config.personas), p=config.persona_weights)
+            rng.choice(n_personas, p=[1 / n_personas] * n_personas)
         ]
         truth.customer_mission[customer_id] = mission.name
         truth.customer_persona[customer_id] = persona.name
@@ -92,7 +95,7 @@ def oracle_generate(config, out_dir) -> GroundTruth:
             if spend_cents.sum() <= 0:
                 spend_cents[int(np.argmax(shares))] = 100
             ts = datetime.combine(
-                config.window_start + timedelta(days=int(day)),
+                WINDOW_START + timedelta(days=int(day)),
                 datetime.min.time(),
             ) + timedelta(hours=int(rng.integers(8, 21)))
             for j, cents in enumerate(spend_cents):
@@ -166,8 +169,8 @@ def assert_matches_oracle(config, out):
 
 
 def custom_config(seed=11, concentration=5.0):
-    """Zero mission, persona and mixture weights, a persona with a short
-    active window and a value scale, and a tiny-value archetype whose
+    """Zero archetype and mixture weights, a persona with a short active
+    window and a value scale, and a tiny-value archetype whose
     baskets round to zero cents and fall back to one 1.00 line (in its
     first largest category when shares tie)."""
     archetypes = [
@@ -186,16 +189,11 @@ def custom_config(seed=11, concentration=5.0):
         RfmPersona("p2", (1, 1)),
     ]
     return GeneratorConfig(
-        n_categories=3,
         archetypes=archetypes,
         missions=missions,
         personas=personas,
         n_customers=80,
-        window_start=date(2025, 1, 1),
-        window_end=date(2025, 2, 1),
         seed=seed,
-        mission_weights=[0.0, 0.6, 0.4],
-        persona_weights=[0.5, 0.5, 0.0],
         concentration=concentration,
     )
 
@@ -239,9 +237,6 @@ def test_generate_matches_oracle(tmp_path, config):
 
 def test_custom_config_reaches_every_branch(tmp_path):
     truth = assert_matches_oracle(custom_config(), tmp_path)
-    # zero weights are never drawn
-    assert set(truth.customer_mission.values()) <= {"m1", "m2"}
-    assert set(truth.customer_persona.values()) == {"p0", "p1"}
     with open(tmp_path / "engine" / "receipts.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     tiny = [r for r in rows if truth.basket_archetype[r["basket_id"]] == "tiny"]
