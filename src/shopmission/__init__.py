@@ -53,6 +53,9 @@ NUMBERS = {
     "value_scale": (float, 0, True),
     "value_mu": (float, -math.inf, True),
     "value_sigma": (float, 0, False),
+    "share": (float, 0, False),
+    "bin_edge": (float, -math.inf, True),
+    "center": (float, -math.inf, True),
 }
 
 
@@ -76,3 +79,15 @@ def number(name, value, error=ValueError):
     if low > -math.inf:
         what += f" {'>' if excluded else '>='} {low}"
     raise error(f"{name} must be {what}, got {value!r}")
+
+
+def number_list(names, values, error, what):
+    """The entries of the list or tuple ``values`` as ``number`` gives them:
+    each under the row ``names``, or under its own row of a tuple ``names``.
+    Raises ``error``, naming the list ``what`` if it has the wrong shape."""
+    one = isinstance(names, str)
+    if not isinstance(values, (list, tuple)) or not one and len(values) != len(names):
+        count = "" if one else f"{len(names)} "
+        raise error(f"{what} must be a list of {count}numbers, got {values!r}")
+    rows = [names] * len(values) if one else names
+    return [number(name, value, error) for name, value in zip(rows, values)]

@@ -52,33 +52,30 @@ def load_config(path) -> dict:
     """Flat ``key = value`` config file; # starts a comment."""
     config = {}
     with naming(path), open(path, encoding="utf-8") as f:
-        lines = list(f)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{line_no}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise InputError(f"{path}:{line_no}: unknown key {key!r}")
-        if key in config:
-            raise InputError(f"{path}:{line_no}: duplicate key {key!r}")
-        text, kind = value.strip("\"'"), NUMBERS[key][0]
-        try:
-            # int() and float() alone would read other scripts' digits and
-            # "_" separators.
-            if not text.isascii() or "_" in text:
-                raise ValueError(text)
-            parsed = BOOLEANS[text.lower()] if kind is bool else kind(text)
-        except (ValueError, KeyError):
-            raise InputError(
-                f"{path}:{line_no}: bad value {value!r} for {key}"
-            ) from None
-        try:
-            config[key] = number(key, parsed)
-        except ValueError as exc:
-            raise InputError(f"{path}:{line_no}: {exc}") from None
+        for line_no, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InputError("expected key = value", line_no)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise InputError(f"unknown key {key!r}", line_no)
+            if key in config:
+                raise InputError(f"duplicate key {key!r}", line_no)
+            text, kind = value.strip("\"'"), NUMBERS[key][0]
+            try:
+                # int() and float() alone would read other scripts' digits
+                # and "_" separators.
+                if not text.isascii() or "_" in text:
+                    raise ValueError(text)
+                parsed = BOOLEANS[text.lower()] if kind is bool else kind(text)
+            except (ValueError, KeyError):
+                raise InputError(f"bad value {value!r} for {key}", line_no) from None
+            try:
+                config[key] = number(key, parsed)
+            except ValueError as exc:
+                raise InputError(str(exc), line_no) from None
     return config
 
 

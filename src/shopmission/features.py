@@ -34,7 +34,11 @@ class FeatureMatrix:
     schema: list  # column names, length d
 
     def __post_init__(self):
-        self.X = np.ascontiguousarray(self.X, dtype=float)
+        # A float conversion would parse text and cast booleans and None.
+        X = np.asarray(self.X)
+        if X.dtype.kind not in "iuf":
+            raise FeatureError(f"features must be numbers, got dtype {X.dtype}")
+        self.X = np.ascontiguousarray(X, dtype=float)
         if self.X.ndim != 2 or self.X.shape != (len(self.ids), len(self.schema)):
             raise FeatureError(
                 f"shape {self.X.shape} inconsistent with "
@@ -155,12 +159,15 @@ def customer_sm_features(
 ) -> FeatureMatrix:
     """Per-customer ratios of basket archetypes; rows sum to 1.
     ``basket_labels`` holds one archetype per ``dataset.basket_ids`` entry."""
+    k_b = number("k", k_b, FeatureError)
     labels = np.asarray(basket_labels)
     if labels.shape != (dataset.n_baskets,):
         raise FeatureError(
             f"expected {dataset.n_baskets} basket archetype labels, "
             f"got shape {labels.shape}"
         )
+    if labels.dtype.kind not in "iu":
+        raise FeatureError(f"basket archetype labels must be ints, got {labels.dtype}")
     bad = np.flatnonzero((labels < 0) | (labels >= k_b))
     if bad.size:
         raise FeatureError(
@@ -169,7 +176,8 @@ def customer_sm_features(
         )
     n = len(dataset.customer_ids)
     counts = np.bincount(
-        dataset.basket_customer * k_b + labels, minlength=n * k_b
+        dataset.basket_customer * k_b + labels.astype(np.int64, copy=False),
+        minlength=n * k_b,
     ).reshape(n, k_b)
     return FeatureMatrix(
         dataset.customer_ids,

@@ -46,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from . import ShopmissionError, number
+from . import ShopmissionError, number, number_list
 from .features import FeatureMatrix
 
 
@@ -171,12 +171,12 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
-        for row in doc["centers"]:
-            for c in row:
-                # np.array would read "1.5" and true as 1.5 and 1.0.
-                if isinstance(c, bool) or not isinstance(c, (int, float)):
-                    raise KMeansError(f"model centers must be numbers, got {c!r}")
-        centers = np.array(doc["centers"], dtype=float)
+        rows = doc["centers"]
+        if not isinstance(rows, list):
+            raise KMeansError(f"model centers must be a list of rows, got {rows!r}")
+        centers = np.array(
+            [number_list("center", r, KMeansError, "a model center row") for r in rows]
+        )
         k = number("k", doc["k"], KMeansError)
         n_features = len(doc["feature_schema"])
         if centers.shape != (k, n_features):
@@ -184,8 +184,6 @@ class ClusterModel:
                 f"centers of shape {centers.shape} do not match k={k} "
                 f"and {n_features} features"
             )
-        if not np.all(np.isfinite(centers)):
-            raise KMeansError("model centers contain non-finite values")
         return cls(
             k=k,
             centers=centers,

@@ -5,14 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from . import ShopmissionError, features as feat, number
+from . import ShopmissionError, features as feat, number, number_list
 from .features import FeatureMatrix, QuantileSpec
 from .kmeans import ClusterModel, KMeansError, assign, cluster_means, kmeans_fit
 from .txmodel import Dataset, ValidationError, naming, write_csv, write_text
@@ -147,16 +145,8 @@ def _check_bounds(bounds) -> dict:
                 f"unknown RFM dimension {dim!r}, expected one of "
                 f"{feat.RFM_SCHEMA}"
             )
-        # abs() compares a huge int exactly, where float() would overflow.
-        if not isinstance(edges, list) or not all(
-            isinstance(e, Real) and not isinstance(e, bool)
-            and abs(e) <= sys.float_info.max for e in edges
-        ):
-            raise PipelineError(
-                f"bin edges for {dim!r} must be a list of finite "
-                f"numbers, got {edges!r}"
-            )
-        edges = checked[dim] = [float(e) for e in edges]
+        what = f"bin edges for {dim!r}"
+        edges = checked[dim] = number_list("bin_edge", edges, PipelineError, what)
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise PipelineError(
                 f"bin edges for {dim} are not strictly increasing: {edges}"

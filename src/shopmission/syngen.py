@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ShopmissionError, number
+from . import ShopmissionError, number, number_list
 from .txmodel import (
     CATEGORY_COLUMNS, RECEIPT_COLUMNS, read_pairs, write_csv, write_text,
 )
@@ -34,13 +34,13 @@ class SyngenError(ShopmissionError):
     pass
 
 
-def _check_unit_sum(label, values):
-    """The checks ``Generator.choice`` made on ``p``: no negative or NaN
-    entry, and a sum of 1."""
-    if not all(v >= 0 for v in values):
-        raise SyngenError(f"{label} must be non-negative")
-    if not abs(sum(values) - 1.0) <= 1e-9:
+def _check_unit_sum(owner, field, label):
+    """Sets ``owner.field`` to a tuple of floats after ``Generator.choice``'s
+    checks on ``p``: finite entries, none negative, and a sum of 1."""
+    shares = tuple(number_list("share", getattr(owner, field), SyngenError, label))
+    if not abs(sum(shares) - 1.0) <= 1e-9:
         raise SyngenError(f"{label} must sum to 1")
+    object.__setattr__(owner, field, shares)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Archetype:
     value_sigma: float
 
     def __post_init__(self):
-        _check_unit_sum(f"archetype {self.name!r} mixture", self.mixture)
+        _check_unit_sum(self, "mixture", f"archetype {self.name!r} mixture")
         mu = number("value_mu", self.value_mu, SyngenError)
         sigma = number("value_sigma", self.value_sigma, SyngenError)
         object.__setattr__(self, "value_mu", mu)
@@ -64,7 +64,7 @@ class MissionProfile:
     archetype_weights: tuple  # distribution over archetypes, unit sum
 
     def __post_init__(self):
-        _check_unit_sum(f"mission {self.name!r} weights", self.archetype_weights)
+        _check_unit_sum(self, "archetype_weights", f"mission {self.name!r} weights")
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,9 @@ class RfmPersona:
     value_scale: float = 1.0
 
     def __post_init__(self):
-        pair = self.baskets_range
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-            raise SyngenError(
-                f"persona {self.name!r} baskets_range must be a pair, got {pair!r}"
-            )
-        lo = number("baskets_min", pair[0], SyngenError)
-        hi = number("baskets_max", pair[1], SyngenError)
+        label = f"persona {self.name!r} baskets_range"
+        lo, hi = number_list(("baskets_min", "baskets_max"), self.baskets_range,
+                             SyngenError, label)
         # hi + 1 is an exclusive int64 bound of the generator's draw.
         if not lo <= hi < np.iinfo(np.int64).max:
             raise SyngenError(f"persona {self.name!r} has bad baskets range")

@@ -63,6 +63,10 @@ class AnalysisWindow:
     end: date
 
     def __post_init__(self):
+        for bound in (self.start, self.end):
+            # A datetime is a date too, but does not compare with one.
+            if not isinstance(bound, date) or isinstance(bound, datetime):
+                raise ValidationError(f"window bounds must be dates, got {bound!r}")
         if self.end <= self.start:
             raise ValidationError(
                 f"window end {self.end} must be after start {self.start}"

@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import ShopmissionError, number
+from . import ShopmissionError, number, number_list
 from .features import FeatureMatrix
 from .kmeans import kmeans_fit
 from .txmodel import write_csv
@@ -138,7 +138,7 @@ def select_k(
     seed = number("seed", seed, ValidityError)
     if policy not in POLICIES:
         raise ValidityError(f"unknown policy {policy!r}")
-    k_min, k_max = (number("k", k, ValidityError) for k in k_range)
+    k_min, k_max = number_list(("k", "k"), k_range, ValidityError, "k_range")
     if not 2 <= k_min <= k_max < len(matrix.ids):
         raise ValidityError(
             f"k range [{k_min}, {k_max}] must be non-empty and lie within "

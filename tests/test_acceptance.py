@@ -11,7 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import WINDOW, as_assignment, basket_rows
+from conftest import (
+    WINDOW, as_assignment, basket_rows, matrix_from, oracle_bvr, oracle_db,
+    oracle_purity,
+)
 from shopmission import features as feat
 from shopmission.cli import main as cli_main
 from shopmission.features import FeatureMatrix
@@ -31,65 +34,6 @@ def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} {detail}".rstrip())
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def matrix_from(X):
-    X = np.asarray(X, dtype=float)
-    return FeatureMatrix(
-        ids=[f"e{i:04d}" for i in range(len(X))],
-        X=X,
-        schema=[f"f{j}" for j in range(X.shape[1])],
-    )
-
-
-# --- independent brute-force oracles (plain Python, no numpy reductions) ---
-
-def oracle_bvr(X, labels):
-    n, d = X.shape
-    mean = [sum(X[i][t] for i in range(n)) / n for t in range(d)]
-    total = sum((X[i][t] - mean[t]) ** 2 for i in range(n) for t in range(d))
-    within = 0.0
-    for c in set(labels):
-        pts = [i for i in range(n) if labels[i] == c]
-        cm = [sum(X[i][t] for i in pts) / len(pts) for t in range(d)]
-        within += sum((X[i][t] - cm[t]) ** 2 for i in pts for t in range(d))
-    return 1.0 - within / total
-
-
-def oracle_db(X, labels):
-    clusters = sorted(set(labels))
-    d_dim = X.shape[1]
-    centers, disp = {}, {}
-    for c in clusters:
-        pts = [i for i in range(len(X)) if labels[i] == c]
-        centers[c] = [sum(X[i][t] for i in pts) / len(pts) for t in range(d_dim)]
-        disp[c] = sum(
-            math.sqrt(sum((X[i][t] - centers[c][t]) ** 2 for t in range(d_dim)))
-            for i in pts
-        ) / len(pts)
-    total = 0.0
-    for ci in clusters:
-        worst = 0.0
-        for cj in clusters:
-            if ci == cj:
-                continue
-            dist = math.sqrt(
-                sum((a - b) ** 2 for a, b in zip(centers[ci], centers[cj]))
-            )
-            worst = max(worst, (disp[ci] + disp[cj]) / dist)
-        total += worst
-    return total / len(clusters)
-
-
-def oracle_purity(a, b):
-    total = 0
-    for ci in set(a.values()):
-        members = {e for e, c in a.items() if c == ci}
-        total += max(
-            len(members & {e for e, c in b.items() if c == cj})
-            for cj in set(b.values())
-        )
-    return total / len(a)
 
 
 def oracle_quantile(values, p):

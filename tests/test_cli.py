@@ -481,9 +481,9 @@ def _drop_last_basket_cluster(doc):
     (_set("basket_model", "converged", "no"),
      "converged must be a boolean, got 'no'"),
     (_set("customer_model", "centers", 0, 0, float("nan")),
-     "model centers contain non-finite values"),
+     "KMeansError: center must be a finite number, got nan"),
     (_set("basket_model", "centers", 1, 2, float("-inf")),
-     "model centers contain non-finite values"),
+     "KMeansError: center must be a finite number, got -inf"),
     (_set("basket_model", "k", 6.0),
      "KMeansError: k must be an int >= 1, got 6.0"),
     (_set("category_ids", 0, ["K00"]),
@@ -602,7 +602,7 @@ def test_config_file_parsing_and_overrides(tmp_path):
 def test_config_rejects_non_finite_floats(tmp_path, key, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    message = f":1: {key} must be a finite number( >=? 0)?, got {float(value)}$"
+    message = f": line 1: {key} must be a finite number( >=? 0)?, got {float(value)}$"
     with pytest.raises(InputError, match=message):
         load_config(cfg)
 
@@ -616,16 +616,29 @@ def test_config_boolean_words(tmp_path):
         assert load_config(cfg) == {"standardize_rfm": value}
 
 
+# Each case keeps the id that its text and its former message gave it.
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("standardize_rfm = ture\n",
-         "run.cfg:1: bad value 'ture' for standardize_rfm"),
-        ("# tuned\nn_init = 0\ntol = -1\n",
-         "run.cfg:2: n_init must be an int >= 1, got 0"),
-        ("tol = -1\n", "run.cfg:1: tol must be a finite number > 0, got -1.0"),
-        ("tol = 0\n", "run.cfg:1: tol must be a finite number > 0, got 0.0"),
-        ("max_iter = -3\n", "run.cfg:1: max_iter must be an int >= 1, got -3"),
+        pytest.param(
+            "standardize_rfm = ture\n",
+            "run.cfg: line 1: bad value 'ture' for standardize_rfm",
+            id="standardize_rfm = ture\n-run.cfg:1: bad value 'ture' for "
+               "standardize_rfm"),
+        pytest.param(
+            "# tuned\nn_init = 0\ntol = -1\n",
+            "run.cfg: line 2: n_init must be an int >= 1, got 0",
+            id="# tuned\nn_init = 0\ntol = -1\n-run.cfg:2: n_init must be an "
+               "int >= 1, got 0"),
+        pytest.param(
+            "tol = -1\n", "run.cfg: line 1: tol must be a finite number > 0, got -1.0",
+            id="tol = -1\n-run.cfg:1: tol must be a finite number > 0, got -1.0"),
+        pytest.param(
+            "tol = 0\n", "run.cfg: line 1: tol must be a finite number > 0, got 0.0",
+            id="tol = 0\n-run.cfg:1: tol must be a finite number > 0, got 0.0"),
+        pytest.param(
+            "max_iter = -3\n", "run.cfg: line 1: max_iter must be an int >= 1, got -3",
+            id="max_iter = -3\n-run.cfg:1: max_iter must be an int >= 1, got -3"),
     ],
 )
 def test_config_values_are_checked_when_read(
@@ -653,7 +666,7 @@ def test_config_rejects_a_repeated_key(data_dir, tmp_path, capsys):
         "--config", str(cfg), "pps", *dataset_args(data_dir), "--k", "3",
         "--out", str(tmp_path / "out"),
     ])
-    assert_one_error_line(code, capsys, f"{cfg}:4: duplicate key 'tol'")
+    assert_one_error_line(code, capsys, f"{cfg}: line 4: duplicate key 'tol'")
     assert not (tmp_path / "out").exists()
 
 
@@ -695,19 +708,21 @@ MALFORMED_INPUTS = [
     ("run.cfg", b"n_init = 0\n", ["pps", "--k", "3"],
      "n_init must be an int >= 1, got 0"),
     ("run.cfg", b"n_init = 2.5\n", ["pps", "--k", "3"],
-     "run.cfg:1: bad value '2.5' for n_init"),
+     "run.cfg: line 1: bad value '2.5' for n_init"),
     ("run.cfg", b"# tuned\ntol 1e-3\n", ["pps", "--k", "3"],
-     "run.cfg:2: expected key = value"),
+     "run.cfg: line 2: expected key = value"),
     ("run.cfg", b"tol = \xff\n", ["pps", "--k", "3"], "not valid UTF-8"),
     ("bounds.json", b"[1, 2]", ["rfm", "--mode", "expert", "--bounds-file", "{}"],
      "expected a JSON object"),
     ("bounds.json", b'{"monetary": ["a", 1]}',
      ["rfm", "--mode", "expert", "--bounds-file", "{}"],
-     "bin edges for 'monetary' must be a list of finite numbers"),
+     "bin_edge must be a finite number, got 'a'"),
     ("bounds.json", b'{"frequency": [NaN]}',
-     ["rfm", "--mode", "expert", "--bounds-file", "{}"], "finite numbers"),
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "bin_edge must be a finite number, got nan"),
     ("bounds.json", b'{"recency_days": 30}',
-     ["rfm", "--mode", "expert", "--bounds-file", "{}"], "finite numbers"),
+     ["rfm", "--mode", "expert", "--bounds-file", "{}"],
+     "bin edges for 'recency_days' must be a list of numbers, got 30"),
     ("bounds.json", b'{"recency": [30]}',
      ["rfm", "--mode", "expert", "--bounds-file", "{}"],
      "unknown RFM dimension 'recency'"),
@@ -725,12 +740,15 @@ MALFORMED_INPUTS = [
      "expert mode takes no --k"),
     # Each converts as a float: tol = inf would stop every fit after one
     # iteration, and a NaN threshold would label every cluster General.
-    ("run.cfg", b"tol = inf\n", ["pps", "--k", "3"],
-     "run.cfg:1: tol must be a finite number > 0, got inf"),
+    # Under the id that its former message gave it.
+    pytest.param("run.cfg", b"tol = inf\n", ["pps", "--k", "3"],
+                 "run.cfg: line 1: tol must be a finite number > 0, got inf",
+                 id="run.cfg-tol = inf\n-command14-run.cfg:1: tol must be a "
+                    "finite number > 0, got inf"),
     ("run.cfg", b"dominance_threshold = nan\n", ["sm", "--k-b", "6", "--k-sm", "9"],
-     "run.cfg:1: dominance_threshold must be a finite number, got nan"),
+     "run.cfg: line 1: dominance_threshold must be a finite number, got nan"),
     ("run.cfg", b"value_weight = -1\n", ["sm", "--k-b", "6", "--k-sm", "9"],
-     "run.cfg:1: value_weight must be a finite number >= 0, got -1.0"),
+     "run.cfg: line 1: value_weight must be a finite number >= 0, got -1.0"),
     # 73 x 137 x 1 cells, one more than MAX_EXPERT_SEGMENTS.
     ("bounds.json",
      json.dumps({"recency_days": list(range(72)),
@@ -773,17 +791,17 @@ MALFORMED_INPUTS = [
      "not a valid SM model: PipelineError: duplicate key 'k'"),
     # int() and float() would read these as 3 and 0.001.
     ("run.cfg", "n_init = \u0663\n".encode(), ["pps", "--k", "3"],
-     "run.cfg:1: bad value '\u0663' for n_init"),
+     "run.cfg: line 1: bad value '\u0663' for n_init"),
     ("run.cfg", b"tol = 1_0e-4\n", ["pps", "--k", "3"],
-     "run.cfg:1: bad value '1_0e-4' for tol"),
+     "run.cfg: line 1: bad value '1_0e-4' for tol"),
     # Cluster centers that np.array would convert to 0.5 and 1.0.
     ("model.json", one_category_model([["0.5", "1"]], [[1.0]]),
      ["score", "--model", "{}"],
-     "not a valid SM model: KMeansError: model centers must be numbers, "
+     "not a valid SM model: KMeansError: center must be a finite number, "
      "got '0.5'"),
     ("model.json", one_category_model([[0.5, 1.0]], [[True]]),
      ["score", "--model", "{}"],
-     "not a valid SM model: KMeansError: model centers must be numbers, "
+     "not a valid SM model: KMeansError: center must be a finite number, "
      "got True"),
 ]
 # The rows whose fault is in the options, not in the file's content; every

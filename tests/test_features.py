@@ -243,6 +243,38 @@ def test_feature_matrix_shape_must_match_ids_and_schema(X):
         feat.FeatureMatrix(ids=["a", "b", "c"], X=X, schema=["x"])
 
 
+@pytest.mark.parametrize("X, dtype", [
+    pytest.param([["1"], ["2"]], "<U1", id="text"),
+    pytest.param([[True], [False]], "bool", id="boolean"),
+    pytest.param([[None], [1.0]], "object", id="none"),
+    pytest.param([[1j], [1.0]], "complex128", id="complex"),
+])
+def test_feature_matrix_holds_numbers_only(X, dtype):
+    # A float conversion would parse the text, cast the booleans and turn
+    # None into NaN.
+    with pytest.raises(FeatureError, match=f"^features must be numbers, got dtype {dtype}$"):
+        feat.FeatureMatrix(ids=["a", "b"], X=X, schema=["x"])
+
+
+def test_feature_matrix_keeps_ints_and_nan_as_floats():
+    matrix = feat.FeatureMatrix(["a", "b"], np.array([[1], [2]], np.uint8), ["x"])
+    assert matrix.X.dtype == float and matrix.X.tolist() == [[1.0], [2.0]]
+    # k-means refuses a NaN row with its own message.
+    assert np.isnan(feat.FeatureMatrix(["a"], [[math.nan]], ["x"]).X).all()
+
+
+def test_customer_sm_takes_integer_labels_and_k(make_dataset):
+    ds = make_dataset(basket_rows("b0", "c1", {"hair": 1.0}), CATS)
+    with pytest.raises(FeatureError,
+                       match="^basket archetype labels must be ints, got float64$"):
+        feat.customer_sm_features(ds, np.zeros(1), 2)
+    with pytest.raises(FeatureError, match="^k must be an int >= 1, got 2.5$"):
+        feat.customer_sm_features(ds, [0], 2.5)
+    for labels in ([1], np.array([1], np.uint64), np.array([1], np.int8)):
+        matrix = feat.customer_sm_features(ds, labels, np.int64(2))
+        assert matrix.X.tolist() == [[0.0, 1.0]]
+
+
 def value_dataset(cents):
     """One-category dataset whose baskets are worth ``cents``."""
     n = len(cents)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -10,18 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import WINDOW
+from conftest import WINDOW, matrix_from
 from shopmission import kmeans, validity
 from shopmission.features import FeatureMatrix, basket_sm_features, compute_q95
 from shopmission.kmeans import ClusterModel, KMeansError, assign, kmeans_fit
 from shopmission.syngen import default_config, generate
 from shopmission.txmodel import ingest_receipts
-
-
-def matrix_from(X, prefix="e"):
-    X = np.asarray(X, dtype=float)
-    ids = [f"{prefix}{i:03d}" for i in range(len(X))]
-    return FeatureMatrix(ids=ids, X=X, schema=[f"f{j}" for j in range(X.shape[1])])
 
 
 def exhaustive_best_inertia(X, k=2):
@@ -287,6 +282,23 @@ def test_model_dict_with_misshapen_centers_rejected():
     doc = model.to_dict()
     doc["centers"] = [[0.0], [1.0]]
     with pytest.raises(KMeansError, match=r"centers of shape \(2, 1\)"):
+        ClusterModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("centers, message", [
+    pytest.param([5], "a model center row must be a list of numbers, got 5",
+                 id="number-row"),
+    pytest.param("ab", "model centers must be a list of rows, got 'ab'",
+                 id="text"),
+    pytest.param([[0.0, "1"], [1.0, 1.0]],
+                 "center must be a finite number, got '1'", id="text-entry"),
+    pytest.param([[0.0, 1e400], [1.0, 1.0]],
+                 "center must be a finite number, got inf", id="inf-entry"),
+])
+def test_model_dict_centers_are_rows_of_numbers(centers, message):
+    doc = ClusterModel(2, np.zeros((2, 2)), ["f0", "f1"], 0, 0.0, 1).to_dict()
+    doc["centers"] = centers
+    with pytest.raises(KMeansError, match=f"^{re.escape(message)}$"):
         ClusterModel.from_dict(doc)
 
 

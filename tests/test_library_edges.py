@@ -8,7 +8,8 @@ floats, floats where an int is due, booleans, NaN, +-inf and a string. The
 call must raise a ``ShopmissionError`` of one line exactly when an argument
 is out of range; otherwise it returns a model whose numbers are plain Python
 ints and floats that survive a JSON round trip. ``syngen.default_config``
-and the RFM matrix's ``standardize_rfm`` flag keep the same contract.
+and the RFM matrix's ``standardize_rfm`` flag keep the same contract, and
+``number_list`` gives exactly the numbers that ``number`` gives its entries.
 """
 
 import json
@@ -19,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shopmission import ShopmissionError, features as feat
+from shopmission import (
+    NUMBERS, ShopmissionError, features as feat, number, number_list,
+)
 from shopmission.kmeans import ClusterModel, kmeans_fit
 from shopmission.pipeline import SmPipelineModel, rfm_matrix, run_rfm, run_sm
 from shopmission.syngen import default_config
@@ -117,6 +120,49 @@ def test_every_library_number_gives_a_model_or_one_error_line(
         check_plain(json.loads(text), {"value_weight": float, "q95": float})
         check_cluster_model(model.basket_model)
         check_cluster_model(model.customer_model)
+
+
+class Refused(Exception):
+    pass
+
+
+ENTRIES = (
+    st.sampled_from([
+        0, 1, -1, 2.5, -0.0, np.int64(3), np.uint8(7), np.float32(0.5),
+        np.float64(-2.0), True, False, np.True_, "1", "", None, NAN, INF, -INF,
+        2**1024, -(2**1024), np.int64(-5),
+    ])
+    | st.integers() | st.floats()
+)
+NOT_LISTS = [5, 2.5, None, "12", b"12", {1: 2}, {1.0}, range(2),
+             np.array([1.0, 2.0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_number_list_gives_the_numbers_of_number_or_one_error(data):
+    row = st.sampled_from(sorted(NUMBERS))
+    names = data.draw(row | st.lists(row, min_size=1, max_size=3).map(tuple),
+                      label="names")
+    entries = st.lists(ENTRIES, max_size=4)
+    values = data.draw(entries | entries.map(tuple) | st.sampled_from(NOT_LISTS),
+                       label="values")
+    one = isinstance(names, str)
+    expected = Refused
+    if isinstance(values, (list, tuple)) and (one or len(values) == len(names)):
+        rows = [names] * len(values) if one else names
+        try:
+            expected = [number(n, v, Refused) for n, v in zip(rows, values)]
+        except Refused:
+            pass
+    try:
+        got = number_list(names, values, Refused, "values")
+    except Refused as exc:
+        assert expected is Refused, exc
+        assert "\n" not in str(exc), exc
+        return
+    assert got == expected
+    assert [type(n) for n in got] == [type(n) for n in expected]
 
 
 # default_config's arguments; the basket bounds go in as one pair. The

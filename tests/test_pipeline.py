@@ -52,15 +52,14 @@ def one_cat_rows(n_per_customer, customers, cat, value=10.0):
                  "bin edges for monetary are not strictly increasing",
                  id="decreasing"),
     pytest.param({"monetary": [float("nan")]},
-                 "bin edges for 'monetary' must be a list of finite numbers",
-                 id="nan"),
+                 "bin_edge must be a finite number, got nan", id="nan"),
     pytest.param({"monetary": "abc"},
-                 "bin edges for 'monetary' must be a list of finite numbers",
+                 "bin edges for 'monetary' must be a list of numbers, got 'abc'",
                  id="not-a-list"),
-    pytest.param({"frequency": [True]}, "must be a list of finite numbers",
-                 id="boolean"),
-    pytest.param({"frequency": [10**400]}, "must be a list of finite numbers",
-                 id="huge-int"),
+    pytest.param({"frequency": [True]},
+                 "bin_edge must be a finite number, got True", id="boolean"),
+    pytest.param({"frequency": [10**400]},
+                 "bin_edge must be a finite number, got 1000", id="huge-int"),
     pytest.param([[30.0]], "expected a JSON object of edge lists",
                  id="not-a-dict"),
 ])

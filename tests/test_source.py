@@ -213,19 +213,27 @@ CONFIG_FEEDS = {
 
 
 def number_call_names():
-    """``path:line`` -> the literal first argument of each ``number(...)``
-    call in the package (None where it is not a string literal)."""
-    return {
-        f"{path.name}:{node.lineno}": (
-            node.args[0].value if node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str) else None
-        )
-        for path, tree in package_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "number"
-    }
+    """``(path:line, name)`` for each row name that a ``number(...)`` or
+    ``number_list(...)`` call in the package gives as its first argument: a
+    string literal, or for ``number_list`` a tuple of them. The name is None
+    where the argument is neither."""
+    found = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("number", "number_list")):
+                continue
+            first = node.args[0] if node.args else None
+            names = [first]
+            if node.func.id == "number_list" and isinstance(first, ast.Tuple):
+                names = first.elts
+            found += [
+                (f"{path.name}:{node.lineno}",
+                 name.value if isinstance(name, ast.Constant)
+                 and isinstance(name.value, str) else None)
+                for name in names
+            ]
+    return found
 
 
 def test_every_numbers_row_is_checked_and_every_check_has_a_row():
@@ -233,10 +241,10 @@ def test_every_numbers_row_is_checked_and_every_check_has_a_row():
     # a traceback, the first time it runs.
     names = number_call_names()
     assert names, "no number() calls in the package"
-    unknown = {at: name for at, name in names.items()
-               if name is not None and name not in NUMBERS}
+    unknown = [(at, name) for at, name in names
+               if name is not None and name not in NUMBERS]
     assert not unknown, f"number() names without a NUMBERS row: {unknown}"
-    dead = set(NUMBERS) - set(names.values())
+    dead = set(NUMBERS) - {name for _, name in names}
     assert not dead, f"NUMBERS rows that no number() call names: {dead}"
 
 

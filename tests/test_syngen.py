@@ -95,7 +95,8 @@ def test_generator_config_rejects_bad_values(changes, message):
 
 def test_profile_and_persona_values_checked():
     # sums to 1, so only the sign check catches it
-    with pytest.raises(SyngenError, match="weights must be non-negative"):
+    with pytest.raises(SyngenError,
+                       match="share must be a finite number >= 0, got -0.5"):
         MissionProfile("bad", (1.5, -0.5))
     with pytest.raises(SyngenError,
                        match="active_fraction must be a finite number > 0, got 0.0"):
@@ -121,9 +122,34 @@ def test_persona_comparisons_past_the_table():
 
 @pytest.mark.parametrize("baskets_range", [5, (1, 2, 3)])
 def test_baskets_range_must_be_a_pair(baskets_range):
-    message = f"persona 'frequent' baskets_range must be a pair, got {baskets_range!r}"
+    message = (f"persona 'frequent' baskets_range must be a list of 2 numbers, "
+               f"got {baskets_range!r}")
     with pytest.raises(SyngenError, match=f"^{re.escape(message)}$"):
         default_config(baskets_range=baskets_range)
+
+
+@pytest.mark.parametrize("shares, message", [
+    pytest.param(5, "archetype 'x' mixture must be a list of numbers, got 5",
+                 id="number"),
+    pytest.param(("0.5", "0.5"), "share must be a finite number >= 0, got '0.5'",
+                 id="text"),
+    pytest.param((True, False), "share must be a finite number >= 0, got True",
+                 id="boolean"),
+    pytest.param((float("nan"), 1.0),
+                 "share must be a finite number >= 0, got nan", id="nan"),
+])
+def test_archetype_mixture_is_a_list_of_shares(shares, message):
+    with pytest.raises(SyngenError, match=f"^{re.escape(message)}$"):
+        Archetype("x", shares, 1.0, 0.1)
+
+
+def test_mission_weights_are_kept_as_checked_floats():
+    message = "mission 'm' weights must be a list of numbers, got None"
+    with pytest.raises(SyngenError, match=f"^{re.escape(message)}$"):
+        MissionProfile("m", None)
+    mission = MissionProfile("m", [np.float32(0.5), 0, np.int64(0), 0.5])
+    assert mission.archetype_weights == (0.5, 0.0, 0.0, 0.5)
+    assert {type(w) for w in mission.archetype_weights} == {float}
 
 
 def test_config_n_categories_is_the_mixture_length():

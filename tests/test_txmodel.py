@@ -1,7 +1,7 @@
 import random
 import re
 from dataclasses import replace
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -124,6 +124,17 @@ def test_window_invariants():
     with pytest.raises(ValidationError):
         AnalysisWindow(start=date(2025, 3, 1), end=date(2025, 3, 1))
     assert WINDOW.length_days == 89
+
+
+@pytest.mark.parametrize("start, end", [
+    pytest.param("2025-01-01", "2025-03-31", id="text"),
+    pytest.param(datetime(2025, 1, 1), datetime(2025, 3, 31), id="datetime"),
+    pytest.param(date(2025, 1, 1), datetime(2025, 3, 31), id="date-datetime"),
+])
+def test_window_bounds_are_dates(start, end):
+    # Text compares as text, and a datetime does not compare with a date.
+    with pytest.raises(ValidationError, match="window bounds must be dates, got"):
+        AnalysisWindow(start, end)
 
 
 def test_baskets_partition_by_customer(tmp_path, cats):

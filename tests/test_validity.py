@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matrix_from, oracle_bvr, oracle_db, oracle_purity
 from shopmission import validity
 from shopmission.features import FeatureMatrix
 from shopmission.kmeans import kmeans_fit
@@ -16,62 +19,6 @@ from shopmission.validity import (
     purity,
     select_k,
 )
-
-
-def matrix_from(X):
-    X = np.asarray(X, dtype=float)
-    ids = [f"e{i:03d}" for i in range(len(X))]
-    return FeatureMatrix(ids=ids, X=X, schema=[f"f{j}" for j in range(X.shape[1])])
-
-
-def oracle_bvr(X, labels):
-    # plain-Python recomputation from the raw definitions
-    n, d = X.shape
-    mean = [sum(X[i][t] for i in range(n)) / n for t in range(d)]
-    total = sum((X[i][t] - mean[t]) ** 2 for i in range(n) for t in range(d))
-    within = 0.0
-    for c in set(labels):
-        pts = [i for i in range(n) if labels[i] == c]
-        cm = [sum(X[i][t] for i in pts) / len(pts) for t in range(d)]
-        within += sum((X[i][t] - cm[t]) ** 2 for i in pts for t in range(d))
-    return 1.0 - within / total
-
-
-def oracle_db(X, labels):
-    clusters = sorted(set(labels))
-    centers = {}
-    disp = {}
-    for c in clusters:
-        pts = [i for i in range(len(X)) if labels[i] == c]
-        centers[c] = [sum(X[i][t] for i in pts) / len(pts) for t in range(X.shape[1])]
-        disp[c] = sum(
-            sum((X[i][t] - centers[c][t]) ** 2 for t in range(X.shape[1])) ** 0.5
-            for i in pts
-        ) / len(pts)
-    total = 0.0
-    for ci in clusters:
-        worst = 0.0
-        for cj in clusters:
-            if ci == cj:
-                continue
-            d = sum((a - b) ** 2 for a, b in zip(centers[ci], centers[cj])) ** 0.5
-            worst = max(worst, (disp[ci] + disp[cj]) / d)
-        total += worst
-    return total / len(clusters)
-
-
-def oracle_purity(a, b):
-    clusters_i = set(a.values())
-    n = len(a)
-    total = 0
-    for ci in clusters_i:
-        members = {e for e, c in a.items() if c == ci}
-        best = max(
-            len(members & {e for e, c in b.items() if c == cj})
-            for cj in set(b.values())
-        )
-        total += best
-    return total / n
 
 
 def test_bvr_k1_is_zero():
@@ -292,6 +239,14 @@ def test_select_k_range_validation():
         message = f"k must be an int >= 1, got {bound}$"
         with pytest.raises(ValidityError, match=message):
             select_k(matrix, k_range, seed=0)
+
+
+@pytest.mark.parametrize("k_range", [5, (2, 3, 4), (2,), "23", None])
+def test_select_k_range_is_a_pair(k_range):
+    matrix = matrix_from(np.random.default_rng(5).normal(size=(10, 2)))
+    message = f"k_range must be a list of 2 numbers, got {k_range!r}"
+    with pytest.raises(ValidityError, match=f"^{re.escape(message)}$"):
+        select_k(matrix, k_range, seed=0)
 
 
 def test_select_k_constant_dataset_errors():
