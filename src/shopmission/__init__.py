@@ -8,6 +8,7 @@ archetype ratios.
 """
 
 import math
+import sys
 from contextlib import suppress
 from numbers import Integral, Real
 
@@ -59,18 +60,25 @@ NUMBERS = {
 }
 
 
+# Python refuses to print an int of more digits, so no row takes one.
+MAX_DIGITS = sys.int_info.default_max_str_digits
+_TOO_LONG = 10**MAX_DIGITS
+
+
 def number(name, value, error=ValueError):
     """``value`` as a plain ``int``, ``float`` or ``bool``, when it lies in
     ``name``'s domain in ``NUMBERS``; else raises ``error``. An int domain
-    takes Python and numpy ints, a float domain those and any finite real
-    number, a bool domain Python and numpy booleans only."""
+    takes Python and numpy ints of at most ``MAX_DIGITS`` digits, a float
+    domain those and any finite real number, a bool domain Python and numpy
+    booleans only."""
     kind, low, excluded = NUMBERS[name]
     if kind is bool:
         if isinstance(value, (bool, np.bool_)):
             return bool(value)
         raise error(f"{name} must be a boolean, got {value!r}")
     accepted = Integral if kind is int else Real
-    if isinstance(value, accepted) and not isinstance(value, bool):
+    huge = isinstance(value, int) and abs(value) >= _TOO_LONG
+    if isinstance(value, accepted) and not isinstance(value, bool) and not huge:
         with suppress(OverflowError):  # an int too large for a float
             plain = kind(value)
             if (low < plain if excluded else low <= plain) and plain < math.inf:
@@ -78,7 +86,8 @@ def number(name, value, error=ValueError):
     what = "an int" if kind is int else "a finite number"
     if low > -math.inf:
         what += f" {'>' if excluded else '>='} {low}"
-    raise error(f"{name} must be {what}, got {value!r}")
+    got = f"an int of more than {MAX_DIGITS} digits" if huge else repr(value)
+    raise error(f"{name} must be {what}, got {got}")
 
 
 def number_list(names, values, error, what):

@@ -154,13 +154,6 @@ def _settings(config, *keys):
     return {key: config[key] for key in keys if key in config}
 
 
-def _warn_unconverged(fit, converged):
-    if not converged:
-        warnings.warn(
-            f"{fit} k-means fit stopped at max_iter before converging"
-        )
-
-
 # Each command's step gets the parsed args and the config and reads its own
 # inputs. It computes everything, then returns a function that writes the
 # command's files into the --out directory (None for ingest, which has no
@@ -210,7 +203,6 @@ def cmd_rfm(args, config):
             dataset, args.k, args.seed,
             **_settings(config, "standardize_rfm", *FIT_KEYS),
         )
-        _warn_unconverged("rfm", report.metrics["converged"])
     else:
         if args.k is not None:
             raise PipelineError(
@@ -228,7 +220,6 @@ def cmd_pps(args, config):
         dataset, args.k, args.seed,
         **_settings(config, "dominance_threshold", *FIT_KEYS),
     )
-    _warn_unconverged("pps", report.metrics["converged"])
     return lambda out: report.write(out, "pps")
 
 
@@ -237,8 +228,6 @@ def cmd_sm(args, config):
         _load_dataset(args), args.k_b, args.k_sm, args.seed,
         **_settings(config, "value_weight", "dominance_threshold", *FIT_KEYS),
     )
-    _warn_unconverged("stage-1 basket", model.basket_model.converged)
-    _warn_unconverged("stage-2 customer", model.customer_model.converged)
 
     def write(out):
         basket_report.write(out, "sm_baskets")
@@ -261,8 +250,6 @@ def cmd_select_k(args, config):
         matrix, (args.k_min, args.k_max), args.seed, args.policy,
         **_settings(config, *FIT_KEYS),
     )
-    for row in sweep.rows:
-        _warn_unconverged(f"k={row['k']}", row["converged"])
 
     def write(out):
         sweep.to_csv(out / "k_sweep.csv")

@@ -171,23 +171,33 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
+        schema = doc["feature_schema"]
+        if not (isinstance(schema, list)
+                and all(isinstance(f, str) for f in schema)):
+            raise KMeansError(
+                f"model feature_schema must be a list of strings, got {schema!r}"
+            )
         rows = doc["centers"]
         if not isinstance(rows, list):
             raise KMeansError(f"model centers must be a list of rows, got {rows!r}")
-        centers = np.array(
-            [number_list("center", r, KMeansError, "a model center row") for r in rows]
-        )
+        rows = [
+            number_list("center", r, KMeansError, "a model center row")
+            for r in rows
+        ]
+        lengths = sorted({len(r) for r in rows})
+        if len(lengths) > 1:
+            raise KMeansError(f"model center rows have lengths {lengths}")
+        centers = np.array(rows)
         k = number("k", doc["k"], KMeansError)
-        n_features = len(doc["feature_schema"])
-        if centers.shape != (k, n_features):
+        if centers.shape != (k, len(schema)):
             raise KMeansError(
                 f"centers of shape {centers.shape} do not match k={k} "
-                f"and {n_features} features"
+                f"and {len(schema)} features"
             )
         return cls(
             k=k,
             centers=centers,
-            feature_schema=doc["feature_schema"],
+            feature_schema=schema,
             seed=number("seed", doc["seed"]),
             inertia=number("inertia", doc["inertia"]),
             iterations_run=number("iterations_run", doc["iterations_run"]),

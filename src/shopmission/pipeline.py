@@ -80,7 +80,7 @@ def label_clusters(
 
 
 def _report_from_fit(
-    matrix, model, labels, dominance_threshold
+    matrix, model, labels, dominance_threshold, name
 ) -> SegmentationReport:
     return SegmentationReport(
         ids=matrix.ids,
@@ -90,7 +90,7 @@ def _report_from_fit(
         cluster_labels=label_clusters(
             model.centers, matrix.schema, dominance_threshold
         ),
-        metrics=fit_summary(matrix, model, labels),
+        metrics=fit_summary(matrix, model, labels, name),
     )
 
 
@@ -192,7 +192,7 @@ def run_rfm(
         centers=cluster_means(X.T, labels, counts),
         feature_schema=list(matrix.schema),
         cluster_labels=[f"C{c + 1:02d}" for c in range(k)],
-        metrics=fit_summary(fit_matrix, model, labels),
+        metrics=fit_summary(fit_matrix, model, labels, "rfm"),
     )
 
 
@@ -234,7 +234,7 @@ def run_pps(
     )
     matrix = feat.pps_features(dataset)
     model, labels = kmeans_fit(matrix, k, seed=seed, **fit_kwargs)
-    return _report_from_fit(matrix, model, labels, dominance_threshold)
+    return _report_from_fit(matrix, model, labels, dominance_threshold, "pps")
 
 
 @dataclass
@@ -349,10 +349,12 @@ def run_sm(
     )
 
     basket_report = _report_from_fit(
-        basket_matrix, basket_model, basket_labels, dominance_threshold
+        basket_matrix, basket_model, basket_labels, dominance_threshold,
+        "stage-1 basket",
     )
     customer_report = _report_from_fit(
-        customer_matrix, customer_model, customer_labels, dominance_threshold
+        customer_matrix, customer_model, customer_labels, dominance_threshold,
+        "stage-2 customer",
     )
     del basket_matrix, customer_matrix  # before the fingerprint loads OpenSSL
     sm_model = SmPipelineModel(

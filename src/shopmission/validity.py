@@ -80,10 +80,11 @@ def davies_bouldin(matrix: FeatureMatrix, labels) -> float:
     return float(np.cumsum(worst)[-1] / k)
 
 
-def fit_summary(matrix: FeatureMatrix, model, labels) -> dict:
+def fit_summary(matrix: FeatureMatrix, model, labels, name) -> dict:
     """What a segmentation's ``*_metrics.json`` and a ``select_k`` sweep row
     hold of one fit: k, inertia, seed, whether it converged and, for
-    k >= 2, the between-variance ratio and Davies-Bouldin index."""
+    k >= 2, the between-variance ratio and Davies-Bouldin index. Warns,
+    naming the fit ``name``, when it stopped at max_iter."""
     summary = {
         "k": model.k,
         "inertia": model.inertia,
@@ -95,6 +96,10 @@ def fit_summary(matrix: FeatureMatrix, model, labels) -> dict:
             matrix, labels
         )
         summary["davies_bouldin"] = davies_bouldin(matrix, labels)
+    if not model.converged:
+        warnings.warn(
+            f"{name} k-means fit stopped at max_iter before converging"
+        )
     return summary
 
 
@@ -147,7 +152,7 @@ def select_k(
     rows = []
     for k in range(k_min, k_max + 1):
         model, labels = kmeans_fit(matrix, k, seed=seed + k, **fit_kwargs)
-        rows.append(fit_summary(matrix, model, labels))
+        rows.append(fit_summary(matrix, model, labels, f"k={k}"))
     if policy == "db_min":
         recommended = min(rows, key=itemgetter("davies_bouldin", "k"))["k"]
     elif policy == "variance_elbow":

@@ -320,20 +320,36 @@ def test_outputs_do_not_depend_on_the_locale(data_dir, tmp_path):
 
 
 def test_unconverged_fits_warn_on_stderr(data_dir, tmp_path, capsys):
+    # With max_iter = 1 no fit converges, and each prints one line, in fit
+    # order: a sweep's lines come before its recommendation.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_iter = 1\n")
-    out = tmp_path / "sm"
-    rc = main([
-        "--config", str(cfg), "sm", *dataset_args(data_dir),
-        "--k-b", "6", "--k-sm", "9", "--seed", "42", "--out", str(out),
-    ])
-    assert rc == 0
-    warnings = [
-        line for line in capsys.readouterr().err.splitlines()
-        if line.startswith("warning:")
+    sweep = ["--k-min", "2", "--k-max", "5"]
+    commands = [
+        (["sm", "--k-b", "6", "--k-sm", "9", "--seed", "42"],
+         ["stage-1 basket", "stage-2 customer"]),
+        (["rfm", "--k", "4"], ["rfm"]),
+        (["pps", "--k", "4"], ["pps"]),
+    ] + [
+        (["select-k", "--target", target, *sweep], ["k=2", "k=3", "k=4", "k=5"])
+        for target in ("pps", "basket", "rfm")
     ]
-    assert len(warnings) == 2
-    assert "stage-1 basket" in warnings[0] and "max_iter" in warnings[0]
+    for i, (command, fits) in enumerate(commands):
+        out = tmp_path / f"run{i}"
+        rc = main([
+            "--config", str(cfg), *command, *dataset_args(data_dir),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        if command[0] == "select-k":
+            assert err.pop().startswith("recommended k: ")
+        assert err == [
+            f"warning: {fit} k-means fit stopped at max_iter before converging"
+            for fit in fits
+        ]
+    # The files of the sm run record both stopped fits.
+    out = tmp_path / "run0"
     model = json.loads((out / "sm_model.json").read_text())
     assert model["basket_model"]["converged"] is False
     assert model["customer_model"]["converged"] is False
@@ -486,6 +502,15 @@ def _drop_last_basket_cluster(doc):
      "KMeansError: center must be a finite number, got -inf"),
     (_set("basket_model", "k", 6.0),
      "KMeansError: k must be an int >= 1, got 6.0"),
+    (_set("customer_model", "centers", 0, [0.5]),
+     "KMeansError: model center rows have lengths [1, 6]"),
+    (_set("basket_model", "feature_schema", 5),
+     "KMeansError: model feature_schema must be a list of strings, got 5"),
+    (_set("customer_model", "feature_schema", "ab"),
+     "KMeansError: model feature_schema must be a list of strings, got 'ab'"),
+    (_set("customer_model", "feature_schema", 0, 1),
+     "KMeansError: model feature_schema must be a list of strings, "
+     "got [1, 'archetype:1', "),
     (_set("category_ids", 0, ["K00"]),
      "category_ids must be a list of distinct strings"),
     (_duplicate_first_category,
@@ -503,6 +528,8 @@ def _drop_last_basket_cluster(doc):
     "inertia-text", "inertia-bool", "iterations-null", "iterations-zero",
     "converged-text",
     "customer-center-nan", "basket-center-inf", "basket-k-float",
+    "customer-center-row-short", "basket-schema-number",
+    "customer-schema-text", "customer-schema-entry",
     "category-id-list",
     "category-id-repeated",
     "customer-schema-vs-basket-k", "basket-schema-column",

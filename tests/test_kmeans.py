@@ -302,6 +302,26 @@ def test_model_dict_centers_are_rows_of_numbers(centers, message):
         ClusterModel.from_dict(doc)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("centers", [[0.0], [1.0, 1.0]],
+                 "model center rows have lengths [1, 2]", id="ragged-rows"),
+    pytest.param("feature_schema", 5,
+                 "model feature_schema must be a list of strings, got 5",
+                 id="schema-number"),
+    pytest.param("feature_schema", "ab",
+                 "model feature_schema must be a list of strings, got 'ab'",
+                 id="schema-text"),
+    pytest.param("feature_schema", ["f0", 1],
+                 "model feature_schema must be a list of strings, "
+                 "got ['f0', 1]", id="schema-entry"),
+])
+def test_model_dict_parts_have_their_shape(key, value, message):
+    doc = ClusterModel(2, np.zeros((2, 2)), ["f0", "f1"], 0, 0.0, 1).to_dict()
+    doc[key] = value
+    with pytest.raises(KMeansError, match=f"^{re.escape(message)}$"):
+        ClusterModel.from_dict(doc)
+
+
 def test_restart_count_and_tol_validation():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     with pytest.raises(KMeansError):

@@ -4,10 +4,11 @@ The library counterpart of ``test_option_edges``: each example calls
 ``kmeans_fit``, ``select_k`` or ``run_sm`` on ``small_planted`` with its
 numeric arguments drawn from in-range values, given as Python or numpy ints
 and floats, and at most one argument drawn from out-of-range ints and
-floats, floats where an int is due, booleans, NaN, +-inf and a string. The
-call must raise a ``ShopmissionError`` of one line exactly when an argument
-is out of range; otherwise it returns a model whose numbers are plain Python
-ints and floats that survive a JSON round trip. ``syngen.default_config``
+floats, floats where an int is due, booleans, NaN, +-inf, an int too long
+to print and a string. The call must raise a ``ShopmissionError`` of one
+line exactly when an argument is out of range; otherwise it returns a model
+whose numbers are plain Python ints and floats that survive a JSON round
+trip. ``syngen.default_config``
 and the RFM matrix's ``standardize_rfm`` flag keep the same contract, and
 ``number_list`` gives exactly the numbers that ``number`` gives its entries.
 """
@@ -21,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopmission import (
-    NUMBERS, ShopmissionError, features as feat, number, number_list,
+    MAX_DIGITS, NUMBERS, ShopmissionError, features as feat, number,
+    number_list,
 )
 from shopmission.kmeans import ClusterModel, kmeans_fit
 from shopmission.pipeline import SmPipelineModel, rfm_matrix, run_rfm, run_sm
@@ -29,8 +31,9 @@ from shopmission.syngen import default_config
 from shopmission.validity import POLICIES, select_k
 
 NAN, INF = math.nan, math.inf
-# Drawn by every argument that is out of range.
-NOT_NUMBERS = [True, False, NAN, INF, -INF, "2"]
+# Drawn by every argument that is out of range; 10**5000 has more digits
+# than Python prints.
+NOT_NUMBERS = [True, False, NAN, INF, -INF, "2", 10**5000]
 COUNT_BAD = [0, -1, 2.0, 2.5, np.float64(3.0), *NOT_NUMBERS]
 # Per argument: (in-range values, out-of-range values). Counts stay small,
 # so that no example runs for long.
@@ -74,6 +77,10 @@ def check_cluster_model(model):
     assert ClusterModel.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
 
 
+# max_iter=1 stops fits early, which the fits warn of.
+@pytest.mark.filterwarnings(
+    "ignore:.* k-means fit stopped at max_iter before converging:UserWarning"
+)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_library_number_gives_a_model_or_one_error_line(
@@ -120,6 +127,20 @@ def test_every_library_number_gives_a_model_or_one_error_line(
         check_plain(json.loads(text), {"value_weight": float, "q95": float})
         check_cluster_model(model.basket_model)
         check_cluster_model(model.customer_model)
+
+
+def test_an_int_too_long_to_print_is_refused_in_one_line():
+    longest = 10**MAX_DIGITS - 1  # the largest int that Python prints
+    for name, (kind, _, _) in NUMBERS.items():
+        if kind is int:
+            assert number(name, longest) == longest
+        if kind is not bool:
+            for value in (longest + 1, -longest - 1):
+                with pytest.raises(ValueError, match=(
+                    f"^{name} must be .*, got an int of more than "
+                    f"{MAX_DIGITS} digits$"
+                )):
+                    number(name, value)
 
 
 class Refused(Exception):
@@ -179,7 +200,8 @@ CONFIG_ARGUMENTS = {
     # An infinite concentration selects the zero-noise share sampler.
     "concentration": ([80.0, 1, np.float32(0.5), np.int64(2), INF,
                        np.float64(INF)],
-                      [0, -1.0, -1e-9, NAN, -INF, True, False, "80"]),
+                      [0, -1.0, -1e-9, NAN, -INF, True, False, "80",
+                       10**5000]),
 }
 
 

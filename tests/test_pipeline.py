@@ -17,7 +17,7 @@ from conftest import (
     write_receipts,
 )
 from shopmission import pipeline
-from shopmission.features import FeatureError, rfm_features
+from shopmission.features import FeatureError, pps_features, rfm_features
 from shopmission.pipeline import (
     PipelineError,
     SmPipelineModel,
@@ -32,7 +32,7 @@ from shopmission.pipeline import (
 )
 from shopmission.syngen import default_config, generate
 from shopmission.txmodel import AnalysisWindow, ValidationError, ingest_receipts
-from shopmission.validity import purity
+from shopmission.validity import purity, select_k
 
 CATS = [f"K{i:02d}" for i in range(4)]
 
@@ -225,6 +225,44 @@ def test_run_sm_kb1_degenerates_with_warning(make_dataset):
         model, _, customer_report = run_sm(ds, k_b=1, k_sm=3, seed=0)
     assert model.customer_model.k == 1
     assert customer_report.shares.tolist() == [1.0]
+
+
+def fits_and_warnings(dataset, **fit):
+    """(name, converged) of each k-means fit of run_rfm, run_pps, run_sm and
+    select_k, in fit order, and the messages of the warnings they raise."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rfm = run_rfm(dataset, 4, **fit)
+        pps = run_pps(dataset, 4, **fit)
+        model, _, _ = run_sm(dataset, 6, 4, **fit)
+        sweep = select_k(pps_features(dataset), (2, 6), 0, **fit)
+    fits = [
+        ("rfm", rfm.metrics["converged"]),
+        ("pps", pps.metrics["converged"]),
+        ("stage-1 basket", model.basket_model.converged),
+        ("stage-2 customer", model.customer_model.converged),
+    ] + [(f"k={row['k']}", row["converged"]) for row in sweep.rows]
+    return fits, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("max_iter", [1, 5])
+def test_each_fit_stopped_at_max_iter_warns_once(small_planted, max_iter):
+    # max_iter=5 stops some fits of small_planted early and not others.
+    fits, messages = fits_and_warnings(small_planted[3], max_iter=max_iter)
+    assert messages == [
+        f"{name} k-means fit stopped at max_iter before converging"
+        for name, done in fits if not done
+    ]
+    if max_iter == 1:
+        assert not any(done for _, done in fits)
+    else:
+        assert 0 < len(messages) < len(fits)
+
+
+def test_fits_with_default_settings_do_not_warn(small_planted):
+    fits, messages = fits_and_warnings(small_planted[3])
+    assert messages == []
+    assert all(done for _, done in fits)
 
 
 def test_run_sm_rejects_stage2_rows_not_summing_to_one(monkeypatch, make_dataset):

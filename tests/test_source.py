@@ -283,6 +283,19 @@ def test_cli_reads_no_config_default():
     assert not found, f"config.get( calls in the CLI: {found}"
 
 
+def test_cli_raises_no_warning():
+    # The library raises each warning where it learns the fact, so that a
+    # library caller sees it too; the CLI only prints them.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "warn"
+        or isinstance(node, ast.Name) and node.id == "warn"
+    ]
+    assert not found, f"warn calls in the CLI: {found}"
+
+
 def package_exception_classes():
     """Every exception class defined at the top level of a package module."""
     for path, _ in package_trees():

@@ -193,7 +193,7 @@ def test_fit_summary_ignores_matrix_layout():
             )
             assert matrix.X.flags.c_contiguous
             model, labels = kmeans_fit(matrix, 4, seed=0, n_init=2)
-            summary = fit_summary(matrix, model, labels)
+            summary = fit_summary(matrix, model, labels, "k=4")
             got.add((model.centers.tobytes(), labels.tobytes(),
                      repr(sorted(summary.items()))))
         assert len(got) == 1
