@@ -49,7 +49,6 @@ NUMBERS = {
     "n_categories": (int, 2, False),
     "baskets_min": (int, 1, False),
     "baskets_max": (int, 1, False),
-    "concentration": (float, 0, True),
     "active_fraction": (float, 0, True),
     "value_scale": (float, 0, True),
     "value_mu": (float, -math.inf, True),
@@ -65,6 +64,18 @@ MAX_DIGITS = sys.int_info.default_max_str_digits
 _TOO_LONG = 10**MAX_DIGITS
 
 
+def _shown(value):
+    """``repr(value)``, or words for an int that Python refuses to print,
+    alone or anywhere inside ``value``."""
+    try:
+        return repr(value)
+    except ValueError:  # Python's digit limit
+        too_long = f"an int of more than {MAX_DIGITS} digits"
+        if isinstance(value, int):
+            return too_long
+        return f"a {type(value).__name__} holding {too_long}"
+
+
 def number(name, value, error=ValueError):
     """``value`` as a plain ``int``, ``float`` or ``bool``, when it lies in
     ``name``'s domain in ``NUMBERS``; else raises ``error``. An int domain
@@ -75,7 +86,7 @@ def number(name, value, error=ValueError):
     if kind is bool:
         if isinstance(value, (bool, np.bool_)):
             return bool(value)
-        raise error(f"{name} must be a boolean, got {value!r}")
+        raise error(f"{name} must be a boolean, got {_shown(value)}")
     accepted = Integral if kind is int else Real
     huge = isinstance(value, int) and abs(value) >= _TOO_LONG
     if isinstance(value, accepted) and not isinstance(value, bool) and not huge:
@@ -86,8 +97,7 @@ def number(name, value, error=ValueError):
     what = "an int" if kind is int else "a finite number"
     if low > -math.inf:
         what += f" {'>' if excluded else '>='} {low}"
-    got = f"an int of more than {MAX_DIGITS} digits" if huge else repr(value)
-    raise error(f"{name} must be {what}, got {got}")
+    raise error(f"{name} must be {what}, got {_shown(value)}")
 
 
 def number_list(names, values, error, what):
@@ -97,6 +107,6 @@ def number_list(names, values, error, what):
     one = isinstance(names, str)
     if not isinstance(values, (list, tuple)) or not one and len(values) != len(names):
         count = "" if one else f"{len(names)} "
-        raise error(f"{what} must be a list of {count}numbers, got {values!r}")
+        raise error(f"{what} must be a list of {count}numbers, got {_shown(values)}")
     rows = [names] * len(values) if one else names
     return [number(name, value, error) for name, value in zip(rows, values)]

@@ -13,7 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import accumulate, groupby
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,9 @@ TRUTH_CUSTOMER_COLUMNS = ["customer_id", "mission", "persona"]
 # Every visit falls on a day of this window, both ends included.
 WINDOW_START = date(2025, 1, 1)
 WINDOW_END = date(2025, 3, 31)
+# The Dirichlet concentration of the per-basket share noise: a basket's
+# shares are drawn over CONCENTRATION * its archetype's mixture.
+CONCENTRATION = 80.0
 
 
 class SyngenError(ShopmissionError):
@@ -97,7 +99,6 @@ class GeneratorConfig:
     personas: list
     n_customers: int
     seed: int
-    concentration: float = 80.0  # Dirichlet concentration of per-basket noise
 
     @property
     def n_categories(self) -> int:
@@ -107,10 +108,6 @@ class GeneratorConfig:
     def __post_init__(self):
         self.n_customers = number("n_customers", self.n_customers, SyngenError)
         self.seed = number("seed", self.seed, SyngenError)
-        c = self.concentration
-        if not (isinstance(c, Real) and c == np.inf):  # inf: zero-noise sampler
-            c = number("concentration", c, SyngenError)
-        self.concentration = float(c)
         if not (self.archetypes and self.missions and self.personas):
             raise SyngenError("need at least one archetype, mission and persona")
         for label, kind in (
@@ -147,7 +144,6 @@ def default_config(
     seed: int = 0,
     n_categories: int = 8,
     baskets_range: tuple = (8, 16),
-    concentration: float = 80.0,
 ) -> GeneratorConfig:
     """Planted-structure default: 2 general archetypes at distinct value
     levels plus 4 focused ones, 3 mission profiles, 3 RFM personas."""
@@ -194,7 +190,6 @@ def default_config(
         personas=personas,
         n_customers=n_customers,
         seed=seed,
-        concentration=concentration,
     )
 
 
@@ -267,11 +262,9 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     the draws are: mission, persona, basket count, visit days; per basket:
     archetype, value, shares, hour, then one promo double per emitted line.
 
-    Each archetype has one share sampler, built before the first draw. At
-    an infinite concentration it returns a copy of the mixture and draws
-    nothing; otherwise it is ``_dirichlet_sampler`` over ``concentration *
-    mixture``, zeros included, which keeps zero-mixture categories at
-    exactly zero.
+    Each archetype has one share sampler, built before the first draw:
+    ``_dirichlet_sampler`` over ``CONCENTRATION * mixture``, zeros included,
+    which keeps zero-mixture categories at exactly zero.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,12 +285,8 @@ def generate(config: GeneratorConfig, out_dir) -> GroundTruth:
     # Per archetype: name, value distribution and share sampler.
     archetypes = []
     for a in config.archetypes:
-        mixture = np.asarray(a.mixture, dtype=float)
-        if np.isinf(config.concentration):
-            draw_shares = mixture.tolist().copy
-        else:
-            alpha = config.concentration * mixture
-            draw_shares = _dirichlet_sampler(rng, alpha)
+        alpha = CONCENTRATION * np.asarray(a.mixture, dtype=float)
+        draw_shares = _dirichlet_sampler(rng, alpha)
         archetypes.append((a.name, a.value_mu, a.value_sigma, draw_shares))
     missions = [(m.name, _cdf(m.archetype_weights)) for m in config.missions]
     personas = [

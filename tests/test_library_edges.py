@@ -27,8 +27,8 @@ from shopmission import (
 )
 from shopmission.kmeans import ClusterModel, kmeans_fit
 from shopmission.pipeline import SmPipelineModel, rfm_matrix, run_rfm, run_sm
-from shopmission.syngen import default_config
-from shopmission.validity import POLICIES, select_k
+from shopmission.syngen import SyngenError, default_config
+from shopmission.validity import POLICIES, ValidityError, select_k
 
 NAN, INF = math.nan, math.inf
 # Drawn by every argument that is out of range; 10**5000 has more digits
@@ -143,6 +143,33 @@ def test_an_int_too_long_to_print_is_refused_in_one_line():
                     number(name, value)
 
 
+TOO_LONG = f"an int of more than {MAX_DIGITS} digits"
+PAIR = "persona 'frequent' baskets_range must be a list of 2 numbers, got"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: select_k(np.zeros((4, 2)), (10**5000,), 0),
+                 ValidityError,
+                 f"k_range must be a list of 2 numbers, got a tuple holding "
+                 f"{TOO_LONG}", id="k_range"),
+    pytest.param(lambda: default_config(baskets_range=10**5000), SyngenError,
+                 f"{PAIR} {TOO_LONG}", id="int"),
+    pytest.param(lambda: default_config(baskets_range=(1, 2, 10**5000)),
+                 SyngenError, f"{PAIR} a tuple holding {TOO_LONG}",
+                 id="tuple"),
+    pytest.param(lambda: default_config(baskets_range=[(1, 10**5000)]),
+                 SyngenError, f"{PAIR} a list holding {TOO_LONG}",
+                 id="nested"),
+])
+def test_a_value_of_the_wrong_shape_never_prints_a_long_int(call, error,
+                                                            message):
+    # Printing the int would raise Python's digit-limit ValueError instead.
+    with pytest.raises(ShopmissionError) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 class Refused(Exception):
     pass
 
@@ -151,12 +178,12 @@ ENTRIES = (
     st.sampled_from([
         0, 1, -1, 2.5, -0.0, np.int64(3), np.uint8(7), np.float32(0.5),
         np.float64(-2.0), True, False, np.True_, "1", "", None, NAN, INF, -INF,
-        2**1024, -(2**1024), np.int64(-5),
+        2**1024, -(2**1024), 10**5000, np.int64(-5),
     ])
     | st.integers() | st.floats()
 )
 NOT_LISTS = [5, 2.5, None, "12", b"12", {1: 2}, {1.0}, range(2),
-             np.array([1.0, 2.0])]
+             np.array([1.0, 2.0]), 10**5000]
 
 
 @settings(max_examples=300, deadline=None)
@@ -197,11 +224,6 @@ CONFIG_ARGUMENTS = {
                     [0, -1, 2**63 - 1, 2**70, 8.0, np.float64(16.0),
                      *NOT_NUMBERS]),
     "seed": ARGUMENTS["seed"],
-    # An infinite concentration selects the zero-noise share sampler.
-    "concentration": ([80.0, 1, np.float32(0.5), np.int64(2), INF,
-                       np.float64(INF)],
-                      [0, -1.0, -1e-9, NAN, -INF, True, False, "80",
-                       10**5000]),
 }
 
 
@@ -226,8 +248,6 @@ def test_every_generator_number_gives_a_config_or_one_error_line(data):
     counts += [n for persona in config.personas for n in persona.baskets_range]
     assert all(type(n) is int for n in counts), counts
     assert config.personas[0].baskets_range == args["baskets_range"]
-    assert type(config.concentration) is float
-    assert config.concentration == args["concentration"]
 
 
 @pytest.mark.parametrize("call", ["rfm_matrix", "run_rfm"])

@@ -21,7 +21,7 @@ from shopmission.syngen import (
 from shopmission.txmodel import ParseError, ValidationError, ingest_receipts
 
 
-def single_archetype_config(seed=0, concentration=float("inf")):
+def single_archetype_config(seed=0):
     archetypes = [Archetype("only", (0.5, 0.3, 0.2), np.log(10.0), 0.0)]
     return GeneratorConfig(
         archetypes=archetypes,
@@ -29,7 +29,6 @@ def single_archetype_config(seed=0, concentration=float("inf")):
         personas=[RfmPersona("plain", (20, 30))],
         n_customers=5,
         seed=seed,
-        concentration=concentration,
     )
 
 
@@ -62,9 +61,6 @@ def test_config_invariant_violations():
         pytest.param({"missions": []},
                      "at least one archetype, mission and persona",
                      id="changes5-at least one archetype, mission and persona"),
-        pytest.param({"concentration": float("nan")},
-                     "concentration must be a finite number > 0, got nan",
-                     id="changes6-concentration must be positive"),
         # n_categories is the mixtures' length, checked by its NUMBERS row
         pytest.param({"archetypes": [Archetype("one", (1.0,), 1.0, 0.1)]},
                      "n_categories must be an int >= 2, got 1",
@@ -155,7 +151,6 @@ def test_mission_weights_are_kept_as_checked_floats():
 def test_config_n_categories_is_the_mixture_length():
     assert [f.name for f in fields(GeneratorConfig)] == [
         "archetypes", "missions", "personas", "n_customers", "seed",
-        "concentration",
     ]
     cfg = single_archetype_config()
     assert cfg.n_categories == 3
@@ -178,20 +173,6 @@ def test_default_config_needs_four_categories():
     with pytest.raises(SyngenError, match="at least 4 categories, .* got 3"):
         default_config(n_categories=3)
     assert default_config(n_categories=4).n_categories == 4
-
-
-def test_zero_noise_identical_ratios(tmp_path):
-    generate(single_archetype_config(), tmp_path)
-    dataset = ingest_receipts(
-        tmp_path / "receipts.csv", tmp_path / "categories.csv", WINDOW
-    )
-    assert dataset.category_ids == ["K00", "K01", "K02"]
-    ratios = set()
-    for spend in dataset.spend_cents.tolist():
-        total = sum(spend)
-        ratios.add(tuple(round(cents / total, 2) for cents in spend))
-    # rounding to cents wiggles the ratios by <1%, nothing more
-    assert ratios == {(0.5, 0.3, 0.2)}
 
 
 def test_same_seed_byte_identical_output(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shopmission.cli import main
 from shopmission.syngen import (
     WINDOW_END,
     WINDOW_START,
@@ -80,17 +81,12 @@ def oracle_generate(config, out_dir) -> GroundTruth:
             total = persona.value_scale * rng.lognormal(
                 archetype.value_mu, archetype.value_sigma
             )
-            mixture = np.asarray(archetype.mixture)
-            if np.isinf(config.concentration):
-                # zero noise: ratios are exactly the archetype mixture
-                shares = mixture.copy()
-            else:
-                alpha = config.concentration * mixture
-                # Dirichlet needs strictly positive alphas; zero-mixture
-                # categories stay exactly zero.
-                active = alpha > 0
-                shares = np.zeros(config.n_categories)
-                shares[active] = rng.dirichlet(alpha[active])
+            alpha = 80.0 * np.asarray(archetype.mixture)
+            # Dirichlet needs strictly positive alphas; zero-mixture
+            # categories stay exactly zero.
+            active = alpha > 0
+            shares = np.zeros(config.n_categories)
+            shares[active] = rng.dirichlet(alpha[active])
             spend_cents = np.round(shares * total * 100).astype(int)
             if spend_cents.sum() <= 0:
                 spend_cents[int(np.argmax(shares))] = 100
@@ -168,15 +164,19 @@ def assert_matches_oracle(config, out):
     return got
 
 
-def custom_config(seed=11, concentration=5.0):
+def custom_config(seed=11, uniform_over=None):
     """Zero archetype and mixture weights, a persona with a short active
     window and a value scale, and a tiny-value archetype whose
     baskets round to zero cents and fall back to one 1.00 line (in its
-    first largest category when shares tie)."""
+    first largest category when shares tie). With ``uniform_over`` set,
+    every archetype spreads its spend evenly over that many categories."""
+    mixtures = [(0.5, 0.5, 0.0), (0.4, 0.2, 0.4), (0.0, 0.0, 1.0)]
+    if uniform_over is not None:
+        mixtures = [(1 / uniform_over,) * uniform_over] * 3
     archetypes = [
-        Archetype("pair", (0.5, 0.5, 0.0), np.log(10.0), 0.3),
-        Archetype("tiny", (0.4, 0.2, 0.4), np.log(0.004), 0.5),
-        Archetype("single", (0.0, 0.0, 1.0), 1.0, 0.0),
+        Archetype("pair", mixtures[0], np.log(10.0), 0.3),
+        Archetype("tiny", mixtures[1], np.log(0.004), 0.5),
+        Archetype("single", mixtures[2], 1.0, 0.0),
     ]
     missions = [
         MissionProfile("m0", (0.0, 1.0, 0.0)),
@@ -194,7 +194,6 @@ def custom_config(seed=11, concentration=5.0):
         personas=personas,
         n_customers=80,
         seed=seed,
-        concentration=concentration,
     )
 
 
@@ -208,25 +207,18 @@ def custom_config(seed=11, concentration=5.0):
         pytest.param(default_config(n_customers=40, seed=3, n_categories=4), id="4cats"),
         pytest.param(default_config(n_customers=40, seed=4, n_categories=12), id="12cats"),
         pytest.param(default_config(n_customers=60, seed=5, baskets_range=(1, 2)), id="baskets1-2"),
+        # Every alpha is below 0.1 (80 / 801): numpy's stick-breaking path.
         pytest.param(
-            default_config(n_customers=40, seed=6, concentration=float("inf")),
-            id="zero-noise",
-        ),
-        pytest.param(
-            custom_config(concentration=float("inf")), id="custom-zero-noise"
-        ),
-        # Every alpha is below 0.1: numpy's stick-breaking path.
-        pytest.param(
-            default_config(n_customers=40, seed=7, concentration=0.05),
+            default_config(n_customers=40, seed=8, n_categories=801),
             id="stick-breaking",
         ),
         pytest.param(
-            custom_config(concentration=0.05), id="custom-stick-breaking"
+            custom_config(uniform_over=801), id="custom-stick-breaking"
         ),
-        # The uniform archetypes' alphas are exactly 0.1 (0.8 / 8): the
+        # The uniform archetypes' alphas are exactly 0.1 (80 / 800): the
         # gamma path, at its threshold.
         pytest.param(
-            default_config(n_customers=40, seed=8, concentration=0.8),
+            default_config(n_customers=40, seed=8, n_categories=800),
             id="alpha-0.1",
         ),
     ],
@@ -247,24 +239,41 @@ def test_custom_config_reaches_every_branch(tmp_path):
     assert {r["category_id"] for r in pair} == {"K00", "K01"}
 
 
+def test_cli_below_the_threshold_writes_the_oracles_files(tmp_path):
+    assert main([
+        "syngen", "--out", str(tmp_path / "engine"), "--seed", "9",
+        "--customers", "12", "--n-categories", "801",
+        "--baskets-min", "1", "--baskets-max", "3",
+    ]) == 0
+    oracle_generate(
+        default_config(n_customers=12, seed=9, n_categories=801,
+                       baskets_range=(1, 3)),
+        tmp_path / "oracle",
+    )
+    for name in OUTPUT_FILES:
+        assert (tmp_path / "engine" / name).read_bytes() == (
+            tmp_path / "oracle" / name
+        ).read_bytes(), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_customers=st.integers(1, 30),
-    n_categories=st.integers(4, 10),
+    # 800 puts the uniform archetypes' alphas at numpy's 0.1 threshold,
+    # 801 below it.
+    n_categories=st.integers(4, 10) | st.sampled_from([800, 801]),
     lo=st.integers(1, 6),
     extra=st.integers(0, 6),
-    concentration=st.sampled_from([float("inf"), 0.05, 0.5, 0.8, 3.0, 80.0]),
 )
 def test_generate_matches_oracle_property(
-    tmp_path_factory, seed, n_customers, n_categories, lo, extra, concentration
+    tmp_path_factory, seed, n_customers, n_categories, lo, extra
 ):
     config = default_config(
         n_customers=n_customers,
         seed=seed,
         n_categories=n_categories,
         baskets_range=(lo, lo + extra),
-        concentration=concentration,
     )
     assert_matches_oracle(config, tmp_path_factory.mktemp("syngen"))
 
